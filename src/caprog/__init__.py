@@ -29,7 +29,6 @@ from .coefficient import (
     FitResult,
     RunParams,
     VariabilityCurve,
-    difference_sum,
     fit_line,
     measure,
     sample_times,
@@ -38,10 +37,8 @@ from .coefficient import (
 )
 from .complexity import (
     COMPRESSOR_ID,
-    ComplexityValue,
     compressed_size,
     deserialize,
-    evolution_complexity,
     serialize,
 )
 from .engine import (
@@ -50,15 +47,11 @@ from .engine import (
     GAME_OF_LIFE,
     Configuration,
     Evolution,
-    LifeEvolution,
-    LifeGrid,
     LifeRule,
     RuleTable,
     conjugate_rule,
     default_width,
     evolve,
-    life_evolve,
-    life_step,
     replay_check,
     rule_from_number,
     rule_to_number,

@@ -22,7 +22,7 @@ from .coefficient import (
     default_t_min,
     transition_coefficient,
 )
-from .engine import LifeRule, System, iter_eca_numbers, rule_from_number
+from .engine import LifeRule, rule_from_number
 from .enumeration import InputFamily, gray_initials
 
 # ECA rules that provably cannot react to input differences in the long
@@ -175,7 +175,6 @@ class SweepReport:
     ranking: tuple[str, ...]
     clusters: dict[str, int] = field(compare=False)
     epsilon: float = 0.0
-    manifest_ref: str | None = None
 
     def __post_init__(self):
         ids = [e.params.rule_id for e in self.entries]
@@ -252,7 +251,7 @@ def sweep_eca(
     workers = resolve_workers(workers)
     tasks = [
         (number, t_max, t_min, stride, n, width, include_input)
-        for number in iter_eca_numbers()
+        for number in range(256)
     ]
     results: dict[int, CoefficientResult] = {}
     if workers == 1:
@@ -263,7 +262,7 @@ def sweep_eca(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for number, res in pool.map(_eca_sweep_task, tasks, chunksize=8):
                 results[number] = res
-    entries = tuple(results[number] for number in iter_eca_numbers())
+    entries = tuple(results[number] for number in range(256))
 
     inert = [abs(results[number].c_value) for number in INERT_ECA]
     epsilon = max(2.0 * max(inert), EPSILON_FLOOR)

@@ -39,7 +39,6 @@ from .engine import (
     Configuration,
     default_width,
     evolve,
-    life_evolve,
     rule_from_number,
 )
 from .enumeration import gray_initials, gray_patches, random_initials
@@ -55,8 +54,24 @@ DEFAULT_T = 200
 DEFAULT_N = 40
 DEFAULT_W = 61
 LIFE_T = 100
-LIFE_N = 16
+# The full Gray cycle over a 3x3 patch: 9 pattern bits, 2**9 members. A
+# smaller family fills at most a 2x2 patch, where under B3/S23 every seed
+# dies or becomes a block, so Life cannot react to its input; 3x3 holds the
+# blinker, the glider and the R-pentomino.
+LIFE_N = 2 ** 9
 LIFE_SIDE = 32
+
+
+def _size(text: str) -> int:
+    """argparse type of every size flag: anything but a positive integer
+    is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _core_width(n: int) -> int:
@@ -65,32 +80,35 @@ def _core_width(n: int) -> int:
 
 def _add_family_args(p: argparse.ArgumentParser, with_model: bool) -> None:
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--gray-inputs", type=int, metavar="N",
+    group.add_argument("--gray-inputs", type=_size, metavar="N",
                        help="first N rows of the Gray ordering")
-    group.add_argument("--random-inputs", type=int, metavar="N",
+    group.add_argument("--random-inputs", type=_size, metavar="N",
                        help="N seeded uniform random rows")
     p.add_argument("--seed", type=int, default=0, help="PRNG seed for --random-inputs")
     p.add_argument("--density", type=float, default=0.5,
                    help="live-cell probability for --random-inputs")
-    p.add_argument("--width", type=int, help="row width (defaults depend on the family)")
+    p.add_argument("--width", type=_size, help="row width (defaults depend on the family)")
     p.add_argument("--boundary", choices=[CYCLIC, FIXED], default=CYCLIC)
     if with_model:
         p.add_argument("--model", choices=["eca", "life"], default="eca",
                        help="1-D elementary rule (default) or 2-D Game of Life")
-        p.add_argument("--height", type=int, help="grid height for --model life")
+        p.add_argument("--height", type=_size, help="grid height for --model life")
+
+
+def _life_family(args, parser):
+    """The Gray patch family of ``--model life``, for evolve and coeff."""
+    if args.random_inputs or getattr(args, "input", None) is not None:
+        parser.error("--model life supports --gray-inputs only")
+    if args.boundary != CYCLIC:
+        parser.error("--model life runs on cyclic grids only")
+    return gray_patches(args.gray_inputs or LIFE_N, args.height or LIFE_SIDE,
+                        args.width or LIFE_SIDE)
 
 
 def _measure_args(args, parser) -> tuple:
     """Resolve (system, family, t_max, inert_systems) for coeff/compare."""
-    if getattr(args, "model", "eca") == "life":
-        if args.random_inputs:
-            parser.error("--model life supports --gray-inputs only")
-        n = args.gray_inputs or LIFE_N
-        height = args.height or LIFE_SIDE
-        width = args.width or LIFE_SIDE
-        t_max = args.t or LIFE_T
-        family = gray_patches(n, height, width)
-        return GAME_OF_LIFE, family, t_max, INERT_LIFE
+    if args.model == "life":
+        return GAME_OF_LIFE, _life_family(args, parser), args.t or LIFE_T, INERT_LIFE
     if args.rule is None:
         parser.error("--rule is required for the elementary model")
     try:
@@ -113,27 +131,20 @@ def _measure_args(args, parser) -> tuple:
 def cmd_evolve(args, argv) -> int:
     parser = _PARSERS["evolve"]
     t = args.t
-    if t < 1:
-        parser.error("need --t >= 1")
     if args.input is not None and (args.gray_inputs or args.random_inputs):
         parser.error("--input excludes --gray-inputs/--random-inputs")
     family_desc: dict = {"boundary": args.boundary}
     if args.model == "life":
-        if args.input is not None or args.random_inputs:
-            parser.error("--model life supports --gray-inputs only")
-        height = args.height or LIFE_SIDE
-        width = args.width or LIFE_SIDE
-        n = args.gray_inputs or LIFE_N
-        family = gray_patches(n, height, width)
-        evolutions = [life_evolve(GAME_OF_LIFE, m, t) for m in family.members]
-        images = [e.rows.reshape(-1, e.rows.shape[2]) for e in evolutions]
-        system_name = GAME_OF_LIFE.rule_id
-        family_desc.update(scheme=family.scheme, n=n, height=height, width=width)
+        system = GAME_OF_LIFE
+        family = _life_family(args, parser)
+        members = family.members
+        family_desc.update(scheme=family.scheme, n=family.n, height=family.height,
+                           width=family.width)
     else:
         if args.rule is None:
             parser.error("--rule is required for the elementary model")
         try:
-            rule = rule_from_number(args.rule)
+            system = rule_from_number(args.rule)
         except ValueError as err:
             parser.error(str(err))
         if args.input is not None:
@@ -144,31 +155,28 @@ def cmd_evolve(args, argv) -> int:
             family_desc.update(scheme="explicit", n=1, width=len(args.input))
         elif args.gray_inputs:
             core = _core_width(args.gray_inputs)
-            width = args.width or default_width(core, rule.r, t)
-            members = list(gray_initials(args.gray_inputs, width,
-                                         boundary=args.boundary).members)
+            width = args.width or default_width(core, system.r, t)
+            members = gray_initials(args.gray_inputs, width, boundary=args.boundary).members
             family_desc.update(scheme="gray", n=args.gray_inputs, width=width)
         elif args.random_inputs:
-            width = args.width or default_width(1, rule.r, t)
-            members = list(random_initials(args.random_inputs, width, seed=args.seed,
-                                           density=args.density,
-                                           boundary=args.boundary).members)
+            width = args.width or default_width(1, system.r, t)
+            members = random_initials(args.random_inputs, width, seed=args.seed,
+                                      density=args.density, boundary=args.boundary).members
             family_desc.update(scheme="random", n=args.random_inputs, width=width,
                                seed=args.seed, density=args.density)
         else:
             parser.error("choose --input BITS, --gray-inputs N, or --random-inputs N")
-        evolutions = [evolve(rule, m, t) for m in members]
-        images = [e.rows for e in evolutions]
-        system_name = rule.rule_id
 
     files = {}
-    for j, (evo, image) in enumerate(zip(evolutions, images)):
-        files[f"evolution_{j:03d}.pbm"] = reportio.pbm_bytes(image)
+    for j, member in enumerate(members):
+        evo = evolve(system, member, t)
+        # A 2-D run renders as its grids stacked top to bottom.
+        files[f"evolution_{j:03d}.pbm"] = reportio.pbm_bytes(evo.rows.reshape(-1, evo.width))
         if args.raw:
             files[f"evolution_{j:03d}.bin"] = serialize(evo)
-    params = {"system": system_name, "t": t, "raw": bool(args.raw), **family_desc}
+    params = {"system": system.rule_id, "t": t, "raw": bool(args.raw), **family_desc}
     reportio.write_outputs(args.out, files, argv, params)
-    print(f"{system_name}: wrote {len(files)} files to {args.out}")
+    print(f"{system.rule_id}: wrote {len(files)} files to {args.out}")
     return EXIT_OK
 
 
@@ -326,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evolve", help="render space-time diagrams as PBM bitmaps")
     p.add_argument("--rule", type=int, help="elementary rule number 0..255")
     p.add_argument("--input", help="explicit initial row, e.g. 0110")
-    p.add_argument("--t", type=int, required=True, help="number of steps")
+    p.add_argument("--t", type=_size, required=True, help="number of steps")
     p.add_argument("--raw", action="store_true", help="also dump serialized payloads")
     p.add_argument("--out", default="caprog-evolve", help="output directory")
     _add_family_args(p, with_model=True)
@@ -335,9 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coeff", help="measure the transition coefficient of one system")
     p.add_argument("--rule", type=int, help="elementary rule number 0..255")
-    p.add_argument("--t", type=int, help=f"deepest runtime (default {DEFAULT_T})")
-    p.add_argument("--t-min", type=int, help="shallowest sampled runtime")
-    p.add_argument("--stride", type=int, help="runtime sampling stride")
+    p.add_argument("--t", type=_size, help=f"deepest runtime (default {DEFAULT_T})")
+    p.add_argument("--t-min", type=_size, help="shallowest sampled runtime")
+    p.add_argument("--stride", type=_size, help="runtime sampling stride")
     p.add_argument("--skip-input-row", action="store_true",
                    help="exclude the input row from compressed payloads")
     p.add_argument("--no-calibrate", action="store_true",
@@ -348,13 +356,13 @@ def build_parser() -> argparse.ArgumentParser:
     _PARSERS["coeff"] = p
 
     p = sub.add_parser("sweep", help="measure all 256 elementary rules")
-    p.add_argument("--t", type=int, default=DEFAULT_T)
-    p.add_argument("--n", type=int, default=DEFAULT_N, help="Gray family size")
-    p.add_argument("--width", type=int, default=DEFAULT_W)
-    p.add_argument("--t-min", type=int)
-    p.add_argument("--stride", type=int)
+    p.add_argument("--t", type=_size, default=DEFAULT_T)
+    p.add_argument("--n", type=_size, default=DEFAULT_N, help="Gray family size")
+    p.add_argument("--width", type=_size, default=DEFAULT_W)
+    p.add_argument("--t-min", type=_size)
+    p.add_argument("--stride", type=_size)
     p.add_argument("--skip-input-row", action="store_true")
-    p.add_argument("--workers", type=int,
+    p.add_argument("--workers", type=_size,
                    help="process count (default: CAPROG_WORKERS or all cores)")
     p.add_argument("--out", default="caprog-sweep", help="output directory")
     p.set_defaults(func=cmd_sweep)
@@ -367,9 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b-json", help="stored coefficient.json for the second system")
     p.add_argument("--c", type=float,
                    help="closeness tolerance; omitted means exact equality")
-    p.add_argument("--t", type=int, help=f"deepest runtime (default {DEFAULT_T})")
-    p.add_argument("--t-min", type=int)
-    p.add_argument("--stride", type=int)
+    p.add_argument("--t", type=_size, help=f"deepest runtime (default {DEFAULT_T})")
+    p.add_argument("--t-min", type=_size)
+    p.add_argument("--stride", type=_size)
     p.add_argument("--skip-input-row", action="store_true")
     p.add_argument("--no-calibrate", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--out", help="also write the verdict to this directory")

@@ -19,7 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexity import COMPRESSOR_ID, compressed_size, pack_cells
-from .engine import System, run_system, system_id
+# Bound under the name run_system because the benchmark's tracer
+# (perfbench/tracer.py) times the engine by wrapping that module attribute.
+from .engine import System, evolve as run_system
 from .enumeration import InputFamily
 
 
@@ -166,23 +168,11 @@ def _complexity_matrix(
     return out
 
 
-def _difference_sums(matrix: np.ndarray, times: tuple[int, ...], n: int) -> list[float]:
+def _gap_sums(matrix: np.ndarray, times: tuple[int, ...], n: int) -> list[float]:
     # Pair terms run over consecutive members j and j+1, so there are n-1
     # of them; the divisor matches.
     gaps = np.abs(np.diff(matrix, axis=0)).sum(axis=0)
     return [int(total) / (t_prime * (n - 1)) for total, t_prime in zip(gaps, times)]
-
-
-def difference_sum(
-    system: System, family: InputFamily, t: int, include_input: bool = True
-) -> float:
-    """Normalized sum of compressed-size gaps between consecutive inputs."""
-    if family.n < 2:
-        raise ValueError("difference sums need a family with n >= 2 members")
-    if t < 1:
-        raise ValueError("need t >= 1")
-    matrix = _complexity_matrix(system, family, (t,), include_input)
-    return _difference_sums(matrix, (t,), family.n)[0]
 
 
 def variability_curve(
@@ -198,12 +188,12 @@ def variability_curve(
         raise ValueError("difference sums need a family with n >= 2 members")
     times = sample_times(t_min, t_max, stride)
     matrix = _complexity_matrix(system, family, times, include_input)
-    sums = _difference_sums(matrix, times, family.n)
+    sums = _gap_sums(matrix, times, family.n)
     return VariabilityCurve(
         points=tuple(zip(times, sums)),
         n=family.n,
         family_descriptor=family.descriptor,
-        rule_id=system_id(system),
+        rule_id=system.rule_id,
     )
 
 
@@ -249,16 +239,15 @@ def measure(
         stride = default_stride(t_min, t_max)
     curve = variability_curve(system, family, t_min, t_max, stride, include_input)
     fit = fit_line(curve)
-    boundary = getattr(family.members[0], "boundary", "cyclic")
     params = RunParams(
-        rule_id=system_id(system),
+        rule_id=system.rule_id,
         t_max=t_max,
         t_min=t_min,
         stride=stride,
         n=family.n,
         width=family.width,
         height=family.height,
-        boundary=boundary,
+        boundary=family.members[0].boundary,
         compressor_id=COMPRESSOR_ID,
         scheme=family.scheme,
         include_input=include_input,

@@ -8,38 +8,16 @@ soften quantisation plateaus in downstream difference terms.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Evolution, LifeEvolution, System, run_system
+from .engine import Evolution
 
 # Pinned compressor: DEFLATE via zlib at maximum effort. Results are only
 # comparable under an identical compressor_id, so the library version is
 # part of the identifier.
 _LEVEL = 9
 COMPRESSOR_ID = f"deflate/zlib-{zlib.ZLIB_RUNTIME_VERSION}/level{_LEVEL}"
-
-# Documented ceiling on framing + block-header cost for payloads up to one
-# DEFLATE stored-block span (64 KiB), in bits.
-OVERHEAD_BITS = 512
-
-
-@dataclass(frozen=True)
-class ComplexityValue:
-    """Compressed size of one evolution, with enough metadata to compare."""
-
-    bits: int
-    raw_bits: int
-    compressor_id: str
-
-    def __post_init__(self):
-        if self.bits < 0 or self.raw_bits < 0:
-            raise ValueError("sizes are non-negative")
-
-
-def bits_per_cell(k: int) -> int:
-    return (k - 1).bit_length()
 
 
 def pack_cells(flat: np.ndarray, k: int) -> bytes:
@@ -60,7 +38,7 @@ def unpack_cells(payload: bytes, cell_count: int, k: int) -> np.ndarray:
     return np.frombuffer(payload, dtype=np.uint8)[:cell_count].copy()
 
 
-def serialize(evo: Evolution | LifeEvolution) -> bytes:
+def serialize(evo: Evolution) -> bytes:
     """Row-major cells of the whole run, packed; no header.
 
     Dimensions live in the run manifest, not the payload.
@@ -78,20 +56,3 @@ def compressed_size(payload: bytes) -> int:
     """Size in bits of the pinned compressor's output for ``payload``."""
     return len(zlib.compress(payload, _LEVEL)) * 8
 
-
-def evolution_complexity(
-    system: System, init, t: int, include_input: bool = True
-) -> ComplexityValue:
-    """Compressed size of the run of ``system`` from ``init`` for t steps.
-
-    ``include_input`` keeps the input row in the payload (the default);
-    switching it off compresses rows 1..t only.
-    """
-    evo = run_system(system, init, t)
-    rows = evo.rows if include_input else evo.rows[1:]
-    payload = pack_cells(rows.ravel(), evo.k)
-    return ComplexityValue(
-        bits=compressed_size(payload),
-        raw_bits=int(rows.size) * bits_per_cell(evo.k),
-        compressor_id=COMPRESSOR_ID,
-    )

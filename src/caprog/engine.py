@@ -1,16 +1,18 @@
-"""Deterministic cellular-automaton engines.
+"""Deterministic cellular-automaton engine.
 
-One-dimensional CA with arbitrary colour count k and radius r (the k=2, r=1
-case is the classic elementary family numbered 0..255), plus a small 2-D
-outer-totalistic engine whose default rule is Conway's Game of Life.
+One engine path serves two kinds of system: 1-D CA with arbitrary colour
+count k and radius r (the k=2, r=1 case is the classic elementary family
+numbered 0..255) acting on rows, and 2-D outer-totalistic rules whose
+default is Conway's Game of Life acting on cyclic grids. Both step by one
+table lookup per cell.
 
 All values are immutable after construction; every operation is a pure
 function of its inputs, so results can be shared freely between workers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -61,32 +63,10 @@ class RuleTable:
         object.__setattr__(self, "outputs", out)
 
     @property
-    def neighbourhood_size(self) -> int:
-        return 2 * self.r + 1
-
-    @property
-    def wolfram_number(self) -> int:
-        return self.number
-
-    @property
     def rule_id(self) -> str:
         if self.k == 2 and self.r == 1:
             return f"eca:{self.number}"
         return f"ca:k{self.k}:r{self.r}:{self.number}"
-
-    @property
-    def table(self) -> dict[tuple[int, ...], int]:
-        """The rule as an explicit neighbourhood-tuple -> colour mapping."""
-        width = self.neighbourhood_size
-        out = {}
-        for value, colour in enumerate(self.outputs):
-            digits = []
-            v = value
-            for _ in range(width):
-                digits.append(v % self.k)
-                v //= self.k
-            out[tuple(reversed(digits))] = int(colour)
-        return out
 
 
 def rule_from_number(number: int, k: int = 2, r: int = 1) -> RuleTable:
@@ -129,144 +109,20 @@ def conjugate_rule(rule: RuleTable) -> RuleTable:
     """
     if rule.k != 2:
         raise ValueError("conjugation is defined here for k=2 rules only")
-    size = len(rule.outputs)
-    flipped = 1 - rule.outputs[::-1]  # index size-1-v is the complemented neighbourhood
-    number = 0
-    for value in range(size - 1, -1, -1):
-        number = number * 2 + int(flipped[value])
-    return RuleTable(k=2, r=rule.r, outputs=flipped, number=number)
+    # index size-1-v is the complemented neighbourhood
+    conjugate = RuleTable(k=2, r=rule.r, outputs=1 - rule.outputs[::-1], number=0)
+    return replace(conjugate, number=rule_to_number(conjugate))
 
-
-@dataclass(frozen=True, eq=False)
-class Configuration:
-    """One row of cells plus its boundary convention.
-
-    ``boundary`` is ``"cyclic"`` (the default: indices wrap) or
-    ``"fixed"`` (cells beyond the edges read as ``background``).
-    """
-
-    cells: np.ndarray
-    boundary: str = CYCLIC
-    background: int = 0
-
-    def __post_init__(self):
-        arr = _as_cells(self.cells)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("a configuration is a non-empty 1-D row of cells")
-        if self.boundary not in (CYCLIC, FIXED):
-            raise ValueError(f"unknown boundary {self.boundary!r}")
-        if self.background < 0:
-            raise ValueError("background colour must be >= 0")
-        object.__setattr__(self, "cells", arr)
-
-    @property
-    def width(self) -> int:
-        return int(self.cells.size)
-
-
-@dataclass(frozen=True, eq=False)
-class Evolution:
-    """Space-time array of a 1-D run: row 0 is the input, row s+1 = step(row s).
-
-    ``t`` counts transitions, so there are t+1 rows.
-    """
-
-    rows: np.ndarray
-    rule_id: str
-    k: int
-    boundary: str = CYCLIC
-    background: int = 0
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(self.rows, dtype=np.uint8)
-        if arr.ndim != 2 or arr.shape[0] < 2 or arr.shape[1] < 1:
-            raise ValueError("an evolution needs >= 2 rows of equal positive width")
-        if arr.max(initial=0) >= self.k:
-            raise ValueError(f"cell values must lie in 0..{self.k - 1}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "rows", arr)
-
-    @property
-    def t(self) -> int:
-        return int(self.rows.shape[0]) - 1
-
-    @property
-    def width(self) -> int:
-        return int(self.rows.shape[1])
-
-
-def _step_cells(cells: np.ndarray, rule: RuleTable, boundary: str, background: int) -> np.ndarray:
-    k, r = rule.k, rule.r
-    if boundary == CYCLIC:
-        idx = np.zeros(cells.size, dtype=np.int64)
-        for s in range(-r, r + 1):
-            idx = idx * k + np.roll(cells, -s)
-    else:
-        padded = np.concatenate(
-            [np.full(r, background, dtype=np.uint8), cells, np.full(r, background, dtype=np.uint8)]
-        )
-        idx = np.zeros(cells.size, dtype=np.int64)
-        for d in range(2 * r + 1):
-            idx = idx * k + padded[d : d + cells.size]
-    return rule.outputs[idx]
-
-
-def step(config: Configuration, rule: RuleTable) -> Configuration:
-    """Apply one synchronous update of ``rule`` to every cell."""
-    if config.cells.max(initial=0) >= rule.k:
-        raise ValueError(f"configuration uses colours >= k={rule.k}")
-    if config.boundary == FIXED and config.background >= rule.k:
-        raise ValueError(f"background colour {config.background} >= k={rule.k}")
-    out = _step_cells(config.cells, rule, config.boundary, config.background)
-    return Configuration(cells=out, boundary=config.boundary, background=config.background)
-
-
-def evolve(rule: RuleTable, init: Configuration, t: int) -> Evolution:
-    """Run ``rule`` for ``t`` transitions from ``init``; returns t+1 rows."""
-    if t < 1:
-        raise ValueError("an evolution must contain at least one transition (t >= 1)")
-    if init.cells.max(initial=0) >= rule.k:
-        raise ValueError(f"initial configuration uses colours >= k={rule.k}")
-    if init.boundary == FIXED and init.background >= rule.k:
-        raise ValueError(f"background colour {init.background} >= k={rule.k}")
-    rows = np.empty((t + 1, init.width), dtype=np.uint8)
-    rows[0] = init.cells
-    current = init.cells
-    for s in range(t):
-        current = _step_cells(current, rule, init.boundary, init.background)
-        rows[s + 1] = current
-    return Evolution(
-        rows=rows,
-        rule_id=rule.rule_id,
-        k=rule.k,
-        boundary=init.boundary,
-        background=init.background,
-    )
-
-
-def replay_check(evo: Evolution, rule: RuleTable) -> bool:
-    """True iff every row of ``evo`` is the step image of the row above it."""
-    for s in range(evo.t):
-        expected = _step_cells(evo.rows[s], rule, evo.boundary, evo.background)
-        if not np.array_equal(expected, evo.rows[s + 1]):
-            return False
-    return True
-
-
-def default_width(seed_width: int, r: int, t: int) -> int:
-    """Width for which the light cone of a centred seed never wraps."""
-    return seed_width + 2 * r * t
-
-
-# ---------------------------------------------------------------------------
-# 2-D outer-totalistic engine (Moore neighbourhood, cyclic boundary)
 
 @dataclass(frozen=True)
 class LifeRule:
-    """Outer-totalistic birth/survival rule over live-neighbour counts 0..8."""
+    """Outer-totalistic birth/survival rule over live-neighbour counts 0..8,
+    acting on binary grids (Moore neighbourhood, cyclic boundary)."""
 
     born: frozenset[int]
     survives: frozenset[int]
+
+    k = 2  # cells are binary; a class constant, not a field
 
     def __post_init__(self):
         for counts in (self.born, self.survives):
@@ -279,49 +135,67 @@ class LifeRule:
         s = "".join(str(c) for c in sorted(self.survives))
         return f"life:B{b}/S{s}"
 
+    @cached_property
+    def outputs(self) -> np.ndarray:
+        """Successor colour indexed by ``9 * cell + live neighbours``."""
+        table = np.zeros(18, dtype=np.uint8)
+        table[sorted(self.born)] = 1
+        table[sorted(9 + c for c in self.survives)] = 1
+        return table
+
 
 GAME_OF_LIFE = LifeRule(born=frozenset({3}), survives=frozenset({2, 3}))
 
+System = RuleTable | LifeRule
+
 
 @dataclass(frozen=True, eq=False)
-class LifeGrid:
-    """Binary H x W grid with cyclic boundary."""
+class Configuration:
+    """A 1-D row or a 2-D grid of cells plus its boundary convention.
+
+    ``boundary`` is ``"cyclic"`` (the default: indices wrap) or
+    ``"fixed"`` (cells beyond the edges read as ``background``).
+    """
 
     cells: np.ndarray
+    boundary: str = CYCLIC
+    background: int = 0
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.cells, dtype=np.uint8)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError("a life grid is a non-empty 2-D array")
-        if arr.max(initial=0) > 1:
-            raise ValueError("life grids are binary")
-        arr.setflags(write=False)
+        arr = _as_cells(self.cells)
+        if arr.ndim > 2 or arr.size < 1:
+            raise ValueError("a configuration is a non-empty 1-D row or 2-D grid of cells")
+        if self.boundary not in (CYCLIC, FIXED):
+            raise ValueError(f"unknown boundary {self.boundary!r}")
+        if self.background < 0:
+            raise ValueError("background colour must be >= 0")
         object.__setattr__(self, "cells", arr)
 
     @property
-    def height(self) -> int:
-        return int(self.cells.shape[0])
-
-    @property
     def width(self) -> int:
-        return int(self.cells.shape[1])
+        return int(self.cells.shape[-1])
 
 
 @dataclass(frozen=True, eq=False)
-class LifeEvolution:
-    """Stacked grids of a 2-D run: ``rows[s]`` is the grid after s steps."""
+class Evolution:
+    """Space-time array of a run: ``rows[s+1]`` = step(``rows[s]``).
+
+    ``rows`` has shape (t+1, W) for a 1-D run and (t+1, H, W) for a 2-D
+    one; ``t`` counts transitions.
+    """
 
     rows: np.ndarray
     rule_id: str
-    k: int = 2
+    k: int
     boundary: str = CYCLIC
+    background: int = 0
 
     def __post_init__(self):
         arr = np.ascontiguousarray(self.rows, dtype=np.uint8)
-        if arr.ndim != 3 or arr.shape[0] < 2:
-            raise ValueError("a life evolution stacks >= 2 grids")
-        if arr.max(initial=0) > 1:
-            raise ValueError("life grids are binary")
+        if arr.ndim not in (2, 3) or arr.shape[0] < 2 or arr.size == 0:
+            raise ValueError("an evolution needs >= 2 rows or grids of equal positive size")
+        if arr.max(initial=0) >= self.k:
+            raise ValueError(f"cell values must lie in 0..{self.k - 1}")
         arr.setflags(write=False)
         object.__setattr__(self, "rows", arr)
 
@@ -329,59 +203,85 @@ class LifeEvolution:
     def t(self) -> int:
         return int(self.rows.shape[0]) - 1
 
-
-def _life_step_cells(cells: np.ndarray, rule: LifeRule) -> np.ndarray:
-    neighbours = np.zeros(cells.shape, dtype=np.uint8)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            neighbours += np.roll(np.roll(cells, di, axis=0), dj, axis=1)
-    born_lut = np.zeros(9, dtype=np.uint8)
-    born_lut[sorted(rule.born)] = 1
-    keep_lut = np.zeros(9, dtype=np.uint8)
-    keep_lut[sorted(rule.survives)] = 1
-    return np.where(cells == 1, keep_lut[neighbours], born_lut[neighbours]).astype(np.uint8)
+    @property
+    def width(self) -> int:
+        return int(self.rows.shape[-1])
 
 
-def life_step(grid: LifeGrid, rule: LifeRule = GAME_OF_LIFE) -> LifeGrid:
-    """One synchronous update; the default rule is B3/S23."""
-    return LifeGrid(cells=_life_step_cells(grid.cells, rule))
+def _step_cells(cells: np.ndarray, system: System, boundary: str, background: int) -> np.ndarray:
+    if isinstance(system, LifeRule):
+        # 3x3 box sums on the torus; the box counts the cell itself, so
+        # 9 * cell + live neighbours = 8 * cell + box.
+        rows = cells + np.roll(cells, 1, axis=0) + np.roll(cells, -1, axis=0)
+        box = rows + np.roll(rows, 1, axis=1) + np.roll(rows, -1, axis=1)
+        return system.outputs[cells * 8 + box]
+    k, r = system.k, system.r
+    if boundary == CYCLIC:
+        idx = np.zeros(cells.size, dtype=np.int64)
+        for s in range(-r, r + 1):
+            idx = idx * k + np.roll(cells, -s)
+    else:
+        padded = np.concatenate(
+            [np.full(r, background, dtype=np.uint8), cells, np.full(r, background, dtype=np.uint8)]
+        )
+        idx = np.zeros(cells.size, dtype=np.int64)
+        for d in range(2 * r + 1):
+            idx = idx * k + padded[d : d + cells.size]
+    return system.outputs[idx]
 
 
-def life_evolve(rule: LifeRule, init: LifeGrid, t: int) -> LifeEvolution:
+def _check(system: System, config: Configuration) -> None:
+    """Raise unless ``system`` can act on ``config``."""
+    if isinstance(system, LifeRule):
+        if config.cells.ndim != 2 or config.boundary != CYCLIC:
+            raise ValueError(f"{system.rule_id} acts on cyclic 2-D grids only")
+    elif isinstance(system, RuleTable):
+        if config.cells.ndim != 1:
+            raise ValueError(f"{system.rule_id} acts on 1-D rows only")
+    else:
+        raise TypeError(f"unsupported system type {type(system).__name__}")
+    if config.cells.max(initial=0) >= system.k:
+        raise ValueError(f"configuration uses colours >= k={system.k}")
+    if config.boundary == FIXED and config.background >= system.k:
+        raise ValueError(f"background colour {config.background} >= k={system.k}")
+
+
+def step(config: Configuration, system: System) -> Configuration:
+    """Apply one synchronous update of ``system`` to every cell."""
+    _check(system, config)
+    out = _step_cells(config.cells, system, config.boundary, config.background)
+    return Configuration(cells=out, boundary=config.boundary, background=config.background)
+
+
+def evolve(system: System, init: Configuration, t: int) -> Evolution:
+    """Run ``system`` for ``t`` transitions from ``init``; returns t+1 rows."""
     if t < 1:
         raise ValueError("an evolution must contain at least one transition (t >= 1)")
-    rows = np.empty((t + 1, init.height, init.width), dtype=np.uint8)
+    _check(system, init)
+    rows = np.empty((t + 1, *init.cells.shape), dtype=np.uint8)
     rows[0] = init.cells
     current = init.cells
     for s in range(t):
-        current = _life_step_cells(current, rule)
+        current = _step_cells(current, system, init.boundary, init.background)
         rows[s + 1] = current
-    return LifeEvolution(rows=rows, rule_id=rule.rule_id)
+    return Evolution(
+        rows=rows,
+        rule_id=system.rule_id,
+        k=system.k,
+        boundary=init.boundary,
+        background=init.background,
+    )
 
 
-# ---------------------------------------------------------------------------
-# Uniform "system" seam used by the measurement pipeline: a system is either
-# a RuleTable acting on Configurations or a LifeRule acting on LifeGrids.
-
-System = RuleTable | LifeRule
-
-
-def run_system(system: System, member, t: int):
-    """Evolve one family member under either engine; returns the evolution."""
-    if isinstance(system, RuleTable):
-        return evolve(system, member, t)
-    if isinstance(system, LifeRule):
-        return life_evolve(system, member, t)
-    raise TypeError(f"unsupported system type {type(system).__name__}")
+def replay_check(evo: Evolution, system: System) -> bool:
+    """True iff every row of ``evo`` is the step image of the row above it."""
+    for s in range(evo.t):
+        expected = _step_cells(evo.rows[s], system, evo.boundary, evo.background)
+        if not np.array_equal(expected, evo.rows[s + 1]):
+            return False
+    return True
 
 
-def system_id(system: System) -> str:
-    if isinstance(system, (RuleTable, LifeRule)):
-        return system.rule_id
-    raise TypeError(f"unsupported system type {type(system).__name__}")
-
-
-def iter_eca_numbers() -> Iterator[int]:
-    return iter(range(256))
+def default_width(seed_width: int, r: int, t: int) -> int:
+    """Width for which the light cone of a centred seed never wraps."""
+    return seed_width + 2 * r * t

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import CYCLIC, Configuration, LifeGrid
+from .engine import CYCLIC, Configuration
 
 GRAY = "gray"
 RANDOM = "random"
@@ -132,7 +132,7 @@ def random_initials(
 
 
 def gray_patches(n: int, height: int, width: int) -> InputFamily:
-    """Gray family embedded in 2-D grids for the outer-totalistic engine.
+    """Gray family embedded in cyclic 2-D grids for outer-totalistic rules.
 
     The 1-D pattern of member j is written row-major into a centred s x s
     patch with s = ceil(sqrt(core_width)), preserving the one-cell-change
@@ -156,5 +156,5 @@ def gray_patches(n: int, height: int, width: int) -> InputFamily:
             flat[b] = (code >> (core - 1 - b)) & 1
         grid = np.zeros((height, width), dtype=np.uint8)
         grid[top : top + side, left : left + side] = flat.reshape(side, side)
-        members.append(LifeGrid(cells=grid))
+        members.append(Configuration(cells=grid))
     return InputFamily(members=tuple(members), scheme=GRAY)

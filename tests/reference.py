@@ -1,7 +1,8 @@
 """Naive reference pipeline, deliberately independent of the package.
 
 Everything here is recomputed from scratch with plain Python lists and
-integers: rule tables as dicts, stepping cell by cell, bit packing by
+integers: rule tables as dicts, stepping cell by cell (1-D rows under
+either boundary, Life grids by counting neighbours), bit packing by
 hand, one zlib call per evolution, and textbook least squares. No numpy,
 no caching, no prefix reuse. The optimised pipeline must agree with this
 one bit for bit.
@@ -39,6 +40,26 @@ def ref_evolve(number: int, cells: list[int], t: int, boundary: str = "cyclic") 
     for _ in range(t):
         rows.append(ref_step(rows[-1], table, boundary))
     return rows
+
+
+def ref_life_step(grid: list[list[int]], born, survives) -> list[list[int]]:
+    h, w = len(grid), len(grid[0])
+    out = []
+    for i in range(h):
+        row = []
+        for j in range(w):
+            live = sum(grid[(i + di) % h][(j + dj) % w]
+                       for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0))
+            row.append(int(live in (survives if grid[i][j] else born)))
+        out.append(row)
+    return out
+
+
+def ref_life_evolve(grid: list[list[int]], t: int, born, survives) -> list[list[list[int]]]:
+    grids = [[list(row) for row in grid]]
+    for _ in range(t):
+        grids.append(ref_life_step(grids[-1], born, survives))
+    return grids
 
 
 def ref_pack(bits: list[int]) -> bytes:

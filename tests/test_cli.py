@@ -76,6 +76,18 @@ class TestEvolve:
         assert all(verify_outputs(out, manifest).values())
         assert manifest.params["system"] == "eca:30"
 
+    def test_life_defaults_to_the_full_3x3_gray_cycle(self, tmp_path):
+        out = tmp_path / "life"
+        assert main(["evolve", "--model", "life", "--height", "3", "--width", "3",
+                     "--t", "1", "--out", str(out)]) == 0
+        manifest = load_manifest(out / MANIFEST_NAME)
+        assert manifest.params["n"] == 512 and len(manifest.outputs) == 512
+        # the grids of a run are stacked top to bottom; the last member,
+        # gray_code(511) = 100000000 written row-major, has one live cell
+        rows = parse_pbm((out / "evolution_511.pbm").read_bytes())
+        assert rows.shape == (6, 3)
+        assert rows[:3].tolist() == [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
+
 
 class TestUsageErrors:
     def test_missing_family(self, tmp_path, capsys):
@@ -100,6 +112,26 @@ class TestUsageErrors:
 
     def test_nonpositive_tolerance(self):
         assert main(["compare", "--a", "5", "--b", "5", "--c", "0"]) == 2
+
+    @pytest.mark.parametrize("command", ["evolve", "coeff"])
+    def test_life_with_fixed_boundary(self, tmp_path, command, capsys):
+        out = tmp_path / "x"
+        assert main([command, "--model", "life", "--boundary", "fixed", "--gray-inputs", "4",
+                     "--height", "8", "--width", "8", "--t", "6", "--out", str(out)]) == 2
+        assert "cyclic" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3", "x"])
+    @pytest.mark.parametrize("argv", [
+        *(["coeff", "--rule", "30", "--no-calibrate", flag] for flag in (
+            "--t", "--t-min", "--stride", "--gray-inputs", "--random-inputs",
+            "--width", "--height")),
+        *(["sweep", flag] for flag in ("--t", "--n", "--width", "--workers")),
+        ["evolve", "--rule", "30", "--gray-inputs", "4", "--t"],
+    ], ids=" ".join)
+    def test_sizes_must_be_positive_integers(self, tmp_path, argv, value, capsys):
+        assert main([*argv, value, "--out", str(tmp_path / "x")]) == 2
+        assert "positive integer" in capsys.readouterr().err
 
 
 class TestCoeff:

@@ -12,7 +12,6 @@ from caprog.coefficient import (
     VariabilityCurve,
     default_stride,
     default_t_min,
-    difference_sum,
     fit_line,
     measure,
     sample_times,
@@ -166,35 +165,42 @@ class TestResultTypes:
 
 
 class TestDifferenceSum:
+    """S(t) read off variability curves; a one-time curve is a single S(t)."""
+
     def test_blank_rule_with_input_hidden_is_exactly_zero(self):
         # rule 0 maps every input to the same blank evolution
         fam = gray_initials(2, 8)
-        value = difference_sum(rule_from_number(0), fam, 4, include_input=False)
-        assert value == 0.0
+        curve = variability_curve(rule_from_number(0), fam, 1, 4, 1, include_input=False)
+        assert curve.values == (0.0, 0.0, 0.0, 0.0)
 
     def test_reversing_the_family_changes_nothing(self):
         fam = gray_initials(6, 15)
         flipped = InputFamily(members=tuple(reversed(fam.members)), scheme=CUSTOM)
         rule = rule_from_number(110)
-        for t in (3, 9):
-            assert difference_sum(rule, fam, t) == difference_sum(rule, flipped, t)
+        forward = variability_curve(rule, fam, 3, 9, 6)
+        backward = variability_curve(rule, flipped, 3, 9, 6)
+        assert forward.times == (3, 9)
+        assert forward.values == backward.values
 
     def test_saturating_rule_is_bounded_by_first_row_variation(self):
         # rule 255 fills the lattice after one step, so consecutive-input
         # gaps come from the input row alone (64 bits at this family size,
         # measured once and pinned)
         fam = gray_initials(40, 61)
-        rule = rule_from_number(255)
-        for t in (8, 50, 120, 200):
-            assert difference_sum(rule, fam, t) <= 64 / (t * 39)
+        curve = variability_curve(rule_from_number(255), fam, 8, 200, 8)
+        assert curve.times[0] == 8 and curve.times[-1] == 200
+        for t, value in curve.points:
+            assert value <= 64 / (t * 39)
 
     def test_needs_two_members_and_one_transition(self):
         fam = gray_initials(4, 9)
         lone = InputFamily(members=fam.members[:1], scheme=CUSTOM)
         with pytest.raises(ValueError, match="n >= 2"):
-            difference_sum(rule_from_number(30), lone, 5)
-        with pytest.raises(ValueError, match="t >= 1"):
-            difference_sum(rule_from_number(30), fam, 0)
+            variability_curve(rule_from_number(30), lone, 1, 5, 5)
+        with pytest.raises(ValueError, match="1 <= t_min"):
+            variability_curve(rule_from_number(30), fam, 0, 5, 5)
+        # a single sampled time gives a one-point curve
+        assert variability_curve(rule_from_number(30), fam, 1, 5, 5).times == (5,)
 
 
 class TestVariabilityCurve:

@@ -9,11 +9,8 @@ from hypothesis import strategies as st
 
 from caprog.complexity import (
     COMPRESSOR_ID,
-    OVERHEAD_BITS,
-    bits_per_cell,
     compressed_size,
     deserialize,
-    evolution_complexity,
     pack_cells,
     serialize,
     unpack_cells,
@@ -24,6 +21,16 @@ from caprog.enumeration import gray_initials
 
 def cells(bits: str) -> np.ndarray:
     return np.array([int(b) for b in bits], dtype=np.uint8)
+
+
+def run_payload(number: int, init: Configuration, t: int, include_input: bool = True) -> bytes:
+    """Packed cells of one run: every row, or rows 1..t without the input."""
+    rows = evolve(rule_from_number(number), init, t).rows
+    return pack_cells((rows if include_input else rows[1:]).ravel(), 2)
+
+
+def run_bits(number: int, init: Configuration, t: int, include_input: bool = True) -> int:
+    return compressed_size(run_payload(number, init, t, include_input))
 
 
 class TestPacking:
@@ -63,10 +70,11 @@ class TestPacking:
         assert np.array_equal(back, flat)
 
     def test_bits_per_cell(self):
-        assert bits_per_cell(2) == 1
-        assert bits_per_cell(3) == 2
-        assert bits_per_cell(4) == 2
-        assert bits_per_cell(5) == 3
+        # One bit per cell for k=2, one byte per cell for any k > 2.
+        flat = np.zeros(17, dtype=np.uint8)
+        assert len(pack_cells(flat, 2)) == 3
+        for k in (3, 4, 5):
+            assert len(pack_cells(flat, k)) == 17
 
 
 class TestCompressedSize:
@@ -135,48 +143,43 @@ class TestSerialization:
 class TestEvolutionComplexity:
     def test_raw_bits_counts_every_cell(self):
         init = gray_initials(8, 21).members[3]
-        value = evolution_complexity(rule_from_number(110), init, 10)
-        assert value.raw_bits == 11 * 21
-        assert value.compressor_id == COMPRESSOR_ID
+        # 11 rows of 21 cells, 8 cells per byte, last byte padded
+        assert len(run_payload(110, init, 10)) == -(-11 * 21 // 8)
 
     def test_include_input_toggles_first_row(self):
         init = gray_initials(8, 21).members[3]
-        with_input = evolution_complexity(rule_from_number(110), init, 10)
-        without = evolution_complexity(
-            rule_from_number(110), init, 10, include_input=False
-        )
-        assert without.raw_bits == 10 * 21
-        assert with_input.bits != without.bits or with_input.raw_bits != without.raw_bits
+        with_input = run_payload(110, init, 10)
+        without = run_payload(110, init, 10, include_input=False)
+        # Switching the input off drops exactly the first 21 cells.
+        all_cells = unpack_cells(with_input, 11 * 21, 2)
+        assert np.array_equal(unpack_cells(without, 10 * 21, 2), all_cells[21:])
 
     def test_overhead_bound_holds_on_small_grids(self):
+        # Framing plus block headers stay under 512 bits for payloads up to
+        # one DEFLATE stored-block span (64 KiB).
         for number in (0, 30, 110, 255):
             init = gray_initials(8, 21).members[2]
-            value = evolution_complexity(rule_from_number(number), init, 8)
-            assert value.bits <= value.raw_bits + OVERHEAD_BITS
+            assert run_bits(number, init, 8) <= 9 * 21 + 512
 
     def test_blank_evolution_compresses_sublinearly(self):
         # rule 0 wipes everything after one step, so doubling the depth
         # should barely move the compressed size
         init = gray_initials(40, 61).members[9]
-        short = evolution_complexity(rule_from_number(0), init, 8)
-        deep = evolution_complexity(rule_from_number(0), init, 64)
-        assert short.bits == 128
-        assert deep.bits == 144
-        assert deep.bits < 2 * short.bits
+        short = run_bits(0, init, 8)
+        deep = run_bits(0, init, 64)
+        assert short == 128
+        assert deep == 144
+        assert deep < 2 * short
 
     def test_all_ones_rows_differ_by_bounded_framing(self):
         # rule 255 saturates after the first step; adjacent gray inputs then
         # produce evolutions whose compressed sizes differ only through the
         # first row plus a small container margin
-        rule = rule_from_number(255)
         fam = gray_initials(40, 61)
         for t in (8, 50, 200):
             for j in (0, 17, 38):
                 a, b = fam.members[j], fam.members[j + 1]
-                d_full = abs(
-                    evolution_complexity(rule, a, t).bits
-                    - evolution_complexity(rule, b, t).bits
-                )
+                d_full = abs(run_bits(255, a, t) - run_bits(255, b, t))
                 d_row = abs(
                     compressed_size(pack_cells(a.cells, 2))
                     - compressed_size(pack_cells(b.cells, 2))

@@ -1,27 +1,25 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from caprog.classify import INERT_LIFE
 from caprog.engine import (
-    CYCLIC,
     FIXED,
     GAME_OF_LIFE,
     Configuration,
     Evolution,
-    LifeGrid,
     LifeRule,
     conjugate_rule,
     default_width,
     evolve,
-    iter_eca_numbers,
-    life_evolve,
-    life_step,
     replay_check,
     rule_from_number,
     rule_to_number,
-    run_system,
     step,
-    system_id,
 )
+
+from reference import ref_evolve, ref_life_evolve
 
 
 def row(bits: str) -> Configuration:
@@ -39,11 +37,14 @@ def test_rule_110_full_table():
         (1, 1, 1): 0, (1, 1, 0): 1, (1, 0, 1): 1, (1, 0, 0): 0,
         (0, 1, 1): 1, (0, 1, 0): 1, (0, 0, 1): 1, (0, 0, 0): 0,
     }
-    assert rule_from_number(110).table == expected
+    # Neighbourhood value v, read as three MSB-first digits, maps to outputs[v].
+    outputs = rule_from_number(110).outputs
+    table = {tuple((v >> s) & 1 for s in (2, 1, 0)): int(out) for v, out in enumerate(outputs)}
+    assert table == expected
 
 
 def test_rule_number_roundtrip_all_eca():
-    for number in iter_eca_numbers():
+    for number in range(256):
         assert rule_to_number(rule_from_number(number)) == number
 
 
@@ -64,7 +65,7 @@ def test_rule_number_bounds():
 
 def test_rule_ids():
     assert rule_from_number(110).rule_id == "eca:110"
-    assert rule_from_number(0).wolfram_number == 0
+    assert rule_from_number(0).number == 0
 
 
 def test_conjugate_known_values():
@@ -74,7 +75,7 @@ def test_conjugate_known_values():
 
 
 def test_conjugate_is_involution():
-    for number in iter_eca_numbers():
+    for number in range(256):
         rule = rule_from_number(number)
         assert conjugate_rule(conjugate_rule(rule)).number == number
 
@@ -153,26 +154,32 @@ def test_life_blinker_oscillates():
     # 5x5 so the wrap-around neighbourhoods stay empty
     cells = np.zeros((5, 5), dtype=np.uint8)
     cells[2, 1:4] = 1
-    grid = LifeGrid(cells)
-    once = life_step(grid)
+    grid = Configuration(cells)
+    once = step(grid, GAME_OF_LIFE)
     vertical = np.zeros((5, 5), dtype=np.uint8)
     vertical[1:4, 2] = 1
     assert np.array_equal(once.cells, vertical)
-    assert np.array_equal(life_step(once).cells, grid.cells)
+    assert np.array_equal(step(once, GAME_OF_LIFE).cells, grid.cells)
 
 
 def test_life_block_is_still():
     cells = np.zeros((4, 4), dtype=np.uint8)
     cells[1:3, 1:3] = 1
-    assert np.array_equal(life_step(LifeGrid(cells)).cells, cells)
+    assert np.array_equal(step(Configuration(cells), GAME_OF_LIFE).cells, cells)
+
+
+def glider(side: int) -> np.ndarray:
+    cells = np.zeros((side, side), dtype=np.uint8)
+    for (i, j) in ((0, 1), (1, 2), (2, 0), (2, 1), (2, 2)):
+        cells[i, j] = 1
+    return cells
 
 
 def test_life_glider_translates():
-    cells = np.zeros((8, 8), dtype=np.uint8)
-    for (i, j) in ((0, 1), (1, 2), (2, 0), (2, 1), (2, 2)):
-        cells[i, j] = 1
-    evo = life_evolve(GAME_OF_LIFE, LifeGrid(cells), 4)
+    evo = evolve(GAME_OF_LIFE, Configuration(glider(8)), 4)
+    assert evo.rows.shape == (5, 8, 8) and evo.width == 8
     assert np.array_equal(evo.rows[4], np.roll(np.roll(evo.rows[0], 1, 0), 1, 1))
+    assert replay_check(evo, GAME_OF_LIFE)
 
 
 def test_life_rule_validation():
@@ -182,24 +189,79 @@ def test_life_rule_validation():
 
 def test_inert_life_rules():
     rng = np.random.default_rng(3)
-    grid = LifeGrid(rng.integers(0, 2, size=(9, 9), dtype=np.uint8))
+    grid = Configuration(rng.integers(0, 2, size=(9, 9), dtype=np.uint8))
     clear = LifeRule(born=frozenset(), survives=frozenset())
     freeze = LifeRule(born=frozenset(), survives=frozenset(range(9)))
-    assert life_step(grid, clear).cells.sum() == 0
-    assert np.array_equal(life_step(grid, freeze).cells, grid.cells)
+    assert step(grid, clear).cells.sum() == 0
+    assert np.array_equal(step(grid, freeze).cells, grid.cells)
     assert freeze.rule_id == "life:B/S012345678"
 
 
-def test_run_system_dispatch():
-    evo = run_system(rule_from_number(110), row("010"), 2)
+def test_life_lookup_table():
+    # Entry 9 * cell + live neighbours; B3/S23 births at 3, keeps at 2 and 3.
+    assert np.flatnonzero(GAME_OF_LIFE.outputs).tolist() == [3, 11, 12]
+
+
+def test_evolve_accepts_both_system_types():
+    evo = evolve(rule_from_number(110), row("010"), 2)
     assert evo.rows.shape == (3, 3)
-    grid = LifeGrid(np.zeros((4, 4), dtype=np.uint8))
-    levo = run_system(GAME_OF_LIFE, grid, 2)
+    grid = Configuration(np.zeros((4, 4), dtype=np.uint8))
+    levo = evolve(GAME_OF_LIFE, grid, 2)
     assert levo.rows.shape == (3, 4, 4)
-    assert system_id(GAME_OF_LIFE) == "life:B3/S23"
+    assert levo.rule_id == "life:B3/S23" and levo.k == 2
     with pytest.raises(TypeError):
-        run_system(42, grid, 2)
+        evolve(42, grid, 2)
+
+
+def test_systems_reject_the_other_shape():
+    grid = Configuration(np.zeros((4, 4), dtype=np.uint8))
+    fixed_grid = Configuration(np.zeros((4, 4), dtype=np.uint8), boundary=FIXED)
+    for run in (lambda c, s: evolve(s, c, 2), step):
+        with pytest.raises(ValueError, match="2-D grids"):
+            run(row("0110"), GAME_OF_LIFE)
+        with pytest.raises(ValueError, match="cyclic"):
+            run(fixed_grid, GAME_OF_LIFE)
+        with pytest.raises(ValueError, match="1-D rows"):
+            run(grid, rule_from_number(110))
+    with pytest.raises(ValueError, match="colours"):
+        evolve(GAME_OF_LIFE, Configuration(np.full((3, 3), 2, dtype=np.uint8)), 1)
 
 
 def test_eca_enumeration_is_complete():
-    assert list(iter_eca_numbers()) == list(range(256))
+    # range(256) decodes to every two-colour radius-1 table exactly once.
+    tables = {tuple(rule_from_number(number).outputs) for number in range(256)}
+    assert tables == set(itertools.product((0, 1), repeat=8))
+
+
+def test_life_matches_naive_reference_on_random_grids():
+    rng = np.random.default_rng(11)
+    for _ in range(12):
+        # Sides from 1 up, so degenerate tori (a cell its own neighbour) count too.
+        height, width = (int(x) for x in rng.integers(1, 14, size=2))
+        cells = (rng.random((height, width)) < 0.4).astype(np.uint8)
+        evo = evolve(GAME_OF_LIFE, Configuration(cells), 15)
+        ref = ref_life_evolve(cells.tolist(), 15, born={3}, survives={2, 3})
+        assert evo.rows.tolist() == ref
+
+
+def test_life_matches_naive_reference_on_the_glider():
+    evo = evolve(GAME_OF_LIFE, Configuration(glider(7)), 40)
+    assert evo.rows.tolist() == ref_life_evolve(glider(7).tolist(), 40, born={3}, survives={2, 3})
+
+
+def test_inert_life_rules_match_naive_reference():
+    rng = np.random.default_rng(5)
+    cells = rng.integers(0, 2, size=(8, 11), dtype=np.uint8)
+    for rule in INERT_LIFE:
+        evo = evolve(rule, Configuration(cells), 6)
+        ref = ref_life_evolve(cells.tolist(), 6, born=rule.born, survives=rule.survives)
+        assert evo.rows.tolist() == ref
+
+
+def test_fixed_boundary_matches_naive_reference():
+    rng = np.random.default_rng(13)
+    for _ in range(40):
+        number = int(rng.integers(256))
+        cells = rng.integers(0, 2, size=int(rng.integers(1, 30)), dtype=np.uint8)
+        evo = evolve(rule_from_number(number), Configuration(cells, boundary=FIXED), 20)
+        assert evo.rows.tolist() == ref_evolve(number, cells.tolist(), 20, boundary="fixed")

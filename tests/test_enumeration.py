@@ -86,6 +86,8 @@ def test_family_shape_properties():
     assert (fam.n, fam.width, fam.height) == (6, 9, None)
     fam2 = gray_patches(8, 20, 24)
     assert (fam2.n, fam2.width, fam2.height) == (8, 24, 20)
+    # patches are 2-D configurations on the torus
+    assert all(isinstance(m, Configuration) and m.boundary == "cyclic" for m in fam2.members)
 
 
 def test_patches_are_centred_and_minimal_change():
