@@ -13,15 +13,9 @@ magnitude they produce, with a tiny floor so the band is never empty.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .coefficient import (
-    CoefficientResult,
-    default_stride,
-    default_t_min,
-    transition_coefficient,
-)
+from .coefficient import CoefficientResult, measure_all
 from .engine import LifeRule, rule_from_number
 from .enumeration import InputFamily, gray_initials
 
@@ -56,12 +50,8 @@ def calibrate_epsilon(
     include_input: bool = True,
 ) -> float:
     """Zero band: twice the worst |coefficient| among inert systems."""
-    worst = 0.0
-    for system in systems:
-        res = transition_coefficient(
-            system, family, t_max, t_min=t_min, stride=stride, include_input=include_input
-        )
-        worst = max(worst, abs(res.c_value))
+    measured = measure_all(tuple(systems), family, t_max, t_min, stride, include_input)
+    worst = max((abs(res.c_value) for res, _ in measured), default=0.0)
     return max(2.0 * worst, EPSILON_FLOOR)
 
 
@@ -204,25 +194,18 @@ class SweepReport:
         return tuple(e.c_value for e in self.entries)
 
 
-def _eca_sweep_task(args) -> tuple[int, CoefficientResult]:
-    number, t_max, t_min, stride, n, width, include_input = args
-    # Rebuilt rather than shipped to the worker: construction is cheap and
-    # deterministic, which keeps tasks picklable everywhere.
-    family = gray_initials(n, width)
-    rule = rule_from_number(number)
-    res = transition_coefficient(
-        rule, family, t_max, t_min=t_min, stride=stride, include_input=include_input
-    )
-    return number, res
-
-
 def resolve_workers(workers: int | None) -> int:
     if workers is None:
         env = os.environ.get(WORKERS_ENV, "").strip()
-        if env:
+        if not env:
+            return os.cpu_count() or 1
+        try:
             workers = int(env)
-        else:
-            workers = os.cpu_count() or 1
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {env!r}")
+        return workers
     if workers < 1:
         raise ValueError("worker count must be >= 1")
     return workers
@@ -239,32 +222,19 @@ def sweep_eca(
 ) -> SweepReport:
     """Coefficient of every elementary rule on one shared input family.
 
-    The zero band is calibrated from the inert rules' own entries, so no
-    extra runs are needed. Worker count never affects the report: tasks
-    are aggregated by rule number, and a single worker short-circuits to
-    a plain in-process loop.
+    All 256 rules are measured in one batched pass, and the zero band is
+    calibrated from the inert rules' own entries, so no extra runs are
+    needed. Worker count never affects the report: workers only compress
+    distinct runs, whose sizes are gathered in rule and member order.
     """
-    if t_min is None:
-        t_min = default_t_min(t_max)
-    if stride is None:
-        stride = default_stride(t_min, t_max)
     workers = resolve_workers(workers)
-    tasks = [
-        (number, t_max, t_min, stride, n, width, include_input)
-        for number in range(256)
-    ]
-    results: dict[int, CoefficientResult] = {}
-    if workers == 1:
-        for task in tasks:
-            number, res = _eca_sweep_task(task)
-            results[number] = res
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for number, res in pool.map(_eca_sweep_task, tasks, chunksize=8):
-                results[number] = res
-    entries = tuple(results[number] for number in range(256))
+    rules = [rule_from_number(number) for number in range(256)]
+    measured = measure_all(
+        rules, gray_initials(n, width), t_max, t_min, stride, include_input, workers
+    )
+    entries = tuple(res for res, _ in measured)
 
-    inert = [abs(results[number].c_value) for number in INERT_ECA]
+    inert = [abs(entries[number].c_value) for number in INERT_ECA]
     epsilon = max(2.0 * max(inert), EPSILON_FLOOR)
 
     order = sorted(range(len(entries)), key=lambda i: (-entries[i].c_value, i))

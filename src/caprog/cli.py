@@ -7,7 +7,8 @@ verdicts), rerun (replay a manifest and verify hashes).
 Exit codes are a stable contract: 0 success, 2 usage error, 3 results not
 comparable, 4 internal failure (including a failed rerun verification).
 Every output directory gets a manifest; all artifacts are computed in
-memory first and written together, so no partial result sets appear.
+memory first and written to a fresh directory that then replaces the
+output directory, so no partial or stale result sets appear.
 """
 from __future__ import annotations
 
@@ -28,10 +29,11 @@ from .classify import (
     computes,
     is_zero_computer,
     r30_grouping,
+    resolve_workers,
     sweep_eca,
 )
 from .coefficient import default_stride, default_t_min, measure
-from .complexity import serialize
+from .complexity import COMPRESSOR_ID, serialize
 from .engine import (
     CYCLIC,
     FIXED,
@@ -218,9 +220,13 @@ def cmd_coeff(args, argv) -> int:
 
 
 def cmd_sweep(args, argv) -> int:
+    try:
+        workers = resolve_workers(args.workers)
+    except ValueError as err:
+        _PARSERS["sweep"].error(str(err))
     report = sweep_eca(t_max=args.t, n=args.n, width=args.width,
                        t_min=args.t_min, stride=args.stride,
-                       include_input=not args.skip_input_row, workers=args.workers)
+                       include_input=not args.skip_input_row, workers=workers)
     notes = {"r30": r30_grouping(report)}
     files = {
         "sweep.csv": reportio.sweep_csv_bytes(report),
@@ -308,6 +314,13 @@ def _strip_out_flag(argv: list[str]) -> list[str]:
 
 def cmd_rerun(args, argv) -> int:
     manifest = reportio.load_manifest(args.manifest)
+    recorded = manifest.params.get("compressor_id", COMPRESSOR_ID)
+    if recorded != COMPRESSOR_ID:
+        # Sizes under another compressor differ for a known reason; that is
+        # not a corrupted result, so it is not reported as a hash mismatch.
+        print(f"incomparable: the manifest was written under {recorded}, "
+              f"this environment runs {COMPRESSOR_ID}", file=sys.stderr)
+        return EXIT_INCOMPARABLE
     replay = _strip_out_flag(list(manifest.argv))
     replay += ["--out", args.out]
     code = main(replay)
@@ -363,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stride", type=_size)
     p.add_argument("--skip-input-row", action="store_true")
     p.add_argument("--workers", type=_size,
-                   help="process count (default: CAPROG_WORKERS or all cores)")
+                   help="threads compressing distinct runs (default: CAPROG_WORKERS or all cores)")
     p.add_argument("--out", default="caprog-sweep", help="output directory")
     p.set_defaults(func=cmd_sweep)
     _PARSERS["sweep"] = p

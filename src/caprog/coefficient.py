@@ -14,15 +14,22 @@ sensitivity grows (or decays) with runtime.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .complexity import COMPRESSOR_ID, compressed_size, pack_cells
+from .complexity import COMPRESSOR_ID, compressed_size, pack_cells, payload_prefix
 # Bound under the name run_system because the benchmark's tracer
 # (perfbench/tracer.py) times the engine by wrapping that module attribute.
-from .engine import System, evolve as run_system
+from .engine import System, evolve_batch as run_system
 from .enumeration import InputFamily
+
+# Space-time cells evolved as one tensor: enough runs to amortise numpy's
+# per-call cost, few enough that memory stays bounded at any sweep size.
+CHUNK_CELLS = 256 * 1024
 
 
 class DegenerateFitError(ValueError):
@@ -147,25 +154,54 @@ def default_stride(t_min: int, t_max: int) -> int:
     return max(1, (t_max - t_min) // 15)
 
 
-def _complexity_matrix(
-    system: System, family: InputFamily, times: tuple[int, ...], include_input: bool
-) -> np.ndarray:
-    """Compressed sizes in bits, shape (n, len(times)).
+def _prefix_sizes(payload: bytes, counts: tuple[int, ...], k: int) -> tuple[int, ...]:
+    return tuple(compressed_size(payload_prefix(payload, count, k)) for count in counts)
 
-    Each member is evolved once to the largest runtime; shorter runtimes
-    compress prefixes of the same run. This caching is semantically
-    invisible: a from-scratch recomputation yields identical numbers.
+
+def _complexity_matrix(
+    systems, family: InputFamily, times: tuple[int, ...], include_input: bool, workers: int
+) -> np.ndarray:
+    """Compressed sizes in bits, shape (systems, n, len(times)).
+
+    The (member, system) runs are evolved in chunks of at most
+    CHUNK_CELLS space-time cells, each chunk as one tensor, and each run
+    once to the largest runtime: shorter runtimes compress prefixes of
+    the same run. On each member, the sizes are computed once per
+    distinct payload at the largest runtime, which determines every
+    prefix; systems whose runs coincide share them. With ``workers`` > 1
+    a thread pool compresses distinct runs side by side. None of this
+    shows in the result: a from-scratch recomputation per member yields
+    identical numbers.
     """
     t_top = times[-1]
-    out = np.empty((family.n, len(times)), dtype=np.int64)
-    for j, member in enumerate(family.members):
-        evo = run_system(system, member, t_top)
-        flat = evo.rows.reshape(evo.rows.shape[0], -1)
-        start = 0 if include_input else 1
-        for col, t_prime in enumerate(times):
-            payload = pack_cells(flat[start : t_prime + 1].ravel(), evo.k)
-            out[j, col] = compressed_size(payload)
-    return out
+    start = 0 if include_input else 1
+    cells = family.members[0].cells.size
+    counts = tuple((t + 1 - start) * cells for t in times)
+    pairs = [(system, member) for member in family.members for system in systems]
+    per_chunk = max(1, CHUNK_CELLS // ((t_top + 1) * cells))
+    # (member index, payload) -> sizes, for the member now being evolved.
+    memo: dict[tuple[int, bytes], tuple[int, ...]] = {}
+    out = np.empty((len(pairs), len(times)), dtype=np.int64)
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        mapper = pool.map if pool else map
+        for first in range(0, len(pairs), per_chunk):
+            chunk = pairs[first : first + per_chunk]
+            batch = run_system([p[0] for p in chunk], [p[1] for p in chunk], t_top)
+            k = chunk[0][0].k
+            runs = [
+                ((first + b) // len(systems), pack_cells(rows[start:].ravel(), k))
+                for b, rows in enumerate(batch.rows)
+            ]
+            new = [run for run in dict.fromkeys(runs) if run not in memo]
+            sizes_of = partial(_prefix_sizes, counts=counts, k=k)
+            memo.update(zip(new, mapper(sizes_of, [payload for _, payload in new])))
+            out[first : first + len(chunk)] = [memo[run] for run in runs]
+            # Runs are shared on one member only: with the input row in
+            # the payload, runs of distinct members always differ, and
+            # keeping every member's runs would hold the whole family's
+            # payloads in memory. Earlier members are done.
+            memo = {run: sizes for run, sizes in memo.items() if run[0] == runs[-1][0]}
+    return out.reshape(family.n, len(systems), len(times)).transpose(1, 0, 2)
 
 
 def _gap_sums(matrix: np.ndarray, times: tuple[int, ...], n: int) -> list[float]:
@@ -173,6 +209,23 @@ def _gap_sums(matrix: np.ndarray, times: tuple[int, ...], n: int) -> list[float]
     # of them; the divisor matches.
     gaps = np.abs(np.diff(matrix, axis=0)).sum(axis=0)
     return [int(total) / (t_prime * (n - 1)) for total, t_prime in zip(gaps, times)]
+
+
+def _curves(
+    systems, family: InputFamily, times: tuple[int, ...], include_input: bool, workers: int
+) -> list[VariabilityCurve]:
+    if family.n < 2:
+        raise ValueError("difference sums need a family with n >= 2 members")
+    matrices = _complexity_matrix(systems, family, times, include_input, workers)
+    return [
+        VariabilityCurve(
+            points=tuple(zip(times, _gap_sums(matrix, times, family.n))),
+            n=family.n,
+            family_descriptor=family.descriptor,
+            rule_id=system.rule_id,
+        )
+        for system, matrix in zip(systems, matrices)
+    ]
 
 
 def variability_curve(
@@ -184,17 +237,7 @@ def variability_curve(
     include_input: bool = True,
 ) -> VariabilityCurve:
     """Difference sums over the sampled runtime grid."""
-    if family.n < 2:
-        raise ValueError("difference sums need a family with n >= 2 members")
-    times = sample_times(t_min, t_max, stride)
-    matrix = _complexity_matrix(system, family, times, include_input)
-    sums = _gap_sums(matrix, times, family.n)
-    return VariabilityCurve(
-        points=tuple(zip(times, sums)),
-        n=family.n,
-        family_descriptor=family.descriptor,
-        rule_id=system.rule_id,
-    )
+    return _curves([system], family, sample_times(t_min, t_max, stride), include_input, 1)[0]
 
 
 def fit_line(curve: VariabilityCurve) -> FitResult:
@@ -224,6 +267,44 @@ def fit_line(curve: VariabilityCurve) -> FitResult:
     )
 
 
+def measure_all(
+    systems,
+    family: InputFamily,
+    t_max: int,
+    t_min: int | None = None,
+    stride: int | None = None,
+    include_input: bool = True,
+    workers: int = 1,
+) -> list[tuple[CoefficientResult, VariabilityCurve]]:
+    """:func:`measure` for each of ``systems`` on one shared family, with
+    every run evolved and compressed in one batched pass; ``workers``
+    threads compress distinct runs. The systems must be of one kind (Life,
+    or 1-D with one k and r)."""
+    if t_min is None:
+        t_min = default_t_min(t_max)
+    if stride is None:
+        stride = default_stride(t_min, t_max)
+    times = sample_times(t_min, t_max, stride)
+    measured = []
+    for system, curve in zip(systems, _curves(systems, family, times, include_input, workers)):
+        fit = fit_line(curve)
+        params = RunParams(
+            rule_id=system.rule_id,
+            t_max=t_max,
+            t_min=t_min,
+            stride=stride,
+            n=family.n,
+            width=family.width,
+            height=family.height,
+            boundary=family.members[0].boundary,
+            compressor_id=COMPRESSOR_ID,
+            scheme=family.scheme,
+            include_input=include_input,
+        )
+        measured.append((CoefficientResult(c_value=fit.slope, fit=fit, params=params), curve))
+    return measured
+
+
 def measure(
     system: System,
     family: InputFamily,
@@ -233,26 +314,7 @@ def measure(
     include_input: bool = True,
 ) -> tuple[CoefficientResult, VariabilityCurve]:
     """Variability curve plus its fitted coefficient, with full parameters."""
-    if t_min is None:
-        t_min = default_t_min(t_max)
-    if stride is None:
-        stride = default_stride(t_min, t_max)
-    curve = variability_curve(system, family, t_min, t_max, stride, include_input)
-    fit = fit_line(curve)
-    params = RunParams(
-        rule_id=system.rule_id,
-        t_max=t_max,
-        t_min=t_min,
-        stride=stride,
-        n=family.n,
-        width=family.width,
-        height=family.height,
-        boundary=family.members[0].boundary,
-        compressor_id=COMPRESSOR_ID,
-        scheme=family.scheme,
-        include_input=include_input,
-    )
-    return CoefficientResult(c_value=fit.slope, fit=fit, params=params), curve
+    return measure_all([system], family, t_max, t_min, stride, include_input)[0]
 
 
 def transition_coefficient(

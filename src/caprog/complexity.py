@@ -31,6 +31,22 @@ def pack_cells(flat: np.ndarray, k: int) -> bytes:
     return np.ascontiguousarray(flat, dtype=np.uint8).tobytes()
 
 
+def payload_prefix(payload: bytes, cell_count: int, k: int) -> bytes:
+    """The packed form of the first ``cell_count`` cells of ``payload``.
+
+    Equal to ``pack_cells(flat[:cell_count], k)`` when ``payload`` is
+    ``pack_cells(flat, k)``, without unpacking.
+    """
+    if k != 2:
+        return payload[:cell_count]
+    size, tail = divmod(cell_count, 8)
+    if not tail:
+        return payload[:size]
+    # Zero the cells past cell_count in the final partial byte.
+    last = payload[size] & (0xFF << (8 - tail)) & 0xFF
+    return payload[:size] + bytes((last,))
+
+
 def unpack_cells(payload: bytes, cell_count: int, k: int) -> np.ndarray:
     if k == 2:
         bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=cell_count)

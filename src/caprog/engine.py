@@ -208,26 +208,53 @@ class Evolution:
         return int(self.rows.shape[-1])
 
 
-def _step_cells(cells: np.ndarray, system: System, boundary: str, background: int) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class EvolutionBatch:
+    """Runs evolved together as one tensor: ``rows[b]`` is the space-time
+    array of batch entry b, shaped like :attr:`Evolution.rows`."""
+
+    rows: np.ndarray
+
+
+def _wrap(cells: np.ndarray, r: int, axis: int) -> np.ndarray:
+    """``cells`` extended by ``r`` cells at both ends of ``axis``, read
+    cyclically (``r`` may exceed the axis length)."""
+    size = cells.shape[axis]
+    return np.take(cells, np.arange(-r, size + r) % size, axis=axis)
+
+
+def _step_cells(
+    cells: np.ndarray, tables: np.ndarray, system: System, boundary: str, background: int
+) -> np.ndarray:
+    """One synchronous update of a batch of rows (B, W) or grids (B, H, W).
+
+    ``tables`` holds the lookup table of each batch entry's system, all of
+    ``system``'s kind and size, or a single row that every entry shares.
+    """
     if isinstance(system, LifeRule):
         # 3x3 box sums on the torus; the box counts the cell itself, so
         # 9 * cell + live neighbours = 8 * cell + box.
-        rows = cells + np.roll(cells, 1, axis=0) + np.roll(cells, -1, axis=0)
-        box = rows + np.roll(rows, 1, axis=1) + np.roll(rows, -1, axis=1)
-        return system.outputs[cells * 8 + box]
-    k, r = system.k, system.r
-    if boundary == CYCLIC:
-        idx = np.zeros(cells.size, dtype=np.int64)
-        for s in range(-r, r + 1):
-            idx = idx * k + np.roll(cells, -s)
+        ext = _wrap(cells, 1, -2)
+        rows = ext[..., :-2, :] + ext[..., 1:-1, :] + ext[..., 2:, :]
+        ext = _wrap(rows, 1, -1)
+        idx = cells * 8 + ext[..., :-2] + ext[..., 1:-1] + ext[..., 2:]
     else:
-        padded = np.concatenate(
-            [np.full(r, background, dtype=np.uint8), cells, np.full(r, background, dtype=np.uint8)]
-        )
-        idx = np.zeros(cells.size, dtype=np.int64)
-        for d in range(2 * r + 1):
-            idx = idx * k + padded[d : d + cells.size]
-    return system.outputs[idx]
+        k, r, w = system.k, system.r, cells.shape[-1]
+        if boundary == CYCLIC:
+            ext = _wrap(cells, r, -1)
+        else:
+            edge = np.full((*cells.shape[:-1], r), background, dtype=np.uint8)
+            ext = np.concatenate([edge, cells, edge], axis=-1)
+        # Base-k neighbourhood values, leftmost cell most significant, in
+        # the narrowest integer type that holds every table index.
+        idx = ext[..., :w].astype(np.min_scalar_type(tables.shape[1] - 1))
+        for d in range(1, 2 * r + 1):
+            idx = idx * k + ext[..., d : d + w]
+    if len(tables) == 1:
+        return tables[0][idx]
+    # Entry b reads row b of the tables, flattened.
+    offsets = np.arange(0, tables.size, tables.shape[1]).reshape(-1, *(1,) * (cells.ndim - 1))
+    return tables.ravel()[idx + offsets]
 
 
 def _check(system: System, config: Configuration) -> None:
@@ -249,23 +276,52 @@ def _check(system: System, config: Configuration) -> None:
 def step(config: Configuration, system: System) -> Configuration:
     """Apply one synchronous update of ``system`` to every cell."""
     _check(system, config)
-    out = _step_cells(config.cells, system, config.boundary, config.background)
+    out = _step_cells(config.cells[None], system.outputs[None], system, config.boundary,
+                      config.background)[0]
     return Configuration(cells=out, boundary=config.boundary, background=config.background)
+
+
+def evolve_batch(systems, inits, t: int) -> EvolutionBatch:
+    """Run ``systems[b]`` for ``t`` transitions from ``inits[b]``, for every
+    b at once.
+
+    The systems must be of one kind (Life, or 1-D with one k and r) and
+    the initial configurations of one shape and boundary.
+    """
+    if t < 1:
+        raise ValueError("an evolution must contain at least one transition (t >= 1)")
+    if len(systems) != len(inits) or not inits:
+        raise ValueError("a batch pairs one system with each of >= 1 configurations")
+    first, init = systems[0], inits[0]
+    for system, config in zip(systems, inits):
+        _check(system, config)
+        # k and the table size fix r, so this is one kind, k and r.
+        if (type(system), system.k, system.outputs.size) != (
+            type(first), first.k, first.outputs.size
+        ):
+            raise ValueError("a batch runs systems of one kind, colour count and radius")
+        if (config.cells.shape, config.boundary, config.background) != (
+            init.cells.shape, init.boundary, init.background
+        ):
+            raise ValueError("a batch runs configurations of one shape and boundary")
+    if all(system is first for system in systems):
+        tables = first.outputs[None]
+    else:
+        tables = np.stack([system.outputs for system in systems])
+    current = np.stack([config.cells for config in inits])
+    rows = np.empty((len(inits), t + 1, *init.cells.shape), dtype=np.uint8)
+    rows[:, 0] = current
+    for s in range(t):
+        current = _step_cells(current, tables, first, init.boundary, init.background)
+        rows[:, s + 1] = current
+    rows.setflags(write=False)
+    return EvolutionBatch(rows=rows)
 
 
 def evolve(system: System, init: Configuration, t: int) -> Evolution:
     """Run ``system`` for ``t`` transitions from ``init``; returns t+1 rows."""
-    if t < 1:
-        raise ValueError("an evolution must contain at least one transition (t >= 1)")
-    _check(system, init)
-    rows = np.empty((t + 1, *init.cells.shape), dtype=np.uint8)
-    rows[0] = init.cells
-    current = init.cells
-    for s in range(t):
-        current = _step_cells(current, system, init.boundary, init.background)
-        rows[s + 1] = current
     return Evolution(
-        rows=rows,
+        rows=evolve_batch([system], [init], t).rows[0],
         rule_id=system.rule_id,
         k=system.k,
         boundary=init.boundary,
@@ -275,11 +331,10 @@ def evolve(system: System, init: Configuration, t: int) -> Evolution:
 
 def replay_check(evo: Evolution, system: System) -> bool:
     """True iff every row of ``evo`` is the step image of the row above it."""
-    for s in range(evo.t):
-        expected = _step_cells(evo.rows[s], system, evo.boundary, evo.background)
-        if not np.array_equal(expected, evo.rows[s + 1]):
-            return False
-    return True
+    _check(system, Configuration(evo.rows[0], boundary=evo.boundary, background=evo.background))
+    expected = _step_cells(evo.rows[:-1], system.outputs[None], system, evo.boundary,
+                           evo.background)
+    return bool(np.array_equal(expected, evo.rows[1:]))
 
 
 def default_width(seed_width: int, r: int, t: int) -> int:

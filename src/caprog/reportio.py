@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import shutil
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from importlib.metadata import PackageNotFoundError, version as _dist_version
@@ -194,11 +196,17 @@ def load_manifest(path: str | Path) -> RunManifest:
 def write_outputs(out_dir: str | Path, files: dict[str, bytes], argv, params: dict) -> RunManifest:
     """Write a fully materialised artifact set plus its manifest.
 
-    ``files`` must be complete before this is called; nothing is written
-    incrementally, so a failed run leaves no partial directory content.
+    The set is written to a fresh sibling directory that then takes the
+    place of ``out_dir``, so ``out_dir`` never holds a partial set or a
+    file left by an earlier run. An existing ``out_dir`` is replaced only
+    when it is empty or holds an earlier run (a manifest); anything else
+    raises FileExistsError and is left untouched.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(out_dir).resolve()
+    if out.exists() and not (out / MANIFEST_NAME).is_file() and (
+        not out.is_dir() or any(out.iterdir())
+    ):
+        raise FileExistsError(f"{out} exists and holds no caprog run; not replacing it")
     manifest = RunManifest(
         argv=list(argv),
         params=params,
@@ -206,9 +214,24 @@ def write_outputs(out_dir: str | Path, files: dict[str, bytes], argv, params: di
         timestamp=datetime.now(timezone.utc).isoformat(),
         version=tool_version(),
     )
-    for name, data in files.items():
-        (out / name).write_bytes(data)
-    (out / MANIFEST_NAME).write_bytes(json_bytes(manifest.to_obj()))
+    out.parent.mkdir(parents=True, exist_ok=True)
+    fresh = out.with_name(f".{out.name}.{os.urandom(6).hex()}")
+    fresh.mkdir()
+    try:
+        for name, data in files.items():
+            (fresh / name).write_bytes(data)
+        (fresh / MANIFEST_NAME).write_bytes(json_bytes(manifest.to_obj()))
+        if out.exists():
+            # A directory can only be renamed onto an empty one, so the
+            # earlier run moves aside first and is deleted after the swap.
+            old = fresh.with_name(fresh.name + ".old")
+            os.replace(out, old)
+            os.replace(fresh, out)
+            shutil.rmtree(old)
+        else:
+            os.replace(fresh, out)
+    finally:
+        shutil.rmtree(fresh, ignore_errors=True)
     return manifest
 
 

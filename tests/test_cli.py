@@ -121,6 +121,15 @@ class TestUsageErrors:
         assert "cyclic" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_workers_variable(self, tmp_path, monkeypatch, value, capsys):
+        monkeypatch.setenv("CAPROG_WORKERS", value)
+        out = tmp_path / "x"
+        assert main(["sweep", "--t", "8", "--n", "3", "--width", "9",
+                     "--out", str(out)]) == 2
+        assert "CAPROG_WORKERS" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["0", "-3", "x"])
     @pytest.mark.parametrize("argv", [
         *(["coeff", "--rule", "30", "--no-calibrate", flag] for flag in (
@@ -151,6 +160,19 @@ class TestCoeff:
             assert main(["coeff", "--rule", "118", *SMALL, "--out", str(out)]) == 0
         for name in ("coefficient.json", "curve.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_second_run_leaves_no_stale_file(self, tmp_path):
+        out = tmp_path / "runs"
+        argv = ["evolve", "--rule", "30", "--gray-inputs", "4", "--t", "8"]
+        assert main([*argv, "--raw", "--out", str(out)]) == 0
+        assert (out / "evolution_000.bin").is_file()
+        assert main([*argv, "--out", str(out)]) == 0
+        manifest = load_manifest(out / MANIFEST_NAME)
+        names = {path.name for path in out.iterdir()}
+        assert names == {*manifest.outputs, MANIFEST_NAME}
+        assert not any(name.endswith(".bin") for name in names)
+        assert all(verify_outputs(out, manifest).values())
+        assert [path.name for path in tmp_path.iterdir()] == ["runs"]
 
     def test_curve_rides_along(self, tmp_path):
         out = tmp_path / "curve"
@@ -268,3 +290,17 @@ class TestRerun:
         code = main(["rerun", "--manifest", str(manifest_path),
                      "--out", str(tmp_path / "second")])
         assert code == 4
+
+    def test_other_compressor_is_incomparable(self, tmp_path, capsys):
+        first = tmp_path / "first"
+        main(["coeff", "--rule", "54", *SMALL, "--out", str(first)])
+        manifest_path = first / MANIFEST_NAME
+        obj = read_json(manifest_path)
+        obj["params"]["compressor_id"] = "deflate/zlib-0.0.0/level9"
+        manifest_path.write_bytes(json_bytes(obj))
+        capsys.readouterr()
+        second = tmp_path / "second"
+        code = main(["rerun", "--manifest", str(manifest_path), "--out", str(second)])
+        assert code == 3
+        assert "deflate/zlib-0.0.0/level9" in capsys.readouterr().err
+        assert not second.exists()

@@ -1,9 +1,13 @@
 """Tests for the variability curve and the fitted transition coefficient."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 
+from caprog import coefficient
+from caprog.classify import INERT_LIFE
 from caprog.coefficient import (
     CoefficientResult,
     DegenerateFitError,
@@ -18,11 +22,18 @@ from caprog.coefficient import (
     transition_coefficient,
     variability_curve,
 )
-from caprog.complexity import COMPRESSOR_ID
-from caprog.engine import rule_from_number
-from caprog.enumeration import CUSTOM, InputFamily, gray_initials
+from caprog.complexity import COMPRESSOR_ID, compressed_size, pack_cells
+from caprog.engine import (
+    CYCLIC,
+    FIXED,
+    GAME_OF_LIFE,
+    Configuration,
+    evolve,
+    rule_from_number,
+)
+from caprog.enumeration import CUSTOM, InputFamily, gray_initials, gray_patches
 
-from reference import ref_coefficient, ref_ols
+from reference import ref_coefficient, ref_complexity, ref_evolve, ref_ols
 
 
 def curve_from(points) -> VariabilityCurve:
@@ -265,3 +276,58 @@ class TestCoefficient:
             rule_from_number(90), gray_initials(6, 15), 48
         ).c_value
         assert value == ref_coefficient(90, 6, 15, 48)
+
+
+def _k3_r2_case():
+    rng = np.random.default_rng(3)
+    digits = random.Random(3)
+    rules = [rule_from_number(digits.randrange(3 ** 243), k=3, r=2) for _ in range(2)]
+    members = tuple(Configuration(rng.integers(0, 3, size=300, dtype=np.uint8))
+                    for _ in range(6))
+    return rules, InputFamily(members=members, scheme=CUSTOM), True
+
+
+def _eca_case(boundary, include_input):
+    # Rules 0 and 2 differ only on neighbourhood 001, so their runs from
+    # the all-zero first Gray member coincide.
+    rules = [rule_from_number(number) for number in (0, 2, 30, 110, 255)]
+    return rules, gray_initials(8, 61, boundary=boundary), include_input
+
+
+BATCH_CASES = {
+    "eca": lambda: _eca_case(CYCLIC, True),
+    "eca-fixed-no-input": lambda: _eca_case(FIXED, False),
+    "k3-r2": _k3_r2_case,
+    "life": lambda: ((*INERT_LIFE, GAME_OF_LIFE), gray_patches(20, 16, 16), True),
+}
+
+
+@pytest.mark.parametrize("case", BATCH_CASES)
+def test_batched_matrix_is_bit_exact(case):
+    """The chunked, memoised matrix equals a per-member evolution and one
+    compression per runtime, and for ECA the naive reference as well."""
+    systems, family, include_input = BATCH_CASES[case]()
+    times = sample_times(default_t_min(120), 120, 11)
+    cells = family.members[0].cells.size
+    assert len(systems) * family.n * 121 * cells > coefficient.CHUNK_CELLS
+    matrix = coefficient._complexity_matrix(systems, family, times, include_input, 1)
+    threaded = coefficient._complexity_matrix(systems, family, times, include_input, 2)
+    assert threaded.tolist() == matrix.tolist()
+    start = 0 if include_input else 1
+    repeats = 0
+    for j, member in enumerate(family.members):
+        payloads = set()
+        for system, sizes in zip(systems, matrix[:, j]):
+            rows = evolve(system, member, times[-1]).rows
+            payloads.add(pack_cells(rows[start:].ravel(), system.k))
+            assert sizes.tolist() == [
+                compressed_size(pack_cells(rows[start : t + 1].ravel(), system.k))
+                for t in times
+            ]
+            if system.rule_id.startswith("eca:"):
+                ref = ref_evolve(system.number, member.cells.tolist(), times[-1],
+                                 boundary=member.boundary)
+                assert sizes.tolist() == [ref_complexity(ref[start : t + 1]) for t in times]
+        repeats += len(systems) - len(payloads)
+    if case != "k3-r2":
+        assert repeats > 0, "no two systems share a run on a member, so the memo is not hit"

@@ -12,6 +12,7 @@ from caprog.complexity import (
     compressed_size,
     deserialize,
     pack_cells,
+    payload_prefix,
     serialize,
     unpack_cells,
 )
@@ -68,6 +69,19 @@ class TestPacking:
         payload = pack_cells(flat, k)
         back = unpack_cells(payload, flat.size, k)
         assert np.array_equal(back, flat)
+
+    @given(
+        size=st.integers(min_value=1, max_value=60),
+        k=st.sampled_from([2, 3]),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_prefix_of_a_payload_packs_the_prefix(self, size, k, seed):
+        rng = np.random.default_rng(seed)
+        flat = rng.integers(0, k, size=size, dtype=np.uint8)
+        payload = pack_cells(flat, k)
+        for count in range(size + 1):
+            assert payload_prefix(payload, count, k) == pack_cells(flat[:count], k)
 
     def test_bits_per_cell(self):
         # One bit per cell for k=2, one byte per cell for any k > 2.

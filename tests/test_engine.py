@@ -13,6 +13,7 @@ from caprog.engine import (
     conjugate_rule,
     default_width,
     evolve,
+    evolve_batch,
     replay_check,
     rule_from_number,
     rule_to_number,
@@ -265,3 +266,35 @@ def test_fixed_boundary_matches_naive_reference():
         cells = rng.integers(0, 2, size=int(rng.integers(1, 30)), dtype=np.uint8)
         evo = evolve(rule_from_number(number), Configuration(cells, boundary=FIXED), 20)
         assert evo.rows.tolist() == ref_evolve(number, cells.tolist(), 20, boundary="fixed")
+
+
+def test_replay_check_rejects_a_system_of_the_other_kind():
+    evo = evolve(rule_from_number(110), row("0001000"), 4)
+    with pytest.raises(ValueError, match="2-D grids only"):
+        replay_check(evo, GAME_OF_LIFE)
+
+
+def test_batch_rows_are_the_members_runs():
+    rng = np.random.default_rng(17)
+    rules = [rule_from_number(int(n)) for n in rng.integers(256, size=5)]
+    inits = [Configuration(rng.integers(0, 2, size=23, dtype=np.uint8)) for _ in rules]
+    batch = evolve_batch(rules, inits, 12)
+    assert batch.rows.shape == (5, 13, 23)
+    for rule, init, rows in zip(rules, inits, batch.rows):
+        assert rows.tolist() == evolve(rule, init, 12).rows.tolist()
+
+
+def test_batch_rejects_mixed_kinds_and_shapes():
+    row, grid = Configuration(np.zeros(9, dtype=np.uint8)), Configuration(np.zeros((3, 3), np.uint8))
+    with pytest.raises(ValueError, match="one kind"):
+        evolve_batch([rule_from_number(30), rule_from_number(5, k=3, r=1)], [row, row], 2)
+    with pytest.raises(ValueError, match="one kind"):
+        evolve_batch([rule_from_number(30), rule_from_number(30, r=2)], [row, row], 2)
+    with pytest.raises(ValueError, match="one shape"):
+        evolve_batch([rule_from_number(30)] * 2, [row, Configuration(np.zeros(8, np.uint8))], 2)
+    with pytest.raises(ValueError, match="one shape"):
+        evolve_batch([rule_from_number(30)] * 2, [row, Configuration(row.cells, boundary=FIXED)], 2)
+    with pytest.raises(ValueError, match="1-D rows only"):
+        evolve_batch([rule_from_number(30), rule_from_number(30)], [row, grid], 2)
+    with pytest.raises(ValueError, match="pairs one system"):
+        evolve_batch([GAME_OF_LIFE], [grid, grid], 2)

@@ -180,6 +180,20 @@ class TestManifest:
         (tmp_path / "b.bin").unlink()
         assert verify_outputs(tmp_path, manifest)["b.bin"] is False
 
+    def test_rewrite_replaces_the_earlier_run(self, tmp_path):
+        out = tmp_path / "out"
+        write_outputs(out, self.files(), ["caprog"], {})
+        manifest = write_outputs(out, {"c.txt": b"gamma\n"}, ["caprog"], {})
+        assert sorted(p.name for p in out.iterdir()) == ["c.txt", MANIFEST_NAME]
+        assert verify_outputs(out, manifest) == {"c.txt": True}
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_directory_without_a_run_is_left_alone(self, tmp_path):
+        (tmp_path / "notes.txt").write_bytes(b"keep me\n")
+        with pytest.raises(FileExistsError):
+            write_outputs(tmp_path, self.files(), ["caprog"], {})
+        assert [p.name for p in tmp_path.iterdir()] == ["notes.txt"]
+
     def test_load_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_bytes(json_bytes({"schema": "not.a.manifest"}))

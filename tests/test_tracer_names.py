@@ -5,15 +5,33 @@ would otherwise break ``perfbench/run.py --trace 1`` silently."""
 import importlib.util
 from pathlib import Path
 
+from caprog import coefficient
+from caprog.engine import rule_from_number
+from caprog.enumeration import gray_initials
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def test_every_patched_name_resolves():
+def load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    table = tracer.patch_table()
+    return tracer
+
+
+def test_every_patched_name_resolves():
+    table = load_tracer().patch_table()
     assert table
     missing = [f"{module.__name__}.{attr}" for module, attr, _, _ in table
                if not callable(getattr(module, attr, None))]
     assert missing == []
+
+
+def test_tracer_times_the_batched_engine():
+    # The tracer counts the cells of whatever the engine name returns.
+    n, t, width = 5, 30, 17
+    with load_tracer().Tracer() as traced:
+        coefficient.measure(rule_from_number(110), gray_initials(n, width), t)
+    metrics = traced.metrics(wall_s=1.0)
+    assert metrics["engine.cells"] == 1 * n * (t + 1) * width
+    assert metrics["engine.evolve_s"] > 0
