@@ -318,9 +318,8 @@ def cmd_rerun(args, argv) -> int:
     if recorded != COMPRESSOR_ID:
         # Sizes under another compressor differ for a known reason; that is
         # not a corrupted result, so it is not reported as a hash mismatch.
-        print(f"incomparable: the manifest was written under {recorded}, "
-              f"this environment runs {COMPRESSOR_ID}", file=sys.stderr)
-        return EXIT_INCOMPARABLE
+        raise IncomparableError(f"the manifest was written under {recorded}, "
+                                f"this environment runs {COMPRESSOR_ID}")
     replay = _strip_out_flag(list(manifest.argv))
     replay += ["--out", args.out]
     code = main(replay)

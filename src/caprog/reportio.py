@@ -193,20 +193,38 @@ def load_manifest(path: str | Path) -> RunManifest:
     )
 
 
+def _holds_only_a_run(out: Path) -> bool:
+    """True when ``out`` is empty, or holds exactly one earlier run: a valid
+    manifest and no entry that is not one of its artifacts."""
+    entries = list(out.iterdir())
+    if not entries:
+        return True
+    try:
+        manifest = load_manifest(out / MANIFEST_NAME)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+        return False
+    known = {*manifest.outputs, MANIFEST_NAME}
+    return all(entry.name in known and entry.is_file() for entry in entries)
+
+
 def write_outputs(out_dir: str | Path, files: dict[str, bytes], argv, params: dict) -> RunManifest:
     """Write a fully materialised artifact set plus its manifest.
 
     The set is written to a fresh sibling directory that then takes the
     place of ``out_dir``, so ``out_dir`` never holds a partial set or a
     file left by an earlier run. An existing ``out_dir`` is replaced only
-    when it is empty or holds an earlier run (a manifest); anything else
-    raises FileExistsError and is left untouched.
+    when it is empty or holds nothing but an earlier run (a valid caprog
+    manifest and the artifacts it lists), and never when it is or contains
+    the working directory; anything else raises FileExistsError and is
+    left untouched.
     """
     out = Path(out_dir).resolve()
-    if out.exists() and not (out / MANIFEST_NAME).is_file() and (
-        not out.is_dir() or any(out.iterdir())
-    ):
-        raise FileExistsError(f"{out} exists and holds no caprog run; not replacing it")
+    if out.exists():
+        if not out.is_dir() or not _holds_only_a_run(out):
+            raise FileExistsError(
+                f"{out} exists and holds more than an earlier caprog run; not replacing it")
+        if out == Path.cwd() or out in Path.cwd().parents:
+            raise FileExistsError(f"{out} holds the working directory; not replacing it")
     manifest = RunManifest(
         argv=list(argv),
         params=params,

@@ -194,6 +194,33 @@ class TestManifest:
             write_outputs(tmp_path, self.files(), ["caprog"], {})
         assert [p.name for p in tmp_path.iterdir()] == ["notes.txt"]
 
+    def test_foreign_manifest_is_left_alone(self, tmp_path):
+        foreign = b'{"name": "web-app", "start_url": "/"}\n'
+        (tmp_path / MANIFEST_NAME).write_bytes(foreign)
+        (tmp_path / "index.html").write_bytes(b"<html></html>\n")
+        with pytest.raises(FileExistsError):
+            write_outputs(tmp_path, self.files(), ["caprog"], {})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["index.html", MANIFEST_NAME]
+        assert (tmp_path / MANIFEST_NAME).read_bytes() == foreign
+
+    def test_earlier_run_with_a_user_file_is_left_alone(self, tmp_path):
+        out = tmp_path / "out"
+        first = write_outputs(out, self.files(), ["caprog"], {})
+        (out / "notes.txt").write_bytes(b"keep me\n")
+        with pytest.raises(FileExistsError):
+            write_outputs(out, {"c.txt": b"gamma\n"}, ["caprog"], {})
+        assert sorted(p.name for p in out.iterdir()) == [
+            "a.txt", "b.bin", MANIFEST_NAME, "notes.txt"]
+        assert all(verify_outputs(out, first).values())
+
+    def test_working_directory_is_never_replaced(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        write_outputs(out, self.files(), ["caprog"], {})
+        monkeypatch.chdir(out)
+        with pytest.raises(FileExistsError, match="working directory"):
+            write_outputs(".", {"c.txt": b"gamma\n"}, ["caprog"], {})
+        assert sorted(p.name for p in out.iterdir()) == ["a.txt", "b.bin", MANIFEST_NAME]
+
     def test_load_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_bytes(json_bytes({"schema": "not.a.manifest"}))
