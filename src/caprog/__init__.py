@@ -33,7 +33,6 @@ from .coefficient import (
     measure,
     sample_times,
     transition_coefficient,
-    variability_curve,
 )
 from .complexity import (
     COMPRESSOR_ID,

@@ -51,7 +51,12 @@ def calibrate_epsilon(
 ) -> float:
     """Zero band: twice the worst |coefficient| among inert systems."""
     measured = measure_all(tuple(systems), family, t_max, t_min, stride, include_input)
-    worst = max((abs(res.c_value) for res, _ in measured), default=0.0)
+    return _zero_band(res for res, _ in measured)
+
+
+def _zero_band(inert) -> float:
+    """Twice the worst |coefficient| among the ``inert`` results, floored."""
+    worst = max((abs(res.c_value) for res in inert), default=0.0)
     return max(2.0 * worst, EPSILON_FLOOR)
 
 
@@ -234,8 +239,7 @@ def sweep_eca(
     )
     entries = tuple(res for res, _ in measured)
 
-    inert = [abs(entries[number].c_value) for number in INERT_ECA]
-    epsilon = max(2.0 * max(inert), EPSILON_FLOOR)
+    epsilon = _zero_band(entries[number] for number in INERT_ECA)
 
     order = sorted(range(len(entries)), key=lambda i: (-entries[i].c_value, i))
     ranking = tuple(entries[i].params.rule_id for i in order)

@@ -32,7 +32,7 @@ from .classify import (
     resolve_workers,
     sweep_eca,
 )
-from .coefficient import default_stride, default_t_min, measure
+from .coefficient import default_stride, default_t_min, measure, measure_all, sample_times
 from .complexity import COMPRESSOR_ID, serialize
 from .engine import (
     CYCLIC,
@@ -43,7 +43,7 @@ from .engine import (
     evolve,
     rule_from_number,
 )
-from .enumeration import gray_initials, gray_patches, random_initials
+from .enumeration import InputFamily, gray_initials, gray_patches, random_initials
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -76,10 +76,6 @@ def _size(text: str) -> int:
     return value
 
 
-def _core_width(n: int) -> int:
-    return max(1, (n - 1).bit_length())
-
-
 def _add_family_args(p: argparse.ArgumentParser, with_model: bool) -> None:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--gray-inputs", type=_size, metavar="N",
@@ -97,135 +93,135 @@ def _add_family_args(p: argparse.ArgumentParser, with_model: bool) -> None:
         p.add_argument("--height", type=_size, help="grid height for --model life")
 
 
-def _life_family(args, parser):
-    """The Gray patch family of ``--model life``, for evolve and coeff."""
-    if args.random_inputs or getattr(args, "input", None) is not None:
-        parser.error("--model life supports --gray-inputs only")
-    if args.boundary != CYCLIC:
-        parser.error("--model life runs on cyclic grids only")
-    return gray_patches(args.gray_inputs or LIFE_N, args.height or LIFE_SIDE,
-                        args.width or LIFE_SIDE)
-
-
-def _measure_args(args, parser) -> tuple:
-    """Resolve (system, family, t_max, inert_systems) for coeff/compare."""
-    if args.model == "life":
-        return GAME_OF_LIFE, _life_family(args, parser), args.t or LIFE_T, INERT_LIFE
-    if args.rule is None:
+def _rule(parser, number: int | None, model: str = "eca"):
+    """The system selected by ``model`` and an elementary rule number."""
+    if model == "life":
+        return GAME_OF_LIFE
+    if number is None:
         parser.error("--rule is required for the elementary model")
     try:
-        system = rule_from_number(args.rule)
+        return rule_from_number(number)
     except ValueError as err:
         parser.error(str(err))
-    t_max = args.t or DEFAULT_T
-    if args.random_inputs:
-        width = args.width or DEFAULT_W
-        family = random_initials(args.random_inputs, width, seed=args.seed,
-                                 density=args.density, boundary=args.boundary)
-    else:
+
+
+def _family(args, parser, width_for) -> InputFamily:
+    """The input family the flags select; ``width_for(core)`` is the row
+    width, when --width is absent, for a pattern of ``core`` cells."""
+    bits = getattr(args, "input", None)
+    if bits is not None and (args.gray_inputs or args.random_inputs):
+        parser.error("--input excludes --gray-inputs/--random-inputs")
+    try:
+        if args.model == "life":
+            if args.random_inputs or bits is not None:
+                parser.error("--model life supports --gray-inputs only")
+            if args.boundary != CYCLIC:
+                parser.error("--model life runs on cyclic grids only")
+            return gray_patches(args.gray_inputs or LIFE_N, args.height or LIFE_SIDE,
+                                args.width or LIFE_SIDE)
+        if bits is not None:
+            if set(bits) - {"0", "1"}:
+                parser.error("--input is a string of 0s and 1s")
+            member = Configuration([int(ch) for ch in bits], boundary=args.boundary)
+            return InputFamily(members=(member,), scheme="explicit")
+        if args.random_inputs:
+            return random_initials(args.random_inputs, args.width or width_for(1),
+                                   seed=args.seed, density=args.density, boundary=args.boundary)
         n = args.gray_inputs or DEFAULT_N
-        width = args.width or DEFAULT_W
-        family = gray_initials(n, width, boundary=args.boundary)
-    inert = tuple(rule_from_number(number) for number in INERT_ECA)
-    return system, family, t_max, inert
+        return gray_initials(n, args.width or width_for((n - 1).bit_length()),
+                             boundary=args.boundary)
+    except ValueError as err:
+        parser.error(str(err))
+
+
+def _grid(args, parser, t_default: int) -> tuple[int, int, int]:
+    """(t_max, t_min, stride) of the sampled runtimes. A grid the line fit
+    cannot use is a usage error, found before anything is evolved."""
+    t_max = args.t or t_default
+    t_min = args.t_min or default_t_min(t_max)
+    stride = args.stride or default_stride(t_min, t_max)
+    try:
+        times = sample_times(t_min, t_max, stride)
+    except ValueError as err:
+        parser.error(str(err))
+    if len(times) < 2:
+        parser.error(f"t_min={t_min}, t={t_max} and stride={stride} sample one runtime; "
+                     "a line fit needs at least two")
+    return t_max, t_min, stride
+
+
+def _measured(args, parser, t_default: int) -> tuple:
+    """(family, t_max, t_min, stride) of a coeff or compare measurement."""
+    family = _family(args, parser, lambda core: DEFAULT_W)
+    if family.n < 2:
+        parser.error("difference sums need a family with n >= 2 members")
+    return (family, *_grid(args, parser, t_default))
 
 
 def cmd_evolve(args, argv) -> int:
     parser = _PARSERS["evolve"]
     t = args.t
-    if args.input is not None and (args.gray_inputs or args.random_inputs):
-        parser.error("--input excludes --gray-inputs/--random-inputs")
-    family_desc: dict = {"boundary": args.boundary}
-    if args.model == "life":
-        system = GAME_OF_LIFE
-        family = _life_family(args, parser)
-        members = family.members
-        family_desc.update(scheme=family.scheme, n=family.n, height=family.height,
-                           width=family.width)
-    else:
-        if args.rule is None:
-            parser.error("--rule is required for the elementary model")
-        try:
-            system = rule_from_number(args.rule)
-        except ValueError as err:
-            parser.error(str(err))
-        if args.input is not None:
-            if set(args.input) - {"0", "1"}:
-                parser.error("--input is a string of 0s and 1s")
-            members = [Configuration([int(ch) for ch in args.input],
-                                     boundary=args.boundary)]
-            family_desc.update(scheme="explicit", n=1, width=len(args.input))
-        elif args.gray_inputs:
-            core = _core_width(args.gray_inputs)
-            width = args.width or default_width(core, system.r, t)
-            members = gray_initials(args.gray_inputs, width, boundary=args.boundary).members
-            family_desc.update(scheme="gray", n=args.gray_inputs, width=width)
-        elif args.random_inputs:
-            width = args.width or default_width(1, system.r, t)
-            members = random_initials(args.random_inputs, width, seed=args.seed,
-                                      density=args.density, boundary=args.boundary).members
-            family_desc.update(scheme="random", n=args.random_inputs, width=width,
-                               seed=args.seed, density=args.density)
-        else:
-            parser.error("choose --input BITS, --gray-inputs N, or --random-inputs N")
-
+    system = _rule(parser, args.rule, args.model)
+    chosen = args.input is not None or args.gray_inputs or args.random_inputs
+    if args.model == "eca" and not chosen:
+        parser.error("choose --input BITS, --gray-inputs N, or --random-inputs N")
+    family = _family(args, parser, lambda core: default_width(core, system.r, t))
     files = {}
-    for j, member in enumerate(members):
+    for j, member in enumerate(family.members):
         evo = evolve(system, member, t)
         # A 2-D run renders as its grids stacked top to bottom.
         files[f"evolution_{j:03d}.pbm"] = reportio.pbm_bytes(evo.rows.reshape(-1, evo.width))
         if args.raw:
             files[f"evolution_{j:03d}.bin"] = serialize(evo)
-    params = {"system": system.rule_id, "t": t, "raw": bool(args.raw), **family_desc}
+    described = {"scheme": family.scheme, "n": family.n, "width": family.width,
+                 "height": family.height, "seed": family.seed, "density": family.density}
+    params = {"system": system.rule_id, "t": t, "raw": bool(args.raw),
+              "boundary": family.members[0].boundary,
+              **{key: value for key, value in described.items() if value is not None}}
     reportio.write_outputs(args.out, files, argv, params)
     print(f"{system.rule_id}: wrote {len(files)} files to {args.out}")
     return EXIT_OK
 
 
-def _measure_with_band(args, parser):
-    """One full measurement: result, curve, and (optionally) the band."""
-    system, family, t_max, inert = _measure_args(args, parser)
-    t_min = args.t_min or default_t_min(t_max)
-    stride = args.stride or default_stride(t_min, t_max)
+def cmd_coeff(args, argv) -> int:
+    parser = _PARSERS["coeff"]
+    system = _rule(parser, args.rule, args.model)
+    life = args.model == "life"
+    family, t_max, t_min, stride = _measured(args, parser, LIFE_T if life else DEFAULT_T)
     include_input = not args.skip_input_row
     res, curve = measure(system, family, t_max, t_min=t_min, stride=stride,
                          include_input=include_input)
-    epsilon = None
+    obj = reportio.coefficient_json_obj(res, curve)
+    verdict = ""
     if not args.no_calibrate:
+        inert = INERT_LIFE if life else tuple(rule_from_number(number) for number in INERT_ECA)
         epsilon = calibrate_epsilon(inert, family, t_max, t_min=t_min, stride=stride,
                                     include_input=include_input)
-    return res, curve, epsilon
-
-
-def cmd_coeff(args, argv) -> int:
-    res, curve, epsilon = _measure_with_band(args, parser=_PARSERS["coeff"])
-    obj = reportio.coefficient_json_obj(res, curve)
-    if epsilon is not None:
         obj["zero_band"] = {
             "epsilon": epsilon,
             "is_zero_computer": is_zero_computer(res, epsilon),
             "computes": computes(res, epsilon),
         }
+        verdict = ", computes" if obj["zero_band"]["computes"] else (
+            ", zero band" if obj["zero_band"]["is_zero_computer"] else "")
     files = {
         "coefficient.json": reportio.json_bytes(obj),
         "curve.csv": reportio.curve_csv_bytes(curve),
     }
     reportio.write_outputs(args.out, files, argv, asdict(res.params))
-    verdict = ""
-    if epsilon is not None:
-        verdict = ", computes" if obj["zero_band"]["computes"] else (
-            ", zero band" if obj["zero_band"]["is_zero_computer"] else "")
     print(f"{res.params.rule_id}: c_value={res.c_value!r}{verdict}; wrote {args.out}")
     return EXIT_OK
 
 
 def cmd_sweep(args, argv) -> int:
+    parser = _PARSERS["sweep"]
     try:
         workers = resolve_workers(args.workers)
+        gray_initials(args.n, args.width)  # a family the sweep cannot build is a usage error
     except ValueError as err:
-        _PARSERS["sweep"].error(str(err))
-    report = sweep_eca(t_max=args.t, n=args.n, width=args.width,
-                       t_min=args.t_min, stride=args.stride,
+        parser.error(str(err))
+    t_max, t_min, stride = _grid(args, parser, DEFAULT_T)
+    report = sweep_eca(t_max=t_max, n=args.n, width=args.width, t_min=t_min, stride=stride,
                        include_input=not args.skip_input_row, workers=workers)
     notes = {"r30": r30_grouping(report)}
     files = {
@@ -242,22 +238,21 @@ def cmd_sweep(args, argv) -> int:
 
 
 def cmd_compare(args, argv) -> int:
+    parser = _PARSERS["compare"]
     if (args.a_json is None) != (args.b_json is None):
-        _PARSERS["compare"].error("--a-json and --b-json go together")
+        parser.error("--a-json and --b-json go together")
     if args.c is not None and args.c <= 0:
-        _PARSERS["compare"].error("--c must be > 0")
+        parser.error("--c must be > 0")
     if args.a_json:
         res_a = reportio.coefficient_from_obj(json.loads(Path(args.a_json).read_text()))
         res_b = reportio.coefficient_from_obj(json.loads(Path(args.b_json).read_text()))
     else:
         if args.a is None or args.b is None:
-            _PARSERS["compare"].error("need --a and --b rule numbers, or --a-json/--b-json")
-        ns = argparse.Namespace(**vars(args))
-        ns.model = "eca"
-        ns.rule = args.a
-        res_a, _, _ = _measure_with_band(ns, parser=_PARSERS["compare"])
-        ns.rule = args.b
-        res_b, _, _ = _measure_with_band(ns, parser=_PARSERS["compare"])
+            parser.error("need --a and --b rule numbers, or --a-json/--b-json")
+        rules = [_rule(parser, number) for number in (args.a, args.b)]
+        family, t_max, t_min, stride = _measured(args, parser, DEFAULT_T)
+        (res_a, _), (res_b, _) = measure_all(rules, family, t_max, t_min, stride,
+                                             not args.skip_input_row)
 
     try:
         if args.c is not None:
@@ -391,10 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-min", type=_size)
     p.add_argument("--stride", type=_size)
     p.add_argument("--skip-input-row", action="store_true")
-    p.add_argument("--no-calibrate", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--out", help="also write the verdict to this directory")
     _add_family_args(p, with_model=False)
-    p.set_defaults(func=cmd_compare, model="eca", no_calibrate=True)
+    p.set_defaults(func=cmd_compare, model="eca")
     _PARSERS["compare"] = p
 
     p = sub.add_parser("rerun", help="replay a manifest and verify output hashes")

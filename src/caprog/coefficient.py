@@ -211,35 +211,6 @@ def _gap_sums(matrix: np.ndarray, times: tuple[int, ...], n: int) -> list[float]
     return [int(total) / (t_prime * (n - 1)) for total, t_prime in zip(gaps, times)]
 
 
-def _curves(
-    systems, family: InputFamily, times: tuple[int, ...], include_input: bool, workers: int
-) -> list[VariabilityCurve]:
-    if family.n < 2:
-        raise ValueError("difference sums need a family with n >= 2 members")
-    matrices = _complexity_matrix(systems, family, times, include_input, workers)
-    return [
-        VariabilityCurve(
-            points=tuple(zip(times, _gap_sums(matrix, times, family.n))),
-            n=family.n,
-            family_descriptor=family.descriptor,
-            rule_id=system.rule_id,
-        )
-        for system, matrix in zip(systems, matrices)
-    ]
-
-
-def variability_curve(
-    system: System,
-    family: InputFamily,
-    t_min: int,
-    t_max: int,
-    stride: int,
-    include_input: bool = True,
-) -> VariabilityCurve:
-    """Difference sums over the sampled runtime grid."""
-    return _curves([system], family, sample_times(t_min, t_max, stride), include_input, 1)[0]
-
-
 def fit_line(curve: VariabilityCurve) -> FitResult:
     """Ordinary least squares line over (t', S).
 
@@ -285,8 +256,17 @@ def measure_all(
     if stride is None:
         stride = default_stride(t_min, t_max)
     times = sample_times(t_min, t_max, stride)
+    if family.n < 2:
+        raise ValueError("difference sums need a family with n >= 2 members")
+    matrices = _complexity_matrix(systems, family, times, include_input, workers)
     measured = []
-    for system, curve in zip(systems, _curves(systems, family, times, include_input, workers)):
+    for system, matrix in zip(systems, matrices):
+        curve = VariabilityCurve(
+            points=tuple(zip(times, _gap_sums(matrix, times, family.n))),
+            n=family.n,
+            family_descriptor=family.descriptor,
+            rule_id=system.rule_id,
+        )
         fit = fit_line(curve)
         params = RunParams(
             rule_id=system.rule_id,

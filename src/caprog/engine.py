@@ -154,12 +154,11 @@ class Configuration:
     """A 1-D row or a 2-D grid of cells plus its boundary convention.
 
     ``boundary`` is ``"cyclic"`` (the default: indices wrap) or
-    ``"fixed"`` (cells beyond the edges read as ``background``).
+    ``"fixed"`` (cells beyond the edges read as 0).
     """
 
     cells: np.ndarray
     boundary: str = CYCLIC
-    background: int = 0
 
     def __post_init__(self):
         arr = _as_cells(self.cells)
@@ -167,8 +166,6 @@ class Configuration:
             raise ValueError("a configuration is a non-empty 1-D row or 2-D grid of cells")
         if self.boundary not in (CYCLIC, FIXED):
             raise ValueError(f"unknown boundary {self.boundary!r}")
-        if self.background < 0:
-            raise ValueError("background colour must be >= 0")
         object.__setattr__(self, "cells", arr)
 
     @property
@@ -188,7 +185,6 @@ class Evolution:
     rule_id: str
     k: int
     boundary: str = CYCLIC
-    background: int = 0
 
     def __post_init__(self):
         arr = np.ascontiguousarray(self.rows, dtype=np.uint8)
@@ -223,9 +219,7 @@ def _wrap(cells: np.ndarray, r: int, axis: int) -> np.ndarray:
     return np.take(cells, np.arange(-r, size + r) % size, axis=axis)
 
 
-def _step_cells(
-    cells: np.ndarray, tables: np.ndarray, system: System, boundary: str, background: int
-) -> np.ndarray:
+def _step_cells(cells: np.ndarray, tables: np.ndarray, system: System, boundary: str) -> np.ndarray:
     """One synchronous update of a batch of rows (B, W) or grids (B, H, W).
 
     ``tables`` holds the lookup table of each batch entry's system, all of
@@ -243,8 +237,7 @@ def _step_cells(
         if boundary == CYCLIC:
             ext = _wrap(cells, r, -1)
         else:
-            edge = np.full((*cells.shape[:-1], r), background, dtype=np.uint8)
-            ext = np.concatenate([edge, cells, edge], axis=-1)
+            ext = np.pad(cells, [(0, 0)] * (cells.ndim - 1) + [(r, r)])
         # Base-k neighbourhood values, leftmost cell most significant, in
         # the narrowest integer type that holds every table index.
         idx = ext[..., :w].astype(np.min_scalar_type(tables.shape[1] - 1))
@@ -269,16 +262,13 @@ def _check(system: System, config: Configuration) -> None:
         raise TypeError(f"unsupported system type {type(system).__name__}")
     if config.cells.max(initial=0) >= system.k:
         raise ValueError(f"configuration uses colours >= k={system.k}")
-    if config.boundary == FIXED and config.background >= system.k:
-        raise ValueError(f"background colour {config.background} >= k={system.k}")
 
 
 def step(config: Configuration, system: System) -> Configuration:
     """Apply one synchronous update of ``system`` to every cell."""
     _check(system, config)
-    out = _step_cells(config.cells[None], system.outputs[None], system, config.boundary,
-                      config.background)[0]
-    return Configuration(cells=out, boundary=config.boundary, background=config.background)
+    out = _step_cells(config.cells[None], system.outputs[None], system, config.boundary)[0]
+    return Configuration(cells=out, boundary=config.boundary)
 
 
 def evolve_batch(systems, inits, t: int) -> EvolutionBatch:
@@ -300,9 +290,7 @@ def evolve_batch(systems, inits, t: int) -> EvolutionBatch:
             type(first), first.k, first.outputs.size
         ):
             raise ValueError("a batch runs systems of one kind, colour count and radius")
-        if (config.cells.shape, config.boundary, config.background) != (
-            init.cells.shape, init.boundary, init.background
-        ):
+        if (config.cells.shape, config.boundary) != (init.cells.shape, init.boundary):
             raise ValueError("a batch runs configurations of one shape and boundary")
     if all(system is first for system in systems):
         tables = first.outputs[None]
@@ -312,7 +300,7 @@ def evolve_batch(systems, inits, t: int) -> EvolutionBatch:
     rows = np.empty((len(inits), t + 1, *init.cells.shape), dtype=np.uint8)
     rows[:, 0] = current
     for s in range(t):
-        current = _step_cells(current, tables, first, init.boundary, init.background)
+        current = _step_cells(current, tables, first, init.boundary)
         rows[:, s + 1] = current
     rows.setflags(write=False)
     return EvolutionBatch(rows=rows)
@@ -325,15 +313,13 @@ def evolve(system: System, init: Configuration, t: int) -> Evolution:
         rule_id=system.rule_id,
         k=system.k,
         boundary=init.boundary,
-        background=init.background,
     )
 
 
 def replay_check(evo: Evolution, system: System) -> bool:
     """True iff every row of ``evo`` is the step image of the row above it."""
-    _check(system, Configuration(evo.rows[0], boundary=evo.boundary, background=evo.background))
-    expected = _step_cells(evo.rows[:-1], system.outputs[None], system, evo.boundary,
-                           evo.background)
+    _check(system, Configuration(evo.rows[0], boundary=evo.boundary))
+    expected = _step_cells(evo.rows[:-1], system.outputs[None], system, evo.boundary)
     return bool(np.array_equal(expected, evo.rows[1:]))
 
 

@@ -78,17 +78,13 @@ class InputFamily:
         return f"{self.scheme}(n={self.n},{dims}{extra})"
 
 
-def _gray_row(j: int, core_width: int, total_width: int) -> np.ndarray:
-    # MSB-first bits of gray_code(j), centred with the smaller margin on the left.
+def _gray_bits(j: int, core: int) -> list[int]:
+    """The ``core`` bits of gray_code(j), most significant first."""
     code = gray_code(j)
-    bits = [(code >> (core_width - 1 - b)) & 1 for b in range(core_width)]
-    row = np.zeros(total_width, dtype=np.uint8)
-    left = (total_width - core_width) // 2
-    row[left : left + core_width] = bits
-    return row
+    return [(code >> (core - 1 - b)) & 1 for b in range(core)]
 
 
-def gray_initials(n: int, width: int, boundary: str = CYCLIC, background: int = 0) -> InputFamily:
+def gray_initials(n: int, width: int, boundary: str = CYCLIC) -> InputFamily:
     """First n rows of the Gray ordering, centred in a zero background.
 
     Member j carries the reflected-binary code of j as a bit pattern of
@@ -99,11 +95,14 @@ def gray_initials(n: int, width: int, boundary: str = CYCLIC, background: int = 
     core = (n - 1).bit_length()
     if width < core:
         raise ValueError(f"width {width} too small for {core} pattern bits")
-    members = tuple(
-        Configuration(cells=_gray_row(j, core, width), boundary=boundary, background=background)
-        for j in range(n)
-    )
-    return InputFamily(members=members, scheme=GRAY)
+    # The pattern is centred, with the smaller margin on the left.
+    left = (width - core) // 2
+    members = []
+    for j in range(n):
+        row = np.zeros(width, dtype=np.uint8)
+        row[left : left + core] = _gray_bits(j, core)
+        members.append(Configuration(cells=row, boundary=boundary))
+    return InputFamily(members=tuple(members), scheme=GRAY)
 
 
 def random_initials(
@@ -112,7 +111,6 @@ def random_initials(
     seed: int,
     density: float = 0.5,
     boundary: str = CYCLIC,
-    background: int = 0,
 ) -> InputFamily:
     """n independent Bernoulli(density) rows from a seeded PCG64 stream."""
     if n < 1:
@@ -121,11 +119,7 @@ def random_initials(
         raise ValueError(f"density must lie strictly between 0 and 1, got {density}")
     rng = np.random.default_rng(seed)
     members = tuple(
-        Configuration(
-            cells=(rng.random(width) < density).astype(np.uint8),
-            boundary=boundary,
-            background=background,
-        )
+        Configuration(cells=(rng.random(width) < density).astype(np.uint8), boundary=boundary)
         for _ in range(n)
     )
     return InputFamily(members=members, scheme=RANDOM, seed=seed, density=density)
@@ -151,9 +145,7 @@ def gray_patches(n: int, height: int, width: int) -> InputFamily:
     members = []
     for j in range(n):
         flat = np.zeros(side * side, dtype=np.uint8)
-        code = gray_code(j)
-        for b in range(core):
-            flat[b] = (code >> (core - 1 - b)) & 1
+        flat[:core] = _gray_bits(j, core)
         grid = np.zeros((height, width), dtype=np.uint8)
         grid[top : top + side, left : left + side] = flat.reshape(side, side)
         members.append(Configuration(cells=grid))

@@ -142,6 +142,27 @@ class TestUsageErrors:
         assert main([*argv, value, "--out", str(tmp_path / "x")]) == 2
         assert "positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        "coeff --rule 30 --gray-inputs 1",
+        "coeff --rule 30 --random-inputs 1",
+        "coeff --rule 30 --random-inputs 4 --density 1.5",
+        "coeff --rule 30 --gray-inputs 40 --width 3",
+        "coeff --rule 30 --t 5 --t-min 10",
+        "coeff --rule 30 --t 5 --t-min 1 --stride 10",
+        "evolve --rule 30 --gray-inputs 1 --t 5",
+        "evolve --rule 30 --input= --t 5",
+        "coeff --model life --gray-inputs 20 --height 2 --width 2 --t 5",
+        "compare --a 30 --b 90 --gray-inputs 1",
+        "sweep --n 1 --t 8 --width 5",
+        "sweep --t 5 --t-min 1 --stride 10 --n 3 --width 5",
+    ])
+    def test_bad_family_or_runtime_grid(self, tmp_path, argv, capsys):
+        # rejected while parsing the flags, before anything is evolved
+        out = tmp_path / "x"
+        assert main([*argv.split(), "--out", str(out)]) == 2
+        assert "usage:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCoeff:
     def test_inert_rule_lands_in_the_zero_band(self, tmp_path, capsys):
@@ -253,6 +274,21 @@ class TestCompare:
         assert verdict["incomparable"] is True
         assert verdict["equivalent"] is None
         assert "grids" in verdict["reason"] or "grid" in verdict["reason"]
+
+    @pytest.mark.parametrize("a, b, family", [
+        ("110", "124", SMALL),
+        ("30", "90", ["--random-inputs", "5", "--seed", "2", "--width", "21", "--t", "30"]),
+        # both runs of every member coincide, so the memo serves each one
+        ("3", "3", SMALL),
+    ])
+    def test_one_pass_equals_two_coeff_runs(self, tmp_path, capsys, a, b, family):
+        assert main(["compare", "--a", a, "--b", b, *family]) == 0
+        verdict = json.loads(capsys.readouterr().out)
+        for side, rule in (("a", a), ("b", b)):
+            out = tmp_path / side
+            assert main(["coeff", "--rule", rule, *family, "--no-calibrate",
+                         "--out", str(out)]) == 0
+            assert verdict[side]["c_value"] == read_json(out / "coefficient.json")["c_value"]
 
     def test_verdict_can_be_written_out(self, tmp_path, capsys):
         out = tmp_path / "verdict"

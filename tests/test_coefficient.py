@@ -20,7 +20,6 @@ from caprog.coefficient import (
     measure,
     sample_times,
     transition_coefficient,
-    variability_curve,
 )
 from caprog.complexity import COMPRESSOR_ID, compressed_size, pack_cells
 from caprog.engine import (
@@ -176,20 +175,20 @@ class TestResultTypes:
 
 
 class TestDifferenceSum:
-    """S(t) read off variability curves; a one-time curve is a single S(t)."""
+    """S(t) read off the variability curves that measure returns."""
 
     def test_blank_rule_with_input_hidden_is_exactly_zero(self):
         # rule 0 maps every input to the same blank evolution
         fam = gray_initials(2, 8)
-        curve = variability_curve(rule_from_number(0), fam, 1, 4, 1, include_input=False)
+        curve = measure(rule_from_number(0), fam, 4, 1, 1, include_input=False)[1]
         assert curve.values == (0.0, 0.0, 0.0, 0.0)
 
     def test_reversing_the_family_changes_nothing(self):
         fam = gray_initials(6, 15)
         flipped = InputFamily(members=tuple(reversed(fam.members)), scheme=CUSTOM)
         rule = rule_from_number(110)
-        forward = variability_curve(rule, fam, 3, 9, 6)
-        backward = variability_curve(rule, flipped, 3, 9, 6)
+        forward = measure(rule, fam, 9, 3, 6)[1]
+        backward = measure(rule, flipped, 9, 3, 6)[1]
         assert forward.times == (3, 9)
         assert forward.values == backward.values
 
@@ -198,7 +197,7 @@ class TestDifferenceSum:
         # gaps come from the input row alone (64 bits at this family size,
         # measured once and pinned)
         fam = gray_initials(40, 61)
-        curve = variability_curve(rule_from_number(255), fam, 8, 200, 8)
+        curve = measure(rule_from_number(255), fam, 200, 8, 8)[1]
         assert curve.times[0] == 8 and curve.times[-1] == 200
         for t, value in curve.points:
             assert value <= 64 / (t * 39)
@@ -207,19 +206,20 @@ class TestDifferenceSum:
         fam = gray_initials(4, 9)
         lone = InputFamily(members=fam.members[:1], scheme=CUSTOM)
         with pytest.raises(ValueError, match="n >= 2"):
-            variability_curve(rule_from_number(30), lone, 1, 5, 5)
+            measure(rule_from_number(30), lone, 5, 1, 5)
         with pytest.raises(ValueError, match="1 <= t_min"):
-            variability_curve(rule_from_number(30), fam, 0, 5, 5)
-        # a single sampled time gives a one-point curve
-        assert variability_curve(rule_from_number(30), fam, 1, 5, 5).times == (5,)
+            measure(rule_from_number(30), fam, 5, 0, 5)
+        # a single sampled time leaves no line to fit
+        with pytest.raises(DegenerateFitError, match="two points"):
+            measure(rule_from_number(30), fam, 5, 1, 5)
 
 
 class TestVariabilityCurve:
     def test_blank_rule_curve_is_deterministic_and_tame(self):
         fam = gray_initials(8, 21)
         rule = rule_from_number(0)
-        a = variability_curve(rule, fam, 4, 40, 4)
-        b = variability_curve(rule, fam, 4, 40, 4)
+        a = measure(rule, fam, 40, 4, 4)[1]
+        b = measure(rule, fam, 40, 4, 4)[1]
         assert a.points == b.points
         values = a.values
         # a handful of framing bits divided by a growing t(n-1): small and
@@ -230,7 +230,7 @@ class TestVariabilityCurve:
 
     def test_metadata_travels_with_the_curve(self):
         fam = gray_initials(8, 21)
-        curve = variability_curve(rule_from_number(90), fam, 4, 24, 5)
+        curve = measure(rule_from_number(90), fam, 24, 4, 5)[1]
         assert curve.n == 8
         assert curve.rule_id == "eca:90"
         assert curve.family_descriptor == "gray(n=8,W21)"
@@ -240,8 +240,8 @@ class TestVariabilityCurve:
 class TestCoefficient:
     def test_structured_rule_dominates_blank_rule_pointwise(self):
         fam = gray_initials(40, 61)
-        lively = variability_curve(rule_from_number(110), fam, 25, 200, 11)
-        blank = variability_curve(rule_from_number(0), fam, 25, 200, 11)
+        lively = measure(rule_from_number(110), fam, 200, 25, 11)[1]
+        blank = measure(rule_from_number(0), fam, 200, 25, 11)[1]
         assert all(a > b for a, b in zip(lively.values, blank.values))
 
     def test_measure_and_shortcut_agree(self):
