@@ -96,6 +96,8 @@ def _add_family_args(p: argparse.ArgumentParser, with_model: bool) -> None:
 def _rule(parser, number: int | None, model: str = "eca"):
     """The system selected by ``model`` and an elementary rule number."""
     if model == "life":
+        if number is not None:
+            parser.error("--rule selects an elementary rule; --model life takes none")
         return GAME_OF_LIFE
     if number is None:
         parser.error("--rule is required for the elementary model")

@@ -21,7 +21,13 @@ from functools import partial
 
 import numpy as np
 
-from .complexity import COMPRESSOR_ID, compressed_size, pack_cells, payload_prefix
+from .complexity import (
+    COMPRESSOR_ID,
+    compressed_size,
+    pack_cells,
+    payload_prefix,
+    streamed_prefix_sizes,
+)
 # Bound under the name run_system because the benchmark's tracer
 # (perfbench/tracer.py) times the engine by wrapping that module attribute.
 from .engine import System, evolve_batch as run_system
@@ -30,6 +36,12 @@ from .enumeration import InputFamily
 # Space-time cells evolved as one tensor: enough runs to amortise numpy's
 # per-call cost, few enough that memory stays bounded at any sweep size.
 CHUNK_CELLS = 256 * 1024
+
+# Payloads of at least this many bytes have their prefix sizes taken from
+# one compression stream, smaller ones by compressing each prefix afresh:
+# below it, copying the stream's state at every prefix costs more than
+# recompressing the prefix.
+STREAM_BYTES = 4 * 1024
 
 
 class DegenerateFitError(ValueError):
@@ -155,6 +167,8 @@ def default_stride(t_min: int, t_max: int) -> int:
 
 
 def _prefix_sizes(payload: bytes, counts: tuple[int, ...], k: int) -> tuple[int, ...]:
+    if len(payload) >= STREAM_BYTES:
+        return streamed_prefix_sizes(payload, counts, k)
     return tuple(compressed_size(payload_prefix(payload, count, k)) for count in counts)
 
 

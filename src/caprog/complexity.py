@@ -72,3 +72,26 @@ def compressed_size(payload: bytes) -> int:
     """Size in bits of the pinned compressor's output for ``payload``."""
     return len(zlib.compress(payload, _LEVEL)) * 8
 
+
+def streamed_prefix_sizes(payload: bytes, counts: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """``compressed_size(payload_prefix(payload, count, k))`` for each of
+    the increasing ``counts``, from one compression of ``payload``.
+
+    The whole bytes of each prefix go through one stream, with the level
+    and zlib defaults of :func:`compressed_size`, which emits the same
+    bytes however its input is split; at each prefix a copy of the stream
+    takes the final partial byte and finishes. Each copy moves the
+    stream's whole state (about 256 KiB at this level), so this only beats
+    one-shot compression of every prefix on payloads of a few KiB and up.
+    """
+    stream = zlib.compressobj(_LEVEL)
+    emitted = fed = 0
+    sizes = []
+    for count in counts:
+        whole, loose = divmod(count, 8) if k == 2 else (count, 0)
+        emitted += len(stream.compress(payload[fed:whole]))
+        fed = whole
+        finish = stream.copy()
+        tail = payload_prefix(payload[whole : whole + 1], loose, k)
+        sizes.append((emitted + len(finish.compress(tail)) + len(finish.flush())) * 8)
+    return tuple(sizes)

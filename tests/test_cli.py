@@ -1,10 +1,15 @@
 """End-to-end tests of the command line interface, run in process."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import caprog
 from caprog.classify import calibrate_epsilon
 from caprog.cli import main
 from caprog.coefficient import measure
@@ -121,6 +126,15 @@ class TestUsageErrors:
         assert "cyclic" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["evolve", "coeff"])
+    @pytest.mark.parametrize("rule", ["110", "999"])
+    def test_life_with_rule(self, tmp_path, command, rule, capsys):
+        out = tmp_path / "x"
+        assert main([command, "--model", "life", "--rule", rule, "--gray-inputs", "4",
+                     "--height", "8", "--width", "8", "--t", "6", "--out", str(out)]) == 2
+        assert "--model life" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["abc", "0"])
     def test_bad_workers_variable(self, tmp_path, monkeypatch, value, capsys):
         monkeypatch.setenv("CAPROG_WORKERS", value)
@@ -218,6 +232,19 @@ class TestCoeff:
         assert obj["params"]["rule_id"] == "life:B3/S23"
         assert obj["params"]["height"] == 12
         assert "zero_band" in obj
+
+    def test_runs_as_a_module(self, tmp_path):
+        # `python -m caprog` works without an installed `caprog` script.
+        src = str(Path(caprog.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = tmp_path / "d"
+        done = subprocess.run(
+            [sys.executable, "-m", "caprog", "coeff", "--rule", "30", "--t", "10",
+             "--no-calibrate", "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert read_json(out / "coefficient.json")["params"]["rule_id"] == "eca:30"
 
 
 class TestSweepCommand:

@@ -294,9 +294,17 @@ def _eca_case(boundary, include_input):
     return rules, gray_initials(8, 61, boundary=boundary), include_input
 
 
+def _eca_wide_case():
+    # Runs of 120 rows of 509 cells: payloads above STREAM_BYTES whose
+    # prefixes mostly end inside a byte.
+    rules = [rule_from_number(number) for number in (0, 2, 30, 110)]
+    return rules, gray_initials(4, 509), False
+
+
 BATCH_CASES = {
     "eca": lambda: _eca_case(CYCLIC, True),
     "eca-fixed-no-input": lambda: _eca_case(FIXED, False),
+    "eca-wide-no-input": _eca_wide_case,
     "k3-r2": _k3_r2_case,
     "life": lambda: ((*INERT_LIFE, GAME_OF_LIFE), gray_patches(20, 16, 16), True),
 }
@@ -315,11 +323,14 @@ def test_batched_matrix_is_bit_exact(case):
     assert threaded.tolist() == matrix.tolist()
     start = 0 if include_input else 1
     repeats = 0
+    longest = 0
     for j, member in enumerate(family.members):
         payloads = set()
         for system, sizes in zip(systems, matrix[:, j]):
             rows = evolve(system, member, times[-1]).rows
-            payloads.add(pack_cells(rows[start:].ravel(), system.k))
+            payload = pack_cells(rows[start:].ravel(), system.k)
+            payloads.add(payload)
+            longest = max(longest, len(payload))
             assert sizes.tolist() == [
                 compressed_size(pack_cells(rows[start : t + 1].ravel(), system.k))
                 for t in times
@@ -329,5 +340,7 @@ def test_batched_matrix_is_bit_exact(case):
                                  boundary=member.boundary)
                 assert sizes.tolist() == [ref_complexity(ref[start : t + 1]) for t in times]
         repeats += len(systems) - len(payloads)
+    # Which cases take their sizes from one compression stream per run.
+    assert (longest >= coefficient.STREAM_BYTES) == (case in ("eca-wide-no-input", "k3-r2"))
     if case != "k3-r2":
         assert repeats > 0, "no two systems share a run on a member, so the memo is not hit"

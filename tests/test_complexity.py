@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from caprog.coefficient import STREAM_BYTES
 from caprog.complexity import (
     COMPRESSOR_ID,
     compressed_size,
@@ -14,6 +15,7 @@ from caprog.complexity import (
     pack_cells,
     payload_prefix,
     serialize,
+    streamed_prefix_sizes,
     unpack_cells,
 )
 from caprog.engine import Configuration, evolve, rule_from_number
@@ -117,6 +119,50 @@ class TestCompressedSize:
     def test_matches_zlib_level_9_directly(self):
         payload = bytes(range(256)) * 3
         assert compressed_size(payload) == len(zlib.compress(payload, 9)) * 8
+
+    @given(
+        size=st.integers(min_value=1, max_value=3 * STREAM_BYTES),
+        loose=st.integers(min_value=0, max_value=7),
+        k=st.sampled_from([2, 3]),
+        density=st.sampled_from([0.02, 0.5]),
+        seed=st.integers(min_value=0, max_value=2**31),
+        picks=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_streamed_prefix_sizes_match_one_shot(self, size, loose, k, density, seed, picks):
+        # Payloads of up to 3 * STREAM_BYTES bytes, so on both sides of the
+        # size at which coefficient switches to streaming; sparse cells
+        # give long matches, dense ones few.
+        rng = np.random.default_rng(seed)
+        cells = max(1, 8 * size - loose) if k == 2 else size
+        live = rng.random(cells) < density
+        flat = live * rng.integers(1, k, size=cells, dtype=np.uint8)
+        payload = pack_cells(flat, k)
+        counts = tuple(sorted({max(1, round(p * cells)) for p in picks}))
+        assert streamed_prefix_sizes(payload, counts, k) == tuple(
+            compressed_size(payload_prefix(payload, count, k)) for count in counts
+        )
+
+    @pytest.mark.parametrize("counts", [
+        (1,),
+        (8 * STREAM_BYTES - 3,),
+        tuple(range(3, 20)),  # several prefixes end inside one byte
+        (5, 13, 8 * STREAM_BYTES + 1, 16 * STREAM_BYTES - 1),
+    ])
+    def test_streamed_prefix_sizes_end_mid_byte(self, counts):
+        rng = np.random.default_rng(11)
+        payload = rng.integers(0, 256, size=2 * STREAM_BYTES, dtype=np.uint8).tobytes()
+        assert streamed_prefix_sizes(payload, counts, 2) == tuple(
+            compressed_size(payload_prefix(payload, count, 2)) for count in counts
+        )
+
+    def test_streamed_prefix_masks_cells_past_the_prefix(self):
+        # The prefix ends one cell short of the single 0xAB byte. Masked,
+        # that byte continues the run of 0xAA; unmasked, it would be a new
+        # literal and compress larger.
+        payload = b"\xaa" * 9000 + b"\xab" + b"\xaa" * 50
+        (size,) = streamed_prefix_sizes(payload, (8 * 9001 - 1,), 2)
+        assert size == compressed_size(b"\xaa" * 9001) < compressed_size(payload[:9001])
 
     def test_zero_grid_strictly_below_random_grid(self):
         rng = np.random.default_rng(7)
