@@ -32,12 +32,10 @@ from .coefficient import (
     fit_line,
     measure,
     sample_times,
-    transition_coefficient,
 )
 from .complexity import (
     COMPRESSOR_ID,
     compressed_size,
-    deserialize,
     serialize,
 )
 from .engine import (
@@ -48,12 +46,9 @@ from .engine import (
     Evolution,
     LifeRule,
     RuleTable,
-    conjugate_rule,
     default_width,
     evolve,
-    replay_check,
     rule_from_number,
-    rule_to_number,
     step,
 )
 from .enumeration import (

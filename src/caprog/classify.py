@@ -12,6 +12,7 @@ magnitude they produce, with a tiny floor so the band is never empty.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -33,8 +34,6 @@ INERT_LIFE = (
 # The band must stay positive even if every calibration slope is exactly
 # zero, otherwise the inert rules themselves could not be classified.
 EPSILON_FLOOR = 1e-12
-
-WORKERS_ENV = "CAPROG_WORKERS"
 
 
 class IncomparableError(ValueError):
@@ -117,8 +116,8 @@ def behaviourally_equivalent(a, b) -> bool:
 
 def c_equivalent(a, b, c: float) -> bool:
     """Coefficient agreement within tolerance ``c`` on a shared grid."""
-    if c <= 0:
-        raise ValueError("tolerance c must be > 0")
+    if not (c > 0 and math.isfinite(c)):
+        raise ValueError("tolerance c must be > 0 and finite")
     return all(abs(ra.c_value - rb.c_value) < c for ra, rb in _paired_grids(a, b))
 
 
@@ -195,22 +194,10 @@ class SweepReport:
         """0-based rank; rank 0 has the largest coefficient."""
         return self.ranking.index(rule_id)
 
-    def c_values(self) -> tuple[float, ...]:
-        return tuple(e.c_value for e in self.entries)
-
 
 def resolve_workers(workers: int | None) -> int:
     if workers is None:
-        env = os.environ.get(WORKERS_ENV, "").strip()
-        if not env:
-            return os.cpu_count() or 1
-        try:
-            workers = int(env)
-        except ValueError:
-            workers = 0
-        if workers < 1:
-            raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {env!r}")
-        return workers
+        return os.cpu_count() or 1
     if workers < 1:
         raise ValueError("worker count must be >= 1")
     return workers

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -29,7 +30,6 @@ from .classify import (
     computes,
     is_zero_computer,
     r30_grouping,
-    resolve_workers,
     sweep_eca,
 )
 from .coefficient import default_stride, default_t_min, measure, measure_all, sample_times
@@ -62,6 +62,9 @@ LIFE_T = 100
 # blinker, the glider and the R-pentomino.
 LIFE_N = 2 ** 9
 LIFE_SIDE = 32
+
+# The commands whose manifests `rerun` replays.
+REPLAYABLE = ("evolve", "coeff", "sweep", "compare")
 
 
 def _size(text: str) -> int:
@@ -218,13 +221,12 @@ def cmd_coeff(args, argv) -> int:
 def cmd_sweep(args, argv) -> int:
     parser = _PARSERS["sweep"]
     try:
-        workers = resolve_workers(args.workers)
         gray_initials(args.n, args.width)  # a family the sweep cannot build is a usage error
     except ValueError as err:
         parser.error(str(err))
     t_max, t_min, stride = _grid(args, parser, DEFAULT_T)
     report = sweep_eca(t_max=t_max, n=args.n, width=args.width, t_min=t_min, stride=stride,
-                       include_input=not args.skip_input_row, workers=workers)
+                       include_input=not args.skip_input_row, workers=args.workers)
     notes = {"r30": r30_grouping(report)}
     files = {
         "sweep.csv": reportio.sweep_csv_bytes(report),
@@ -243,8 +245,10 @@ def cmd_compare(args, argv) -> int:
     parser = _PARSERS["compare"]
     if (args.a_json is None) != (args.b_json is None):
         parser.error("--a-json and --b-json go together")
-    if args.c is not None and args.c <= 0:
-        parser.error("--c must be > 0")
+    if args.a_json is not None and (args.a is not None or args.b is not None):
+        parser.error("--a/--b exclude --a-json/--b-json")
+    if args.c is not None and not (args.c > 0 and math.isfinite(args.c)):
+        parser.error("--c must be > 0 and finite")
     if args.a_json:
         res_a = reportio.coefficient_from_obj(json.loads(Path(args.a_json).read_text()))
         res_b = reportio.coefficient_from_obj(json.loads(Path(args.b_json).read_text()))
@@ -311,6 +315,8 @@ def _strip_out_flag(argv: list[str]) -> list[str]:
 
 def cmd_rerun(args, argv) -> int:
     manifest = reportio.load_manifest(args.manifest)
+    if not manifest.argv or manifest.argv[0] not in REPLAYABLE:
+        raise ValueError(f"{args.manifest} records no {'/'.join(REPLAYABLE)} command to replay")
     recorded = manifest.params.get("compressor_id", COMPRESSOR_ID)
     if recorded != COMPRESSOR_ID:
         # Sizes under another compressor differ for a known reason; that is
@@ -372,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stride", type=_size)
     p.add_argument("--skip-input-row", action="store_true")
     p.add_argument("--workers", type=_size,
-                   help="threads compressing distinct runs (default: CAPROG_WORKERS or all cores)")
+                   help="threads compressing distinct runs (default: all cores)")
     p.add_argument("--out", default="caprog-sweep", help="output directory")
     p.set_defaults(func=cmd_sweep)
     _PARSERS["sweep"] = p

@@ -92,9 +92,7 @@ class VariabilityCurve:
     """Sampled (t', S(t')) points feeding the line fit."""
 
     points: tuple[tuple[int, float], ...]
-    n: int
     family_descriptor: str
-    rule_id: str
 
     def __post_init__(self):
         if len(self.points) < 1:
@@ -106,14 +104,6 @@ class VariabilityCurve:
             if value < 0:
                 raise ValueError("difference sums are non-negative")
             last = t_prime
-
-    @property
-    def times(self) -> tuple[int, ...]:
-        return tuple(p[0] for p in self.points)
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(p[1] for p in self.points)
 
 
 @dataclass(frozen=True)
@@ -277,9 +267,7 @@ def measure_all(
     for system, matrix in zip(systems, matrices):
         curve = VariabilityCurve(
             points=tuple(zip(times, _gap_sums(matrix, times, family.n))),
-            n=family.n,
             family_descriptor=family.descriptor,
-            rule_id=system.rule_id,
         )
         fit = fit_line(curve)
         params = RunParams(
@@ -309,15 +297,3 @@ def measure(
 ) -> tuple[CoefficientResult, VariabilityCurve]:
     """Variability curve plus its fitted coefficient, with full parameters."""
     return measure_all([system], family, t_max, t_min, stride, include_input)[0]
-
-
-def transition_coefficient(
-    system: System,
-    family: InputFamily,
-    t_max: int,
-    t_min: int | None = None,
-    stride: int | None = None,
-    include_input: bool = True,
-) -> CoefficientResult:
-    """Fitted slope of the variability curve over the default runtime grid."""
-    return measure(system, family, t_max, t_min=t_min, stride=stride, include_input=include_input)[0]

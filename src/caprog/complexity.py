@@ -47,25 +47,12 @@ def payload_prefix(payload: bytes, cell_count: int, k: int) -> bytes:
     return payload[:size] + bytes((last,))
 
 
-def unpack_cells(payload: bytes, cell_count: int, k: int) -> np.ndarray:
-    if k == 2:
-        bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=cell_count)
-        return bits.astype(np.uint8)
-    return np.frombuffer(payload, dtype=np.uint8)[:cell_count].copy()
-
-
 def serialize(evo: Evolution) -> bytes:
     """Row-major cells of the whole run, packed; no header.
 
     Dimensions live in the run manifest, not the payload.
     """
     return pack_cells(evo.rows.ravel(), evo.k)
-
-
-def deserialize(payload: bytes, shape: tuple[int, ...], k: int) -> np.ndarray:
-    """Recover the cell array serialized for the given dimensions."""
-    count = int(np.prod(shape))
-    return unpack_cells(payload, count, k).reshape(shape)
 
 
 def compressed_size(payload: bytes) -> int:

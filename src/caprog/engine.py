@@ -11,7 +11,7 @@ function of its inputs, so results can be shared freely between workers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -92,28 +92,6 @@ def rule_from_number(number: int, k: int = 2, r: int = 1) -> RuleTable:
     return RuleTable(k=k, r=r, outputs=digits, number=number)
 
 
-def rule_to_number(rule: RuleTable) -> int:
-    """Inverse of :func:`rule_from_number` (bit-exact round trip)."""
-    total = 0
-    for value in range(len(rule.outputs) - 1, -1, -1):
-        total = total * rule.k + int(rule.outputs[value])
-    return total
-
-
-def conjugate_rule(rule: RuleTable) -> RuleTable:
-    """Colour-complement conjugate of a two-colour rule.
-
-    The conjugate maps a neighbourhood to the complement of what the
-    original rule maps the complemented neighbourhood to, so evolving it
-    on a complemented input reproduces the complemented evolution.
-    """
-    if rule.k != 2:
-        raise ValueError("conjugation is defined here for k=2 rules only")
-    # index size-1-v is the complemented neighbourhood
-    conjugate = RuleTable(k=2, r=rule.r, outputs=1 - rule.outputs[::-1], number=0)
-    return replace(conjugate, number=rule_to_number(conjugate))
-
-
 @dataclass(frozen=True)
 class LifeRule:
     """Outer-totalistic birth/survival rule over live-neighbour counts 0..8,
@@ -182,9 +160,7 @@ class Evolution:
     """
 
     rows: np.ndarray
-    rule_id: str
     k: int
-    boundary: str = CYCLIC
 
     def __post_init__(self):
         arr = np.ascontiguousarray(self.rows, dtype=np.uint8)
@@ -308,19 +284,7 @@ def evolve_batch(systems, inits, t: int) -> EvolutionBatch:
 
 def evolve(system: System, init: Configuration, t: int) -> Evolution:
     """Run ``system`` for ``t`` transitions from ``init``; returns t+1 rows."""
-    return Evolution(
-        rows=evolve_batch([system], [init], t).rows[0],
-        rule_id=system.rule_id,
-        k=system.k,
-        boundary=init.boundary,
-    )
-
-
-def replay_check(evo: Evolution, system: System) -> bool:
-    """True iff every row of ``evo`` is the step image of the row above it."""
-    _check(system, Configuration(evo.rows[0], boundary=evo.boundary))
-    expected = _step_cells(evo.rows[:-1], system.outputs[None], system, evo.boundary)
-    return bool(np.array_equal(expected, evo.rows[1:]))
+    return Evolution(rows=evolve_batch([system], [init], t).rows[0], k=system.k)
 
 
 def default_width(seed_width: int, r: int, t: int) -> int:

@@ -62,30 +62,6 @@ def pbm_bytes(rows: np.ndarray) -> bytes:
     return header + np.packbits(arr, axis=1).tobytes()
 
 
-def parse_pbm(data: bytes) -> np.ndarray:
-    """Inverse of :func:`pbm_bytes`; tolerates comments and any whitespace."""
-    if not data.startswith(b"P4"):
-        raise ValueError("not a P4 bitmap")
-    pos, fields = 2, []
-    while len(fields) < 2:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(int(data[start:pos]))
-    pos += 1  # single whitespace separates the header from the raster
-    width, height = fields
-    row_bytes = (width + 7) // 8
-    raster = np.frombuffer(data, dtype=np.uint8, count=height * row_bytes, offset=pos)
-    bits = np.unpackbits(raster.reshape(height, row_bytes), axis=1)
-    return np.ascontiguousarray(bits[:, :width])
-
-
 # ---------------------------------------------------------------------------
 # Tabular and structured result formats.
 

@@ -2,14 +2,13 @@
 
 Everything here is recomputed from scratch with plain Python lists and
 integers: rule tables as dicts, stepping cell by cell (1-D rows under
-either boundary, Life grids by counting neighbours), bit packing by
-hand, one zlib call per evolution, and textbook least squares. No numpy,
-no caching, no prefix reuse. The optimised pipeline must agree with this
-one bit for bit.
+either boundary, Life grids by counting neighbours), bit packing and
+unpacking by hand, one zlib call per evolution, and textbook least
+squares. No numpy, no caching, no prefix reuse. The optimised pipeline
+must agree with this one bit for bit.
 """
 from __future__ import annotations
 
-import math
 import zlib
 
 
@@ -19,6 +18,12 @@ def ref_rule_table(number: int) -> dict[tuple[int, int, int], int]:
         neigh = ((value >> 2) & 1, (value >> 1) & 1, value & 1)
         table[neigh] = (number >> value) & 1
     return table
+
+
+def ref_conjugate(number: int) -> int:
+    """Number of the colour-complement conjugate of ECA ``number``: its
+    output for neighbourhood v is 1 - the output for 7 - v."""
+    return sum((1 - ((number >> (7 - v)) & 1)) << v for v in range(8))
 
 
 def ref_step(cells: list[int], table, boundary: str = "cyclic") -> list[int]:
@@ -71,6 +76,21 @@ def ref_pack(bits: list[int]) -> bytes:
             byte |= b << (7 - i)
         out.append(byte)
     return bytes(out)
+
+
+def ref_unpack(data: bytes, count: int) -> list[int]:
+    """The first ``count`` bits of ``data``, MSB first: inverse of ref_pack."""
+    return [(data[i // 8] >> (7 - i % 8)) & 1 for i in range(count)]
+
+
+def ref_read_pbm(data: bytes) -> list[list[int]]:
+    """Cells of a P4 bitmap whose header is exactly ``P4\\n{w} {h}\\n``."""
+    magic, size, raster = data.split(b"\n", 2)
+    assert magic == b"P4"
+    width, height = (int(field) for field in size.split(b" "))
+    row = (width + 7) // 8
+    assert len(raster) == height * row
+    return [ref_unpack(raster[i * row : (i + 1) * row], width) for i in range(height)]
 
 
 def ref_complexity(rows: list[list[int]]) -> int:

@@ -19,7 +19,7 @@ from caprog.classify import (
     resolve_workers,
     sweep_eca,
 )
-from caprog.coefficient import transition_coefficient
+from caprog.coefficient import measure
 from caprog.engine import rule_from_number
 from caprog.enumeration import gray_initials
 
@@ -38,7 +38,7 @@ def small_family():
 
 
 def coeff(number: int, family, t_max: int = 40):
-    return transition_coefficient(rule_from_number(number), family, t_max)
+    return measure(rule_from_number(number), family, t_max)[0]
 
 
 class TestKMeans:
@@ -158,22 +158,18 @@ class TestEquivalence:
         with pytest.raises(IncomparableError):
             behaviourally_equivalent([a], [a, a])
 
-    def test_tolerance_must_be_positive(self, small_family):
+    @pytest.mark.parametrize("c", [0.0, float("nan"), float("inf")])
+    def test_tolerance_must_be_positive(self, small_family, c):
         res = coeff(90, small_family)
         with pytest.raises(ValueError, match="c must be > 0"):
-            c_equivalent(res, res, 0.0)
+            c_equivalent(res, res, c)
 
 
 class TestWorkers:
     def test_explicit_count_wins(self):
         assert resolve_workers(3) == 3
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("CAPROG_WORKERS", "2")
-        assert resolve_workers(None) == 2
-
-    def test_defaults_to_cpu_count(self, monkeypatch):
-        monkeypatch.delenv("CAPROG_WORKERS", raising=False)
+    def test_defaults_to_cpu_count(self):
         assert resolve_workers(None) >= 1
 
     def test_invalid_count(self):
@@ -207,7 +203,7 @@ class TestSweep:
         again = sweep_eca(**SWEEP_KW)
         assert again.ranking == small_sweep.ranking
         assert again.epsilon == small_sweep.epsilon
-        assert again.c_values() == small_sweep.c_values()
+        assert [e.c_value for e in again.entries] == [e.c_value for e in small_sweep.entries]
         assert again.clusters == small_sweep.clusters
 
     def test_entry_lookup(self, small_sweep):

@@ -17,12 +17,14 @@ from caprog.engine import rule_from_number
 from caprog.enumeration import gray_initials
 from caprog.reportio import (
     MANIFEST_NAME,
+    SCHEMA_MANIFEST,
     coefficient_json_obj,
     json_bytes,
     load_manifest,
-    parse_pbm,
     verify_outputs,
 )
+
+from reference import ref_read_pbm
 
 # Small measurement grid reused across tests to keep runs quick.
 SMALL = ["--gray-inputs", "6", "--width", "15", "--t", "24"]
@@ -41,7 +43,7 @@ class TestEvolve:
         images = sorted(out.glob("evolution_*.pbm"))
         assert len(images) == 12
         for path in images:
-            rows = parse_pbm(path.read_bytes())
+            rows = np.array(ref_read_pbm(path.read_bytes()))
             assert rows.shape == (61, 121)
             assert rows[1:].all()
 
@@ -50,19 +52,18 @@ class TestEvolve:
         code = main(["evolve", "--rule", "204", "--input", "010",
                      "--t", "5", "--out", str(out)])
         assert code == 0
-        rows = parse_pbm((out / "evolution_000.pbm").read_bytes())
-        assert rows.shape == (6, 3)
-        assert np.array_equal(rows, np.tile([0, 1, 0], (6, 1)))
+        rows = ref_read_pbm((out / "evolution_000.pbm").read_bytes())
+        assert rows == [[0, 1, 0]] * 6
 
     def test_gray_family_members_are_all_distinct(self, tmp_path):
         out = tmp_path / "gray"
         code = main(["evolve", "--rule", "110", "--gray-inputs", "8",
                      "--t", "100", "--out", str(out)])
         assert code == 0
-        images = [parse_pbm(p.read_bytes()) for p in sorted(out.glob("*.pbm"))]
+        images = [ref_read_pbm(p.read_bytes()) for p in sorted(out.glob("*.pbm"))]
         assert len(images) == 8
         for a, b in zip(images, images[1:]):
-            assert not np.array_equal(a, b)
+            assert a != b
 
     def test_raw_payloads_on_request(self, tmp_path):
         out = tmp_path / "raw"
@@ -89,9 +90,9 @@ class TestEvolve:
         assert manifest.params["n"] == 512 and len(manifest.outputs) == 512
         # the grids of a run are stacked top to bottom; the last member,
         # gray_code(511) = 100000000 written row-major, has one live cell
-        rows = parse_pbm((out / "evolution_511.pbm").read_bytes())
-        assert rows.shape == (6, 3)
-        assert rows[:3].tolist() == [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
+        rows = ref_read_pbm((out / "evolution_511.pbm").read_bytes())
+        assert len(rows) == 6 and len(rows[0]) == 3
+        assert rows[:3] == [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
 
 
 class TestUsageErrors:
@@ -115,8 +116,18 @@ class TestUsageErrors:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 2
 
-    def test_nonpositive_tolerance(self):
-        assert main(["compare", "--a", "5", "--b", "5", "--c", "0"]) == 2
+    @pytest.mark.parametrize("value", ["0", "nan", "inf"])
+    def test_nonpositive_tolerance(self, value):
+        assert main(["compare", "--a", "5", "--b", "5", "--c", value]) == 2
+
+    @pytest.mark.parametrize("rules", ["--a 999 --b 5", "--a 3", "--b 3"])
+    def test_rules_exclude_stored_results(self, tmp_path, rules, capsys):
+        stored = tmp_path / "a.json"
+        res, curve = measure(rule_from_number(90), gray_initials(6, 15), 24)
+        stored.write_bytes(json_bytes(coefficient_json_obj(res, curve)))
+        assert main(["compare", *rules.split(),
+                     "--a-json", str(stored), "--b-json", str(stored)]) == 2
+        assert "--a-json" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["evolve", "coeff"])
     def test_life_with_fixed_boundary(self, tmp_path, command, capsys):
@@ -133,15 +144,6 @@ class TestUsageErrors:
         assert main([command, "--model", "life", "--rule", rule, "--gray-inputs", "4",
                      "--height", "8", "--width", "8", "--t", "6", "--out", str(out)]) == 2
         assert "--model life" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("value", ["abc", "0"])
-    def test_bad_workers_variable(self, tmp_path, monkeypatch, value, capsys):
-        monkeypatch.setenv("CAPROG_WORKERS", value)
-        out = tmp_path / "x"
-        assert main(["sweep", "--t", "8", "--n", "3", "--width", "9",
-                     "--out", str(out)]) == 2
-        assert "CAPROG_WORKERS" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["0", "-3", "x"])
@@ -366,4 +368,18 @@ class TestRerun:
         code = main(["rerun", "--manifest", str(manifest_path), "--out", str(second)])
         assert code == 3
         assert "deflate/zlib-0.0.0/level9" in capsys.readouterr().err
+        assert not second.exists()
+
+    @pytest.mark.parametrize("command", ["rerun --manifest {manifest}", "frobnicate", ""])
+    def test_manifest_of_no_run_is_refused(self, tmp_path, command, capsys):
+        # A manifest that records `rerun` of itself would replay forever.
+        manifest_path = tmp_path / MANIFEST_NAME
+        argv = [word.format(manifest=manifest_path) for word in command.split()]
+        obj = {"schema": SCHEMA_MANIFEST, "argv": argv,
+               "params": {}, "outputs": {}, "timestamp": "2020-01-01T00:00:00+00:00"}
+        manifest_path.write_bytes(json_bytes(obj))
+        second = tmp_path / "second"
+        code = main(["rerun", "--manifest", str(manifest_path), "--out", str(second)])
+        assert code == 4
+        assert len(capsys.readouterr().err.splitlines()) == 1
         assert not second.exists()

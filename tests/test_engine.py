@@ -8,19 +8,15 @@ from caprog.engine import (
     FIXED,
     GAME_OF_LIFE,
     Configuration,
-    Evolution,
     LifeRule,
-    conjugate_rule,
     default_width,
     evolve,
     evolve_batch,
-    replay_check,
     rule_from_number,
-    rule_to_number,
     step,
 )
 
-from reference import ref_evolve, ref_life_evolve
+from reference import ref_conjugate, ref_evolve, ref_life_evolve, ref_rule_table
 
 
 def row(bits: str) -> Configuration:
@@ -44,14 +40,16 @@ def test_rule_110_full_table():
     assert table == expected
 
 
-def test_rule_number_roundtrip_all_eca():
+def test_rule_decoding_matches_reference_all_eca():
     for number in range(256):
-        assert rule_to_number(rule_from_number(number)) == number
+        outputs = rule_from_number(number).outputs
+        table = {tuple((v >> s) & 1 for s in (2, 1, 0)): int(out) for v, out in enumerate(outputs)}
+        assert table == ref_rule_table(number)
 
 
-def test_rule_number_roundtrip_three_colours():
+def test_rule_decoding_three_colours():
     rule = rule_from_number(123456789, k=3, r=1)
-    assert rule_to_number(rule) == 123456789
+    assert sum(int(out) * 3 ** v for v, out in enumerate(rule.outputs)) == 123456789
     assert rule.rule_id == "ca:k3:r1:123456789"
 
 
@@ -69,26 +67,14 @@ def test_rule_ids():
     assert rule_from_number(0).number == 0
 
 
-def test_conjugate_known_values():
-    assert conjugate_rule(rule_from_number(110)).number == 137
-    assert conjugate_rule(rule_from_number(0)).number == 255
-    assert conjugate_rule(rule_from_number(204)).number == 204
-
-
-def test_conjugate_is_involution():
-    for number in range(256):
-        rule = rule_from_number(number)
-        assert conjugate_rule(conjugate_rule(rule)).number == number
-
-
 def test_conjugate_semantics():
     # Evolving the conjugate on complemented input complements the evolution.
     rng = np.random.default_rng(7)
     for _ in range(25):
-        rule = rule_from_number(int(rng.integers(256)))
+        number = int(rng.integers(256))
         cells = rng.integers(0, 2, size=17, dtype=np.uint8)
-        direct = evolve(rule, Configuration(cells), 9).rows
-        flipped = evolve(conjugate_rule(rule), Configuration(1 - cells), 9).rows
+        direct = evolve(rule_from_number(number), Configuration(cells), 9).rows
+        flipped = evolve(rule_from_number(ref_conjugate(number)), Configuration(1 - cells), 9).rows
         assert np.array_equal(flipped, 1 - direct)
 
 
@@ -114,9 +100,7 @@ def test_evolve_shape_and_replay():
     evo = evolve(rule_from_number(90), row("0001000"), 7)
     assert evo.rows.shape == (8, 7)
     assert evo.t == 7 and evo.width == 7
-    assert replay_check(evo, rule_from_number(90))
-    tampered = Evolution(rows=np.flipud(evo.rows), rule_id=evo.rule_id, k=2)
-    assert not replay_check(tampered, rule_from_number(90))
+    assert evo.rows.tolist() == ref_evolve(90, [0, 0, 0, 1, 0, 0, 0], 7)
 
 
 def test_evolve_requires_a_transition():
@@ -180,7 +164,7 @@ def test_life_glider_translates():
     evo = evolve(GAME_OF_LIFE, Configuration(glider(8)), 4)
     assert evo.rows.shape == (5, 8, 8) and evo.width == 8
     assert np.array_equal(evo.rows[4], np.roll(np.roll(evo.rows[0], 1, 0), 1, 1))
-    assert replay_check(evo, GAME_OF_LIFE)
+    assert evo.rows.tolist() == ref_life_evolve(glider(8).tolist(), 4, born={3}, survives={2, 3})
 
 
 def test_life_rule_validation():
@@ -209,7 +193,7 @@ def test_evolve_accepts_both_system_types():
     grid = Configuration(np.zeros((4, 4), dtype=np.uint8))
     levo = evolve(GAME_OF_LIFE, grid, 2)
     assert levo.rows.shape == (3, 4, 4)
-    assert levo.rule_id == "life:B3/S23" and levo.k == 2
+    assert levo.k == 2
     with pytest.raises(TypeError):
         evolve(42, grid, 2)
 
@@ -266,12 +250,6 @@ def test_fixed_boundary_matches_naive_reference():
         cells = rng.integers(0, 2, size=int(rng.integers(1, 30)), dtype=np.uint8)
         evo = evolve(rule_from_number(number), Configuration(cells, boundary=FIXED), 20)
         assert evo.rows.tolist() == ref_evolve(number, cells.tolist(), 20, boundary="fixed")
-
-
-def test_replay_check_rejects_a_system_of_the_other_kind():
-    evo = evolve(rule_from_number(110), row("0001000"), 4)
-    with pytest.raises(ValueError, match="2-D grids only"):
-        replay_check(evo, GAME_OF_LIFE)
 
 
 def test_batch_rows_are_the_members_runs():
