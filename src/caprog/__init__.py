@@ -49,7 +49,6 @@ from .engine import (
     default_width,
     evolve,
     rule_from_number,
-    step,
 )
 from .enumeration import (
     InputFamily,

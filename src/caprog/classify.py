@@ -168,7 +168,7 @@ class SweepReport:
     entries: tuple[CoefficientResult, ...]
     ranking: tuple[str, ...]
     clusters: dict[str, int] = field(compare=False)
-    epsilon: float = 0.0
+    epsilon: float
 
     def __post_init__(self):
         ids = [e.params.rule_id for e in self.entries]

@@ -32,7 +32,7 @@ from .classify import (
     r30_grouping,
     sweep_eca,
 )
-from .coefficient import default_stride, default_t_min, measure, measure_all, sample_times
+from .coefficient import measure, measure_all, runtime_grid
 from .complexity import COMPRESSOR_ID, serialize
 from .engine import (
     CYCLIC,
@@ -79,21 +79,42 @@ def _size(text: str) -> int:
     return value
 
 
-def _add_family_args(p: argparse.ArgumentParser, with_model: bool) -> None:
+def _add_family_args(p: argparse.ArgumentParser, with_model: bool,
+                     with_input: bool = False) -> list[argparse.Action]:
+    """Declare the input-family flags; returns their actions."""
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--gray-inputs", type=_size, metavar="N",
-                       help="first N rows of the Gray ordering")
-    group.add_argument("--random-inputs", type=_size, metavar="N",
-                       help="N seeded uniform random rows")
-    p.add_argument("--seed", type=int, default=0, help="PRNG seed for --random-inputs")
-    p.add_argument("--density", type=float, default=0.5,
-                   help="live-cell probability for --random-inputs")
-    p.add_argument("--width", type=_size, help="row width (defaults depend on the family)")
-    p.add_argument("--boundary", choices=[CYCLIC, FIXED], default=CYCLIC)
+    actions = [
+        group.add_argument("--gray-inputs", type=_size, metavar="N",
+                           help="first N rows of the Gray ordering"),
+        group.add_argument("--random-inputs", type=_size, metavar="N",
+                           help="N seeded uniform random rows"),
+        p.add_argument("--seed", type=int, default=0, help="PRNG seed for --random-inputs"),
+        p.add_argument("--density", type=float, default=0.5,
+                       help="live-cell probability for --random-inputs"),
+        p.add_argument("--width", type=_size, help="row width (defaults depend on the family)"),
+        p.add_argument("--boundary", choices=[CYCLIC, FIXED], default=CYCLIC,
+                       help="cyclic (default) wraps; fixed reads cells beyond the edges as 0"),
+    ]
+    if with_input:
+        actions.append(group.add_argument("--input", help="explicit initial row, e.g. 0110"))
     if with_model:
-        p.add_argument("--model", choices=["eca", "life"], default="eca",
-                       help="1-D elementary rule (default) or 2-D Game of Life")
-        p.add_argument("--height", type=_size, help="grid height for --model life")
+        actions += [
+            p.add_argument("--model", choices=["eca", "life"], default="eca",
+                           help="1-D elementary rule (default) or 2-D Game of Life"),
+            p.add_argument("--height", type=_size, help="grid height for --model life"),
+        ]
+    return actions
+
+
+def _add_grid_args(p: argparse.ArgumentParser, t_default: str) -> list[argparse.Action]:
+    """Declare the runtime-grid flags; returns their actions."""
+    return [
+        p.add_argument("--t", type=_size, help=f"deepest runtime (default {t_default})"),
+        p.add_argument("--t-min", type=_size, help="shallowest sampled runtime"),
+        p.add_argument("--stride", type=_size, help="runtime sampling stride"),
+        p.add_argument("--skip-input-row", action="store_true",
+                       help="exclude the input row from compressed payloads"),
+    ]
 
 
 def _rule(parser, number: int | None, model: str = "eca"):
@@ -114,8 +135,6 @@ def _family(args, parser, width_for) -> InputFamily:
     """The input family the flags select; ``width_for(core)`` is the row
     width, when --width is absent, for a pattern of ``core`` cells."""
     bits = getattr(args, "input", None)
-    if bits is not None and (args.gray_inputs or args.random_inputs):
-        parser.error("--input excludes --gray-inputs/--random-inputs")
     try:
         if args.model == "life":
             if args.random_inputs or bits is not None:
@@ -124,7 +143,11 @@ def _family(args, parser, width_for) -> InputFamily:
                 parser.error("--model life runs on cyclic grids only")
             return gray_patches(args.gray_inputs or LIFE_N, args.height or LIFE_SIDE,
                                 args.width or LIFE_SIDE)
+        if getattr(args, "height", None):
+            parser.error("--height is the grid height of --model life")
         if bits is not None:
+            if args.width:
+                parser.error("--input is the whole row; it takes no --width")
             if set(bits) - {"0", "1"}:
                 parser.error("--input is a string of 0s and 1s")
             member = Configuration([int(ch) for ch in bits], boundary=args.boundary)
@@ -139,32 +162,20 @@ def _family(args, parser, width_for) -> InputFamily:
         parser.error(str(err))
 
 
-def _grid(args, parser, t_default: int) -> tuple[int, int, int]:
-    """(t_max, t_min, stride) of the sampled runtimes. A grid the line fit
-    cannot use is a usage error, found before anything is evolved."""
+def _grid(args, parser, family: InputFamily, t_default: int) -> tuple[int, int, int]:
+    """(t_max, t_min, stride) of a measurement on ``family``. A family or
+    grid the line fit cannot use is a usage error, found before anything is
+    evolved."""
     t_max = args.t or t_default
-    t_min = args.t_min or default_t_min(t_max)
-    stride = args.stride or default_stride(t_min, t_max)
     try:
-        times = sample_times(t_min, t_max, stride)
+        t_min, stride, _ = runtime_grid(family, t_max, args.t_min, args.stride)
     except ValueError as err:
         parser.error(str(err))
-    if len(times) < 2:
-        parser.error(f"t_min={t_min}, t={t_max} and stride={stride} sample one runtime; "
-                     "a line fit needs at least two")
     return t_max, t_min, stride
 
 
-def _measured(args, parser, t_default: int) -> tuple:
-    """(family, t_max, t_min, stride) of a coeff or compare measurement."""
-    family = _family(args, parser, lambda core: DEFAULT_W)
-    if family.n < 2:
-        parser.error("difference sums need a family with n >= 2 members")
-    return (family, *_grid(args, parser, t_default))
-
-
 def cmd_evolve(args, argv) -> int:
-    parser = _PARSERS["evolve"]
+    parser = args.parser
     t = args.t
     system = _rule(parser, args.rule, args.model)
     chosen = args.input is not None or args.gray_inputs or args.random_inputs
@@ -189,10 +200,11 @@ def cmd_evolve(args, argv) -> int:
 
 
 def cmd_coeff(args, argv) -> int:
-    parser = _PARSERS["coeff"]
+    parser = args.parser
     system = _rule(parser, args.rule, args.model)
     life = args.model == "life"
-    family, t_max, t_min, stride = _measured(args, parser, LIFE_T if life else DEFAULT_T)
+    family = _family(args, parser, lambda core: DEFAULT_W)
+    t_max, t_min, stride = _grid(args, parser, family, LIFE_T if life else DEFAULT_T)
     include_input = not args.skip_input_row
     res, curve = measure(system, family, t_max, t_min=t_min, stride=stride,
                          include_input=include_input)
@@ -219,12 +231,12 @@ def cmd_coeff(args, argv) -> int:
 
 
 def cmd_sweep(args, argv) -> int:
-    parser = _PARSERS["sweep"]
+    parser = args.parser
     try:
-        gray_initials(args.n, args.width)  # a family the sweep cannot build is a usage error
+        family = gray_initials(args.n, args.width)  # sweep_eca's family; checked here
     except ValueError as err:
         parser.error(str(err))
-    t_max, t_min, stride = _grid(args, parser, DEFAULT_T)
+    t_max, t_min, stride = _grid(args, parser, family, DEFAULT_T)
     report = sweep_eca(t_max=t_max, n=args.n, width=args.width, t_min=t_min, stride=stride,
                        include_input=not args.skip_input_row, workers=args.workers)
     notes = {"r30": r30_grouping(report)}
@@ -232,9 +244,7 @@ def cmd_sweep(args, argv) -> int:
         "sweep.csv": reportio.sweep_csv_bytes(report),
         "sweep.json": reportio.json_bytes(reportio.sweep_json_obj(report, notes)),
     }
-    params = asdict(report.entries[0].params)
-    del params["rule_id"]
-    params["epsilon"] = report.epsilon
+    params = {**report.entries[0].params.grid(), "epsilon": report.epsilon}
     reportio.write_outputs(args.out, files, argv, params)
     top = ", ".join(report.ranking[:3])
     print(f"swept 256 rules: epsilon={report.epsilon!r}, top {top}; wrote {args.out}")
@@ -242,75 +252,49 @@ def cmd_sweep(args, argv) -> int:
 
 
 def cmd_compare(args, argv) -> int:
-    parser = _PARSERS["compare"]
+    parser = args.parser
     if (args.a_json is None) != (args.b_json is None):
         parser.error("--a-json and --b-json go together")
-    if args.a_json is not None and (args.a is not None or args.b is not None):
-        parser.error("--a/--b exclude --a-json/--b-json")
     if args.c is not None and not (args.c > 0 and math.isfinite(args.c)):
         parser.error("--c must be > 0 and finite")
     if args.a_json:
+        given = [action.option_strings[0] for action in args.measured
+                 if getattr(args, action.dest) != parser.get_default(action.dest)]
+        if given:
+            parser.error(f"--a-json/--b-json compare stored results; {', '.join(given)} "
+                         "would select a measurement")
         res_a = reportio.coefficient_from_obj(json.loads(Path(args.a_json).read_text()))
         res_b = reportio.coefficient_from_obj(json.loads(Path(args.b_json).read_text()))
     else:
         if args.a is None or args.b is None:
             parser.error("need --a and --b rule numbers, or --a-json/--b-json")
         rules = [_rule(parser, number) for number in (args.a, args.b)]
-        family, t_max, t_min, stride = _measured(args, parser, DEFAULT_T)
+        family = _family(args, parser, lambda core: DEFAULT_W)
+        t_max, t_min, stride = _grid(args, parser, family, DEFAULT_T)
         (res_a, _), (res_b, _) = measure_all(rules, family, t_max, t_min, stride,
                                              not args.skip_input_row)
 
-    try:
-        if args.c is not None:
-            equivalent = c_equivalent(res_a, res_b, args.c)
-            mode = "within-c"
-        else:
-            equivalent = behaviourally_equivalent(res_a, res_b)
-            mode = "exact"
-    except IncomparableError as err:
-        obj = {
-            "schema": reportio.SCHEMA_COMPARE,
-            "equivalent": None,
-            "incomparable": True,
-            "reason": str(err),
-            "a": {"rule": res_a.params.rule_id, "c_value": res_a.c_value},
-            "b": {"rule": res_b.params.rule_id, "c_value": res_b.c_value},
-        }
-        print(json.dumps(obj, sort_keys=True, indent=2))
-        return EXIT_INCOMPARABLE
-
-    grid = asdict(res_a.params)
-    del grid["rule_id"]
     obj = {
         "schema": reportio.SCHEMA_COMPARE,
-        "equivalent": equivalent,
-        "incomparable": False,
-        "mode": mode,
-        "c": args.c,
         "a": {"rule": res_a.params.rule_id, "c_value": res_a.c_value},
         "b": {"rule": res_b.params.rule_id, "c_value": res_b.c_value},
-        "grid": grid,
     }
+    try:
+        if args.c is not None:
+            obj.update(equivalent=c_equivalent(res_a, res_b, args.c), mode="within-c")
+        else:
+            obj.update(equivalent=behaviourally_equivalent(res_a, res_b), mode="exact")
+    except IncomparableError as err:
+        obj.update(equivalent=None, incomparable=True, reason=str(err))
+    else:
+        obj.update(incomparable=False, c=args.c, grid=res_a.params.grid())
     print(json.dumps(obj, sort_keys=True, indent=2))
+    if obj["incomparable"]:
+        return EXIT_INCOMPARABLE
     if args.out:
         reportio.write_outputs(args.out, {"compare.json": reportio.json_bytes(obj)},
-                               argv, grid)
+                               argv, obj["grid"])
     return EXIT_OK
-
-
-def _strip_out_flag(argv: list[str]) -> list[str]:
-    kept, skip = [], False
-    for token in argv:
-        if skip:
-            skip = False
-            continue
-        if token == "--out":
-            skip = True
-            continue
-        if token.startswith("--out="):
-            continue
-        kept.append(token)
-    return kept
 
 
 def cmd_rerun(args, argv) -> int:
@@ -323,9 +307,8 @@ def cmd_rerun(args, argv) -> int:
         # not a corrupted result, so it is not reported as a hash mismatch.
         raise IncomparableError(f"the manifest was written under {recorded}, "
                                 f"this environment runs {COMPRESSOR_ID}")
-    replay = _strip_out_flag(list(manifest.argv))
-    replay += ["--out", args.out]
-    code = main(replay)
+    # argparse keeps the last --out, so the recorded one is overridden.
+    code = main([*manifest.argv, "--out", args.out])
     if code != EXIT_OK:
         print(f"replay exited with {code}", file=sys.stderr)
         return code
@@ -334,9 +317,6 @@ def cmd_rerun(args, argv) -> int:
            "manifest": str(args.manifest), "out": str(args.out)}
     print(json.dumps(obj, sort_keys=True, indent=2))
     return EXIT_OK if obj["match"] else EXIT_INTERNAL
-
-
-_PARSERS: dict[str, argparse.ArgumentParser] = {}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -348,62 +328,49 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evolve", help="render space-time diagrams as PBM bitmaps")
     p.add_argument("--rule", type=int, help="elementary rule number 0..255")
-    p.add_argument("--input", help="explicit initial row, e.g. 0110")
     p.add_argument("--t", type=_size, required=True, help="number of steps")
     p.add_argument("--raw", action="store_true", help="also dump serialized payloads")
     p.add_argument("--out", default="caprog-evolve", help="output directory")
-    _add_family_args(p, with_model=True)
-    p.set_defaults(func=cmd_evolve)
-    _PARSERS["evolve"] = p
+    _add_family_args(p, with_model=True, with_input=True)
+    p.set_defaults(func=cmd_evolve, parser=p)
 
     p = sub.add_parser("coeff", help="measure the transition coefficient of one system")
     p.add_argument("--rule", type=int, help="elementary rule number 0..255")
-    p.add_argument("--t", type=_size, help=f"deepest runtime (default {DEFAULT_T})")
-    p.add_argument("--t-min", type=_size, help="shallowest sampled runtime")
-    p.add_argument("--stride", type=_size, help="runtime sampling stride")
-    p.add_argument("--skip-input-row", action="store_true",
-                   help="exclude the input row from compressed payloads")
+    _add_grid_args(p, f"{DEFAULT_T}, or {LIFE_T} under --model life")
     p.add_argument("--no-calibrate", action="store_true",
                    help="skip the inert-rule zero-band calibration")
     p.add_argument("--out", default="caprog-coeff", help="output directory")
     _add_family_args(p, with_model=True)
-    p.set_defaults(func=cmd_coeff)
-    _PARSERS["coeff"] = p
+    p.set_defaults(func=cmd_coeff, parser=p)
 
     p = sub.add_parser("sweep", help="measure all 256 elementary rules")
-    p.add_argument("--t", type=_size, default=DEFAULT_T)
+    _add_grid_args(p, str(DEFAULT_T))
     p.add_argument("--n", type=_size, default=DEFAULT_N, help="Gray family size")
-    p.add_argument("--width", type=_size, default=DEFAULT_W)
-    p.add_argument("--t-min", type=_size)
-    p.add_argument("--stride", type=_size)
-    p.add_argument("--skip-input-row", action="store_true")
+    p.add_argument("--width", type=_size, default=DEFAULT_W, help="row width")
     p.add_argument("--workers", type=_size,
                    help="threads compressing distinct runs (default: all cores)")
     p.add_argument("--out", default="caprog-sweep", help="output directory")
-    p.set_defaults(func=cmd_sweep)
-    _PARSERS["sweep"] = p
+    p.set_defaults(func=cmd_sweep, parser=p)
 
     p = sub.add_parser("compare", help="equivalence verdict for two systems")
-    p.add_argument("--a", type=int, help="first rule number")
-    p.add_argument("--b", type=int, help="second rule number")
+    # The flags that select a measurement; stored results refuse them all.
+    measured = [
+        p.add_argument("--a", type=int, help="first rule number"),
+        p.add_argument("--b", type=int, help="second rule number"),
+    ]
     p.add_argument("--a-json", help="stored coefficient.json for the first system")
     p.add_argument("--b-json", help="stored coefficient.json for the second system")
     p.add_argument("--c", type=float,
                    help="closeness tolerance; omitted means exact equality")
-    p.add_argument("--t", type=_size, help=f"deepest runtime (default {DEFAULT_T})")
-    p.add_argument("--t-min", type=_size)
-    p.add_argument("--stride", type=_size)
-    p.add_argument("--skip-input-row", action="store_true")
+    measured += _add_grid_args(p, str(DEFAULT_T))
     p.add_argument("--out", help="also write the verdict to this directory")
-    _add_family_args(p, with_model=False)
-    p.set_defaults(func=cmd_compare, model="eca")
-    _PARSERS["compare"] = p
+    measured += _add_family_args(p, with_model=False)
+    p.set_defaults(func=cmd_compare, parser=p, model="eca", measured=measured)
 
     p = sub.add_parser("rerun", help="replay a manifest and verify output hashes")
     p.add_argument("--manifest", required=True, help="path to a manifest.json")
     p.add_argument("--out", required=True, help="fresh output directory")
     p.set_defaults(func=cmd_rerun)
-    _PARSERS["rerun"] = p
 
     return parser
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
@@ -71,20 +71,14 @@ class RunParams:
         if min(self.t_max, self.t_min, self.stride, self.n, self.width) < 1:
             raise ValueError("params must be complete and positive")
 
+    def grid(self) -> dict:
+        """Every parameter but the rule: what two comparable results share."""
+        params = asdict(self)
+        del params["rule_id"]
+        return params
+
     def grid_key(self) -> tuple:
-        """Everything that must match for two results to be comparable."""
-        return (
-            self.t_max,
-            self.t_min,
-            self.stride,
-            self.n,
-            self.width,
-            self.height,
-            self.boundary,
-            self.compressor_id,
-            self.scheme,
-            self.include_input,
-        )
+        return tuple(self.grid().values())
 
 
 @dataclass(frozen=True)
@@ -144,16 +138,26 @@ def sample_times(t_min: int, t_max: int, stride: int) -> tuple[int, ...]:
     while t >= t_min:
         times.append(t)
         t -= stride
+    if len(times) < 2:
+        raise DegenerateFitError(f"t_min={t_min}, t_max={t_max} and stride={stride} sample "
+                                 "one runtime; a line fit needs at least two points")
     return tuple(reversed(times))
 
 
-def default_t_min(t_max: int) -> int:
-    return max(4, t_max // 8)
-
-
-def default_stride(t_min: int, t_max: int) -> int:
-    # At least 16 sample points whenever the range allows it.
-    return max(1, (t_max - t_min) // 15)
+def runtime_grid(
+    family: InputFamily, t_max: int, t_min: int | None = None, stride: int | None = None
+) -> tuple[int, int, tuple[int, ...]]:
+    """(t_min, stride, sample times) of a measurement on ``family``, the
+    defaults filled in. A family or grid the line fit cannot use raises
+    here, before anything is evolved."""
+    if family.n < 2:
+        raise ValueError("difference sums need a family with n >= 2 members")
+    if t_min is None:
+        t_min = max(4, t_max // 8)
+    if stride is None:
+        # At least 16 sample points whenever the range allows it.
+        stride = max(1, (t_max - t_min) // 15)
+    return t_min, stride, sample_times(t_min, t_max, stride)
 
 
 def _prefix_sizes(payload: bytes, counts: tuple[int, ...], k: int) -> tuple[int, ...]:
@@ -255,13 +259,7 @@ def measure_all(
     every run evolved and compressed in one batched pass; ``workers``
     threads compress distinct runs. The systems must be of one kind (Life,
     or 1-D with one k and r)."""
-    if t_min is None:
-        t_min = default_t_min(t_max)
-    if stride is None:
-        stride = default_stride(t_min, t_max)
-    times = sample_times(t_min, t_max, stride)
-    if family.n < 2:
-        raise ValueError("difference sums need a family with n >= 2 members")
+    t_min, stride, times = runtime_grid(family, t_max, t_min, stride)
     matrices = _complexity_matrix(systems, family, times, include_input, workers)
     measured = []
     for system, matrix in zip(systems, matrices):

@@ -146,14 +146,10 @@ class Configuration:
             raise ValueError(f"unknown boundary {self.boundary!r}")
         object.__setattr__(self, "cells", arr)
 
-    @property
-    def width(self) -> int:
-        return int(self.cells.shape[-1])
-
 
 @dataclass(frozen=True, eq=False)
 class Evolution:
-    """Space-time array of a run: ``rows[s+1]`` = step(``rows[s]``).
+    """Space-time array of a run: ``rows[s+1]`` is one update of ``rows[s]``.
 
     ``rows`` has shape (t+1, W) for a 1-D run and (t+1, H, W) for a 2-D
     one; ``t`` counts transitions.
@@ -170,10 +166,6 @@ class Evolution:
             raise ValueError(f"cell values must lie in 0..{self.k - 1}")
         arr.setflags(write=False)
         object.__setattr__(self, "rows", arr)
-
-    @property
-    def t(self) -> int:
-        return int(self.rows.shape[0]) - 1
 
     @property
     def width(self) -> int:
@@ -238,13 +230,6 @@ def _check(system: System, config: Configuration) -> None:
         raise TypeError(f"unsupported system type {type(system).__name__}")
     if config.cells.max(initial=0) >= system.k:
         raise ValueError(f"configuration uses colours >= k={system.k}")
-
-
-def step(config: Configuration, system: System) -> Configuration:
-    """Apply one synchronous update of ``system`` to every cell."""
-    _check(system, config)
-    out = _step_cells(config.cells[None], system.outputs[None], system, config.boundary)[0]
-    return Configuration(cells=out, boundary=config.boundary)
 
 
 def evolve_batch(systems, inits, t: int) -> EvolutionBatch:

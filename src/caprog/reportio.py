@@ -123,10 +123,8 @@ def sweep_json_obj(report: SweepReport, notes: dict | None = None) -> dict:
             }
             for e in report.entries
         ],
-        "params": asdict(report.entries[0].params) if report.entries else {},
+        "params": report.entries[0].params.grid() if report.entries else {},
     }
-    if obj["params"]:
-        del obj["params"]["rule_id"]  # grid parameters; the rule varies per entry
     if notes:
         obj["notes"] = notes
     return obj

@@ -226,6 +226,12 @@ class TestSweep:
                 clusters=dict(small_sweep.clusters),
                 epsilon=0.0,
             )
+        with pytest.raises(TypeError, match="epsilon"):
+            SweepReport(
+                entries=small_sweep.entries,
+                ranking=small_sweep.ranking,
+                clusters=dict(small_sweep.clusters),
+            )
 
     def test_r30_grouping_is_consistent(self, small_sweep):
         verdict = r30_grouping(small_sweep)

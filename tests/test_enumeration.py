@@ -58,7 +58,7 @@ def test_random_families_are_seed_deterministic():
     b = random_initials(12, 40, seed=5)
     assert patterns(a) == patterns(b)
     assert patterns(a) != patterns(random_initials(12, 40, seed=6))
-    assert a.members[0].width == 40
+    assert a.width == 40
 
 
 def test_random_density_band():
