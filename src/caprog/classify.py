@@ -14,11 +14,18 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .coefficient import CoefficientResult, measure_all
 from .engine import LifeRule, rule_from_number
 from .enumeration import InputFamily, gray_initials
+
+# Measurement defaults: modest cyclic width so wrapped interaction is part
+# of the measured dynamics, runtimes deep enough for slopes to settle.
+DEFAULT_T = 200
+DEFAULT_N = 40
+DEFAULT_W = 61
 
 # ECA rules that provably cannot react to input differences in the long
 # run: 0 (clear), 255 (fill), 204 (identity), 51 (complement).
@@ -163,23 +170,33 @@ def kmeans_clusters(values, k: int = 4, max_iter: int = 100) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class SweepReport:
-    """Coefficients, ranking, and clustering for a whole rule family."""
+    """Coefficients of a whole rule family, with the ranking, clustering
+    and zero band they determine."""
 
     entries: tuple[CoefficientResult, ...]
-    ranking: tuple[str, ...]
-    clusters: dict[str, int] = field(compare=False)
-    epsilon: float
 
     def __post_init__(self):
         ids = [e.params.rule_id for e in self.entries]
         if len(set(ids)) != len(ids):
             raise ValueError("sweep entries must cover each rule exactly once")
-        if sorted(self.ranking) != sorted(ids):
-            raise ValueError("ranking must be a permutation of the swept rules")
-        if self.clusters and set(self.clusters) != set(ids):
-            raise ValueError("cluster labels must cover the swept rules")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
+
+    @cached_property
+    def ranking(self) -> tuple[str, ...]:
+        """Rule ids by descending coefficient, ties in entry order."""
+        entries = self.entries
+        order = sorted(range(len(entries)), key=lambda i: (-entries[i].c_value, i))
+        return tuple(entries[i].params.rule_id for i in order)
+
+    @cached_property
+    def clusters(self) -> dict[str, int]:
+        """Rule id -> k-means label of its coefficient."""
+        labels = kmeans_clusters(tuple(e.c_value for e in self.entries))
+        return {e.params.rule_id: label for e, label in zip(self.entries, labels)}
+
+    @cached_property
+    def epsilon(self) -> float:
+        """Zero band calibrated from the inert elementary rules' own entries."""
+        return _zero_band(self.entry(f"eca:{number}") for number in INERT_ECA)
 
     def entry(self, rule_id: str) -> CoefficientResult:
         for e in self.entries:
@@ -204,9 +221,9 @@ def resolve_workers(workers: int | None) -> int:
 
 
 def sweep_eca(
-    t_max: int = 200,
-    n: int = 40,
-    width: int = 61,
+    t_max: int = DEFAULT_T,
+    n: int = DEFAULT_N,
+    width: int = DEFAULT_W,
     t_min: int | None = None,
     stride: int | None = None,
     include_input: bool = True,
@@ -224,16 +241,7 @@ def sweep_eca(
     measured = measure_all(
         rules, gray_initials(n, width), t_max, t_min, stride, include_input, workers
     )
-    entries = tuple(res for res, _ in measured)
-
-    epsilon = _zero_band(entries[number] for number in INERT_ECA)
-
-    order = sorted(range(len(entries)), key=lambda i: (-entries[i].c_value, i))
-    ranking = tuple(entries[i].params.rule_id for i in order)
-
-    labels = kmeans_clusters(tuple(e.c_value for e in entries))
-    clusters = {e.params.rule_id: label for e, label in zip(entries, labels)}
-    return SweepReport(entries=entries, ranking=ranking, clusters=clusters, epsilon=epsilon)
+    return SweepReport(entries=tuple(res for res, _ in measured))
 
 
 def r30_grouping(report: SweepReport) -> dict:

@@ -21,6 +21,9 @@ from pathlib import Path
 
 from . import reportio
 from .classify import (
+    DEFAULT_N,
+    DEFAULT_T,
+    DEFAULT_W,
     INERT_ECA,
     INERT_LIFE,
     IncomparableError,
@@ -50,11 +53,6 @@ EXIT_USAGE = 2
 EXIT_INCOMPARABLE = 3
 EXIT_INTERNAL = 4
 
-# Measurement defaults: modest cyclic width so wrapped interaction is part
-# of the measured dynamics, runtimes deep enough for slopes to settle.
-DEFAULT_T = 200
-DEFAULT_N = 40
-DEFAULT_W = 61
 LIFE_T = 100
 # The full Gray cycle over a 3x3 patch: 9 pattern bits, 2**9 members. A
 # smaller family fills at most a 2x2 patch, where under B3/S23 every seed
@@ -88,9 +86,9 @@ def _add_family_args(p: argparse.ArgumentParser, with_model: bool,
                            help="first N rows of the Gray ordering"),
         group.add_argument("--random-inputs", type=_size, metavar="N",
                            help="N seeded uniform random rows"),
-        p.add_argument("--seed", type=int, default=0, help="PRNG seed for --random-inputs"),
-        p.add_argument("--density", type=float, default=0.5,
-                       help="live-cell probability for --random-inputs"),
+        p.add_argument("--seed", type=int, help="PRNG seed for --random-inputs (default 0)"),
+        p.add_argument("--density", type=float,
+                       help="live-cell probability for --random-inputs (default 0.5)"),
         p.add_argument("--width", type=_size, help="row width (defaults depend on the family)"),
         p.add_argument("--boundary", choices=[CYCLIC, FIXED], default=CYCLIC,
                        help="cyclic (default) wraps; fixed reads cells beyond the edges as 0"),
@@ -135,6 +133,8 @@ def _family(args, parser, width_for) -> InputFamily:
     """The input family the flags select; ``width_for(core)`` is the row
     width, when --width is absent, for a pattern of ``core`` cells."""
     bits = getattr(args, "input", None)
+    if not args.random_inputs and (args.seed is not None or args.density is not None):
+        parser.error("--seed and --density steer --random-inputs only")
     try:
         if args.model == "life":
             if args.random_inputs or bits is not None:
@@ -154,7 +154,9 @@ def _family(args, parser, width_for) -> InputFamily:
             return InputFamily(members=(member,), scheme="explicit")
         if args.random_inputs:
             return random_initials(args.random_inputs, args.width or width_for(1),
-                                   seed=args.seed, density=args.density, boundary=args.boundary)
+                                   seed=args.seed or 0,
+                                   density=0.5 if args.density is None else args.density,
+                                   boundary=args.boundary)
         n = args.gray_inputs or DEFAULT_N
         return gray_initials(n, args.width or width_for((n - 1).bit_length()),
                              boundary=args.boundary)
@@ -192,7 +194,7 @@ def cmd_evolve(args, argv) -> int:
     described = {"scheme": family.scheme, "n": family.n, "width": family.width,
                  "height": family.height, "seed": family.seed, "density": family.density}
     params = {"system": system.rule_id, "t": t, "raw": bool(args.raw),
-              "boundary": family.members[0].boundary,
+              "boundary": family.boundary,
               **{key: value for key, value in described.items() if value is not None}}
     reportio.write_outputs(args.out, files, argv, params)
     print(f"{system.rule_id}: wrote {len(files)} files to {args.out}")

@@ -30,7 +30,7 @@ from .complexity import (
 )
 # Bound under the name run_system because the benchmark's tracer
 # (perfbench/tracer.py) times the engine by wrapping that module attribute.
-from .engine import System, evolve_batch as run_system
+from .engine import System, check_one_kind, evolve_batch as run_system
 from .enumeration import InputFamily
 
 # Space-time cells evolved as one tensor: enough runs to amortise numpy's
@@ -118,13 +118,13 @@ class FitResult:
 class CoefficientResult:
     """The fitted slope plus everything needed to reproduce it."""
 
-    c_value: float
     fit: FitResult
     params: RunParams
 
-    def __post_init__(self):
-        if self.c_value != self.fit.slope:
-            raise ValueError("c_value must equal the fitted slope exactly")
+    @property
+    def c_value(self) -> float:
+        """The transition coefficient: the fitted slope."""
+        return self.fit.slope
 
 
 def sample_times(t_min: int, t_max: int, stride: int) -> tuple[int, ...]:
@@ -259,6 +259,7 @@ def measure_all(
     every run evolved and compressed in one batched pass; ``workers``
     threads compress distinct runs. The systems must be of one kind (Life,
     or 1-D with one k and r)."""
+    check_one_kind(systems)
     t_min, stride, times = runtime_grid(family, t_max, t_min, stride)
     matrices = _complexity_matrix(systems, family, times, include_input, workers)
     measured = []
@@ -276,12 +277,12 @@ def measure_all(
             n=family.n,
             width=family.width,
             height=family.height,
-            boundary=family.members[0].boundary,
+            boundary=family.boundary,
             compressor_id=COMPRESSOR_ID,
             scheme=family.scheme,
             include_input=include_input,
         )
-        measured.append((CoefficientResult(c_value=fit.slope, fit=fit, params=params), curve))
+        measured.append((CoefficientResult(fit=fit, params=params), curve))
     return measured
 
 

@@ -24,43 +24,28 @@ FIXED = "fixed"
 _MAX_TABLE_SIZE = 1 << 20
 
 
-def _as_cells(values, name: str = "cells") -> np.ndarray:
-    arr = np.ascontiguousarray(values, dtype=np.uint8)
-    if arr.ndim == 0:
-        raise ValueError(f"{name} must be a sequence of cell values")
-    arr.setflags(write=False)
-    return arr
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RuleTable:
-    """Total local update map of a 1-D CA.
+    """Total local update map of a 1-D CA, given by its canonical number.
 
-    ``outputs[v]`` is the successor colour for the neighbourhood whose
-    base-k value is ``v`` (leftmost cell = most significant digit).
-    ``number`` is the canonical integer encoding: digit ``v`` of ``number``
-    in base k is ``outputs[v]``.
+    Digit ``v`` of ``number`` in base k is the successor colour for the
+    neighbourhood whose base-k value is ``v`` (leftmost cell = most
+    significant digit); valid numbers lie in ``0 .. k**(k**(2r+1)) - 1``.
     """
 
     k: int
     r: int
-    outputs: np.ndarray
     number: int
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ValueError(f"colour count k must be >= 2, got {self.k}")
-        if self.r < 1:
-            raise ValueError(f"radius r must be >= 1, got {self.r}")
+        if self.k < 2 or self.r < 1:
+            raise ValueError(f"need k >= 2 and r >= 1, got k={self.k}, r={self.r}")
         size = self.k ** (2 * self.r + 1)
         if size > _MAX_TABLE_SIZE:
             raise ValueError(f"rule table with {size} entries is unsupported")
-        out = _as_cells(self.outputs, "outputs")
-        if out.shape != (size,):
-            raise ValueError(f"outputs must have exactly {size} entries")
-        if out.max(initial=0) >= self.k:
-            raise ValueError(f"rule outputs must lie in 0..{self.k - 1}")
-        object.__setattr__(self, "outputs", out)
+        limit = self.k ** size
+        if not 0 <= self.number < limit:
+            raise ValueError(f"rule number {self.number} outside valid interval [0, {limit})")
 
     @property
     def rule_id(self) -> str:
@@ -68,28 +53,21 @@ class RuleTable:
             return f"eca:{self.number}"
         return f"ca:k{self.k}:r{self.r}:{self.number}"
 
+    @cached_property
+    def outputs(self) -> np.ndarray:
+        """Read-only lookup table: ``outputs[v]`` is digit ``v`` of ``number``."""
+        digits = np.empty(self.k ** (2 * self.r + 1), dtype=np.uint8)
+        v = self.number
+        for i in range(digits.size):
+            digits[i] = v % self.k
+            v //= self.k
+        digits.setflags(write=False)
+        return digits
+
 
 def rule_from_number(number: int, k: int = 2, r: int = 1) -> RuleTable:
-    """Decode a canonical rule number into a :class:`RuleTable`.
-
-    Valid numbers lie in ``0 .. k**(k**(2r+1)) - 1``; digit ``v`` of the
-    number in base k is the output for the neighbourhood with base-k
-    value ``v``.
-    """
-    if k < 2 or r < 1:
-        raise ValueError(f"need k >= 2 and r >= 1, got k={k}, r={r}")
-    size = k ** (2 * r + 1)
-    if size > _MAX_TABLE_SIZE:
-        raise ValueError(f"rule table with {size} entries is unsupported")
-    limit = k ** size
-    if not 0 <= number < limit:
-        raise ValueError(f"rule number {number} outside valid interval [0, {limit})")
-    digits = np.empty(size, dtype=np.uint8)
-    v = number
-    for i in range(size):
-        digits[i] = v % k
-        v //= k
-    return RuleTable(k=k, r=r, outputs=digits, number=number)
+    """The rule with canonical number ``number`` (see :class:`RuleTable`)."""
+    return RuleTable(k=k, r=r, number=number)
 
 
 @dataclass(frozen=True)
@@ -139,11 +117,12 @@ class Configuration:
     boundary: str = CYCLIC
 
     def __post_init__(self):
-        arr = _as_cells(self.cells)
-        if arr.ndim > 2 or arr.size < 1:
+        arr = np.ascontiguousarray(self.cells, dtype=np.uint8)
+        if not 1 <= arr.ndim <= 2 or arr.size < 1:
             raise ValueError("a configuration is a non-empty 1-D row or 2-D grid of cells")
         if self.boundary not in (CYCLIC, FIXED):
             raise ValueError(f"unknown boundary {self.boundary!r}")
+        arr.setflags(write=False)
         object.__setattr__(self, "cells", arr)
 
 
@@ -218,16 +197,24 @@ def _step_cells(cells: np.ndarray, tables: np.ndarray, system: System, boundary:
     return tables.ravel()[idx + offsets]
 
 
+def check_one_kind(systems) -> None:
+    """Raise unless ``systems`` can run as one batch: all Life, or all
+    1-D with one k and r."""
+    for system in systems:
+        if not isinstance(system, (RuleTable, LifeRule)):
+            raise TypeError(f"unsupported system type {type(system).__name__}")
+    # k and the table size fix r, so this is one kind, k and r.
+    if len({(type(system), system.k, system.outputs.size) for system in systems}) > 1:
+        raise ValueError("a batch runs systems of one kind, colour count and radius")
+
+
 def _check(system: System, config: Configuration) -> None:
     """Raise unless ``system`` can act on ``config``."""
     if isinstance(system, LifeRule):
         if config.cells.ndim != 2 or config.boundary != CYCLIC:
             raise ValueError(f"{system.rule_id} acts on cyclic 2-D grids only")
-    elif isinstance(system, RuleTable):
-        if config.cells.ndim != 1:
-            raise ValueError(f"{system.rule_id} acts on 1-D rows only")
-    else:
-        raise TypeError(f"unsupported system type {type(system).__name__}")
+    elif config.cells.ndim != 1:
+        raise ValueError(f"{system.rule_id} acts on 1-D rows only")
     if config.cells.max(initial=0) >= system.k:
         raise ValueError(f"configuration uses colours >= k={system.k}")
 
@@ -236,21 +223,17 @@ def evolve_batch(systems, inits, t: int) -> EvolutionBatch:
     """Run ``systems[b]`` for ``t`` transitions from ``inits[b]``, for every
     b at once.
 
-    The systems must be of one kind (Life, or 1-D with one k and r) and
-    the initial configurations of one shape and boundary.
+    The systems must be of one kind (see :func:`check_one_kind`) and the
+    initial configurations of one shape and boundary.
     """
     if t < 1:
         raise ValueError("an evolution must contain at least one transition (t >= 1)")
     if len(systems) != len(inits) or not inits:
         raise ValueError("a batch pairs one system with each of >= 1 configurations")
+    check_one_kind(systems)
     first, init = systems[0], inits[0]
     for system, config in zip(systems, inits):
         _check(system, config)
-        # k and the table size fix r, so this is one kind, k and r.
-        if (type(system), system.k, system.outputs.size) != (
-            type(first), first.k, first.outputs.size
-        ):
-            raise ValueError("a batch runs systems of one kind, colour count and radius")
         if (config.cells.shape, config.boundary) != (init.cells.shape, init.boundary):
             raise ValueError("a batch runs configurations of one shape and boundary")
     if all(system is first for system in systems):

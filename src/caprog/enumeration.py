@@ -26,7 +26,8 @@ def gray_code(j: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class InputFamily:
-    """Ordered, pairwise-distinct initial configurations of equal shape.
+    """Ordered, pairwise-distinct initial configurations of one shape and
+    boundary.
 
     ``scheme`` records how the family was built: ``"gray"`` families
     additionally guarantee Hamming distance exactly 1 between consecutive
@@ -41,9 +42,8 @@ class InputFamily:
     def __post_init__(self):
         if len(self.members) < 1:
             raise ValueError("a family needs at least one member")
-        shapes = {m.cells.shape for m in self.members}
-        if len(shapes) != 1:
-            raise ValueError("family members must share one shape")
+        if len({(m.cells.shape, m.boundary) for m in self.members}) != 1:
+            raise ValueError("family members must share one shape and boundary")
         seen = set()
         for m in self.members:
             key = m.cells.tobytes()
@@ -58,6 +58,10 @@ class InputFamily:
     @property
     def n(self) -> int:
         return len(self.members)
+
+    @property
+    def boundary(self) -> str:
+        return self.members[0].boundary
 
     @property
     def width(self) -> int:

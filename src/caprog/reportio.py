@@ -90,11 +90,10 @@ def coefficient_from_obj(obj: dict) -> CoefficientResult:
     """Rebuild a stored coefficient result, e.g. for later comparison."""
     if obj.get("schema") != SCHEMA_COEFFICIENT:
         raise ValueError("not a stored coefficient result")
-    return CoefficientResult(
-        c_value=obj["c_value"],
-        fit=FitResult(**obj["fit"]),
-        params=RunParams(**obj["params"]),
-    )
+    fit = FitResult(**obj["fit"])
+    if obj["c_value"] != fit.slope:
+        raise ValueError("c_value must equal the fitted slope exactly")
+    return CoefficientResult(fit=fit, params=RunParams(**obj["params"]))
 
 
 def sweep_csv_bytes(report: SweepReport) -> bytes:
@@ -123,7 +122,7 @@ def sweep_json_obj(report: SweepReport, notes: dict | None = None) -> dict:
             }
             for e in report.entries
         ],
-        "params": report.entries[0].params.grid() if report.entries else {},
+        "params": report.entries[0].params.grid(),
     }
     if notes:
         obj["notes"] = notes
@@ -140,7 +139,8 @@ class RunManifest:
     outputs: dict[str, str]  # artifact name -> sha256 of its bytes
     timestamp: str
     version: str
-    schema: str = SCHEMA_MANIFEST
+
+    schema = SCHEMA_MANIFEST  # a class constant, not a field
 
     def to_obj(self) -> dict:
         return {

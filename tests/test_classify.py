@@ -212,26 +212,18 @@ class TestSweep:
             small_sweep.entry("eca:256")
 
     def test_report_validation(self, small_sweep):
-        with pytest.raises(ValueError, match="permutation"):
-            SweepReport(
-                entries=small_sweep.entries,
-                ranking=small_sweep.ranking[:-1] + ("eca:999",),
-                clusters=dict(small_sweep.clusters),
-                epsilon=small_sweep.epsilon,
-            )
-        with pytest.raises(ValueError, match="epsilon"):
-            SweepReport(
-                entries=small_sweep.entries,
-                ranking=small_sweep.ranking,
-                clusters=dict(small_sweep.clusters),
-                epsilon=0.0,
-            )
-        with pytest.raises(TypeError, match="epsilon"):
-            SweepReport(
-                entries=small_sweep.entries,
-                ranking=small_sweep.ranking,
-                clusters=dict(small_sweep.clusters),
-            )
+        with pytest.raises(ValueError, match="exactly once"):
+            SweepReport(entries=small_sweep.entries + small_sweep.entries[:1])
+        # Ranking, clusters and zero band are derived from the entries alone.
+        rebuilt = SweepReport(entries=small_sweep.entries)
+        entries = list(enumerate(small_sweep.entries))
+        ranked = sorted(entries, key=lambda pair: (-pair[1].c_value, pair[0]))
+        assert rebuilt.ranking == tuple(e.params.rule_id for _, e in ranked)
+        labels = kmeans_clusters([e.c_value for e in small_sweep.entries])
+        assert rebuilt.clusters == {
+            e.params.rule_id: label for e, label in zip(small_sweep.entries, labels)
+        }
+        assert rebuilt.epsilon == small_sweep.epsilon > 0
 
     def test_r30_grouping_is_consistent(self, small_sweep):
         verdict = r30_grouping(small_sweep)

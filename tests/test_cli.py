@@ -125,6 +125,8 @@ class TestUsageErrors:
         "--a 999 --b 5", "--a 3", "--b 3",
         # the stored results fix the family and the runtime grid
         "--t 5", "--gray-inputs 1", "--skip-input-row", "--width 15 --boundary fixed",
+        # a family flag given at the value a random family would resolve it to
+        "--seed 0",
     ])
     def test_rules_exclude_stored_results(self, tmp_path, flags, capsys):
         stored = tmp_path / "a.json"
@@ -180,6 +182,11 @@ class TestUsageErrors:
         "evolve --rule 30 --gray-inputs 4 --height 5 --t 5",
         "evolve --rule 30 --input 0110 --width 40 --t 5",
         "evolve --rule 30 --input 0110 --gray-inputs 4 --t 5",
+        # --seed and --density steer a random family only
+        "coeff --rule 110 --gray-inputs 6 --width 15 --t 24 --seed 5",
+        "coeff --rule 110 --gray-inputs 6 --width 15 --t 24 --density 0.9",
+        "evolve --rule 30 --input 0110 --seed 3 --t 4",
+        "coeff --model life --gray-inputs 4 --height 8 --width 8 --t 6 --seed 1",
     ])
     def test_bad_family_or_runtime_grid(self, tmp_path, argv, capsys):
         # rejected while parsing the flags, before anything is evolved

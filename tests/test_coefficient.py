@@ -29,8 +29,13 @@ from caprog.engine import (
     rule_from_number,
 )
 from caprog.enumeration import CUSTOM, InputFamily, gray_initials, gray_patches
+from caprog.reportio import coefficient_from_obj, coefficient_json_obj
 
 from reference import ref_coefficient, ref_complexity, ref_evolve, ref_ols
+
+
+def no_evolution(*args):
+    raise AssertionError("a refused request must not evolve anything")
 
 
 def curve_from(points) -> VariabilityCurve:
@@ -173,8 +178,16 @@ class TestResultTypes:
 
     def test_coefficient_must_carry_its_own_slope(self):
         fit = fit_line(curve_from([(1, 1.0), (2, 2.0), (3, 2.0)]))
+        res = CoefficientResult(fit=fit, params=self.params())
+        assert res.c_value == fit.slope
+        # c_value is the slope itself, so no result can hold a second copy.
+        with pytest.raises(TypeError, match="c_value"):
+            CoefficientResult(c_value=fit.slope, fit=fit, params=self.params())
+        # A stored result comes from outside the program: a tampered copy is refused.
+        stored = coefficient_json_obj(res)
+        stored["c_value"] = fit.slope + 1e-9
         with pytest.raises(ValueError, match="slope"):
-            CoefficientResult(c_value=fit.slope + 1e-9, fit=fit, params=self.params())
+            coefficient_from_obj(stored)
 
 
 class TestDifferenceSum:
@@ -206,9 +219,6 @@ class TestDifferenceSum:
             assert value <= 64 / (t * 39)
 
     def test_needs_two_members_and_one_transition(self, monkeypatch):
-        def no_evolution(*args):
-            raise AssertionError("a refused request must not evolve anything")
-
         monkeypatch.setattr(coefficient, "run_system", no_evolution)
         fam = gray_initials(4, 9)
         lone = InputFamily(members=fam.members[:1], scheme=CUSTOM)
@@ -219,6 +229,18 @@ class TestDifferenceSum:
         # a single sampled time leaves no line to fit
         with pytest.raises(DegenerateFitError, match="two points"):
             measure(rule_from_number(30), fam, 5, 1, 5)
+
+    @pytest.mark.parametrize("width, t", [(21, 30), (1200, 300)])
+    def test_refuses_mixed_kinds_before_evolving(self, monkeypatch, width, t):
+        # At 1,200 cells and t=300 each chunk holds one run, so no single
+        # batch would see two kinds.
+        monkeypatch.setattr(coefficient, "run_system", no_evolution)
+        family = gray_initials(3, width)
+        for systems in ([rule_from_number(30), rule_from_number(5, k=3)],
+                        [rule_from_number(30), rule_from_number(30, r=2)],
+                        [rule_from_number(30), GAME_OF_LIFE]):
+            with pytest.raises(ValueError, match="one kind"):
+                coefficient.measure_all(systems, family, t)
 
 
 class TestVariabilityCurve:

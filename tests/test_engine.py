@@ -9,6 +9,7 @@ from caprog.engine import (
     GAME_OF_LIFE,
     Configuration,
     LifeRule,
+    RuleTable,
     default_width,
     evolve,
     evolve_batch,
@@ -68,6 +69,17 @@ def test_rule_number_bounds():
 def test_rule_ids():
     assert rule_from_number(110).rule_id == "eca:110"
     assert rule_from_number(0).number == 0
+
+
+def test_a_rule_is_its_number():
+    # The table is decoded from the number, so no rule holds a second copy
+    # that could disagree with its id.
+    with pytest.raises(TypeError, match="outputs"):
+        RuleTable(k=2, r=1, outputs=rule_from_number(0).outputs, number=110)
+    rule = RuleTable(k=2, r=1, number=110)
+    assert rule == rule_from_number(110)
+    with pytest.raises(ValueError, match="read-only"):
+        rule.outputs[0] = 1
 
 
 def test_conjugate_semantics():

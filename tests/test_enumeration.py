@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from caprog.engine import Configuration
+from caprog.engine import FIXED, Configuration
 from caprog.enumeration import (
     CUSTOM,
     InputFamily,
@@ -106,11 +106,14 @@ def test_patches_are_centred_and_minimal_change():
 def test_custom_family_validation():
     a = Configuration([0, 1, 0])
     b = Configuration([0, 1, 1])
-    InputFamily(members=(a, b), scheme=CUSTOM)
+    assert InputFamily(members=(a, b), scheme=CUSTOM).boundary == "cyclic"
     with pytest.raises(ValueError, match="distinct"):
         InputFamily(members=(a, a), scheme=CUSTOM)
     with pytest.raises(ValueError, match="shape"):
         InputFamily(members=(a, Configuration([0, 1])), scheme=CUSTOM)
+    # A family has one boundary, so every measurement of it runs under it.
+    with pytest.raises(ValueError, match="boundary"):
+        InputFamily(members=(a, Configuration([0, 1, 1], boundary=FIXED)), scheme=CUSTOM)
 
 
 def test_gray_scheme_enforces_minimal_change():
