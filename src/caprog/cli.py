@@ -46,7 +46,7 @@ from .engine import (
     evolve,
     rule_from_number,
 )
-from .enumeration import InputFamily, gray_initials, gray_patches, random_initials
+from .enumeration import CUSTOM, InputFamily, gray_initials, gray_patches, random_initials
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -151,7 +151,7 @@ def _family(args, parser, width_for) -> InputFamily:
             if set(bits) - {"0", "1"}:
                 parser.error("--input is a string of 0s and 1s")
             member = Configuration([int(ch) for ch in bits], boundary=args.boundary)
-            return InputFamily(members=(member,), scheme="explicit")
+            return InputFamily(members=(member,), scheme=CUSTOM)
         if args.random_inputs:
             return random_initials(args.random_inputs, args.width or width_for(1),
                                    seed=args.seed or 0,
@@ -265,8 +265,11 @@ def cmd_compare(args, argv) -> int:
         if given:
             parser.error(f"--a-json/--b-json compare stored results; {', '.join(given)} "
                          "would select a measurement")
-        res_a = reportio.coefficient_from_obj(json.loads(Path(args.a_json).read_text()))
-        res_b = reportio.coefficient_from_obj(json.loads(Path(args.b_json).read_text()))
+        try:
+            res_a, res_b = [reportio.coefficient_from_obj(json.loads(Path(path).read_text()))
+                            for path in (args.a_json, args.b_json)]
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as err:
+            parser.error(f"not a readable stored coefficient: {err}")
     else:
         if args.a is None or args.b is None:
             parser.error("need --a and --b rule numbers, or --a-json/--b-json")

@@ -89,8 +89,8 @@ class VariabilityCurve:
     family_descriptor: str
 
     def __post_init__(self):
-        if len(self.points) < 1:
-            raise ValueError("a curve needs at least one point")
+        if len(self.points) < 2:
+            raise DegenerateFitError("a line fit needs at least two points")
         last = 0
         for t_prime, value in self.points:
             if t_prime <= last:
@@ -227,13 +227,9 @@ def fit_line(curve: VariabilityCurve) -> FitResult:
     """
     points = curve.points
     m = len(points)
-    if m < 2:
-        raise DegenerateFitError("a line fit needs at least two points")
     mean_x = sum(p[0] for p in points) / m
     mean_y = sum(p[1] for p in points) / m
     sxx = sum((p[0] - mean_x) ** 2 for p in points)
-    if sxx == 0.0:
-        raise DegenerateFitError("all sample times identical; slope undefined")
     sxy = sum((p[0] - mean_x) * (p[1] - mean_y) for p in points)
     slope = sxy / sxx
     intercept = mean_y - slope * mean_x

@@ -82,31 +82,42 @@ class InputFamily:
         return f"{self.scheme}(n={self.n},{dims}{extra})"
 
 
-def _gray_bits(j: int, core: int) -> list[int]:
-    """The ``core`` bits of gray_code(j), most significant first."""
-    code = gray_code(j)
-    return [(code >> (core - 1 - b)) & 1 for b in range(core)]
+def _gray_family(n: int, shape: tuple[int, ...], boundary: str = CYCLIC) -> InputFamily:
+    """First n members of the Gray ordering in a zero background of ``shape``.
 
-
-def gray_initials(n: int, width: int, boundary: str = CYCLIC) -> InputFamily:
-    """First n rows of the Gray ordering, centred in a zero background.
-
-    Member j carries the reflected-binary code of j as a bit pattern of
-    width ``(n-1).bit_length()``; consecutive members differ in one cell.
+    Member j carries the ``(n-1).bit_length()`` bits of gray_code(j), most
+    significant first, written row-major into a patch centred with the
+    smaller margin first: the pattern itself in a row, the smallest square
+    that holds it in a grid. Consecutive members differ in one cell.
     """
     if n < 2:
         raise ValueError("a gray family needs n >= 2")
     core = (n - 1).bit_length()
-    if width < core:
-        raise ValueError(f"width {width} too small for {core} pattern bits")
-    # The pattern is centred, with the smaller margin on the left.
-    left = (width - core) // 2
-    members = []
-    for j in range(n):
-        row = np.zeros(width, dtype=np.uint8)
-        row[left : left + core] = _gray_bits(j, core)
-        members.append(Configuration(cells=row, boundary=boundary))
-    return InputFamily(members=tuple(members), scheme=GRAY)
+    side = math.isqrt(core - 1) + 1  # ceil(sqrt(core))
+    patch = (core,) if len(shape) == 1 else (side, side)
+    if any(size < extent for size, extent in zip(shape, patch)):
+        named = zip(("height", "width")[-len(shape):], shape)
+        raise ValueError(f"{', '.join(f'{name} {size}' for name, size in named)} too small "
+                         f"for {core} pattern bits")
+    codes = gray_code(np.arange(n))
+    bits = np.zeros((n, math.prod(patch)), dtype=np.uint8)
+    bits[:, :core] = (codes[:, None] >> np.arange(core - 1, -1, -1)) & 1
+    cells = np.zeros((n, *shape), dtype=np.uint8)
+    window = tuple(slice((size - extent) // 2, (size - extent) // 2 + extent)
+                   for size, extent in zip(shape, patch))
+    cells[(slice(None), *window)] = bits.reshape(n, *patch)
+    members = tuple(Configuration(cells=member, boundary=boundary) for member in cells)
+    return InputFamily(members=members, scheme=GRAY)
+
+
+def gray_initials(n: int, width: int, boundary: str = CYCLIC) -> InputFamily:
+    """First n rows of the Gray ordering, centred in a zero background."""
+    return _gray_family(n, (width,), boundary)
+
+
+def gray_patches(n: int, height: int, width: int) -> InputFamily:
+    """Gray family embedded in cyclic 2-D grids for outer-totalistic rules."""
+    return _gray_family(n, (height, width))
 
 
 def random_initials(
@@ -117,8 +128,6 @@ def random_initials(
     boundary: str = CYCLIC,
 ) -> InputFamily:
     """n independent Bernoulli(density) rows from a seeded PCG64 stream."""
-    if n < 1:
-        raise ValueError("need n >= 1")
     if not 0.0 < density < 1.0:
         raise ValueError(f"density must lie strictly between 0 and 1, got {density}")
     rng = np.random.default_rng(seed)
@@ -127,30 +136,3 @@ def random_initials(
         for _ in range(n)
     )
     return InputFamily(members=members, scheme=RANDOM, seed=seed, density=density)
-
-
-def gray_patches(n: int, height: int, width: int) -> InputFamily:
-    """Gray family embedded in cyclic 2-D grids for outer-totalistic rules.
-
-    The 1-D pattern of member j is written row-major into a centred s x s
-    patch with s = ceil(sqrt(core_width)), preserving the one-cell-change
-    chain between consecutive members.
-    """
-    if n < 2:
-        raise ValueError("a gray family needs n >= 2")
-    core = (n - 1).bit_length()
-    side = math.isqrt(core)
-    if side * side < core:
-        side += 1
-    if height < side or width < side:
-        raise ValueError(f"grid {height}x{width} too small for a {side}x{side} patch")
-    top = (height - side) // 2
-    left = (width - side) // 2
-    members = []
-    for j in range(n):
-        flat = np.zeros(side * side, dtype=np.uint8)
-        flat[:core] = _gray_bits(j, core)
-        grid = np.zeros((height, width), dtype=np.uint8)
-        grid[top : top + side, left : left + side] = flat.reshape(side, side)
-        members.append(Configuration(cells=grid))
-    return InputFamily(members=tuple(members), scheme=GRAY)

@@ -96,14 +96,20 @@ def coefficient_from_obj(obj: dict) -> CoefficientResult:
     return CoefficientResult(fit=fit, params=RunParams(**obj["params"]))
 
 
-def sweep_csv_bytes(report: SweepReport) -> bytes:
-    lines = [f"# schema={SCHEMA_SWEEP_CSV}", "rule,c_value,rmse,rank,cluster"]
+_SWEEP_COLUMNS = ("rule", "c_value", "rmse", "rank", "cluster")
+
+
+def _sweep_rows(report: SweepReport):
+    """The _SWEEP_COLUMNS of each entry, in entry order."""
     for entry in report.entries:
         rid = entry.params.rule_id
-        lines.append(
-            f"{rid},{entry.c_value!r},{entry.fit.rmse!r},"
-            f"{report.rank(rid)},{report.clusters[rid]}"
-        )
+        yield rid, entry.c_value, entry.fit.rmse, report.rank(rid), report.clusters[rid]
+
+
+def sweep_csv_bytes(report: SweepReport) -> bytes:
+    lines = [f"# schema={SCHEMA_SWEEP_CSV}", ",".join(_SWEEP_COLUMNS)]
+    lines += [f"{rule},{c_value!r},{rmse!r},{rank},{cluster}"
+              for rule, c_value, rmse, rank, cluster in _sweep_rows(report)]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -112,16 +118,7 @@ def sweep_json_obj(report: SweepReport, notes: dict | None = None) -> dict:
         "schema": SCHEMA_SWEEP_JSON,
         "epsilon": report.epsilon,
         "ranking": list(report.ranking),
-        "entries": [
-            {
-                "rule": e.params.rule_id,
-                "c_value": e.c_value,
-                "rmse": e.fit.rmse,
-                "rank": report.rank(e.params.rule_id),
-                "cluster": report.clusters[e.params.rule_id],
-            }
-            for e in report.entries
-        ],
+        "entries": [dict(zip(_SWEEP_COLUMNS, row)) for row in _sweep_rows(report)],
         "params": report.entries[0].params.grid(),
     }
     if notes:

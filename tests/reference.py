@@ -109,6 +109,25 @@ def ref_gray_members(n: int, width: int) -> list[list[int]]:
     return members
 
 
+def ref_gray_patches(n: int, height: int, width: int) -> list[list[list[int]]]:
+    """Gray members as height x width grids: the pattern bits of member j,
+    most significant first, fill the smallest square patch that holds them
+    row by row, and the patch sits centred, smaller margins top and left."""
+    core = (n - 1).bit_length()
+    side = 1
+    while side * side < core:
+        side += 1
+    top, left = (height - side) // 2, (width - side) // 2
+    members = []
+    for j in range(n):
+        code = j ^ (j >> 1)
+        grid = [[0] * width for _ in range(height)]
+        for b in range(core):
+            grid[top + b // side][left + b % side] = (code >> (core - 1 - b)) & 1
+        members.append(grid)
+    return members
+
+
 def ref_difference_sum(number: int, members: list[list[int]], t: int,
                        include_input: bool = True) -> float:
     sizes = []

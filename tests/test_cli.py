@@ -342,6 +342,22 @@ class TestCompare:
         assert verdict["equivalent"] is None
         assert "grids" in verdict["reason"] or "grid" in verdict["reason"]
 
+    @pytest.mark.parametrize("stored", ["tampered", "missing", "not JSON", "a JSON list"])
+    def test_unreadable_stored_result_is_a_usage_error(self, tmp_path, capsys, stored):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        res, curve = measure(rule_from_number(90), gray_initials(6, 15), 24)
+        obj = coefficient_json_obj(res, curve)
+        good.write_bytes(json_bytes(obj))
+        if stored == "tampered":
+            bad.write_bytes(json_bytes({**obj, "c_value": obj["c_value"] + 1e-9}))
+        elif stored == "not JSON":
+            bad.write_text("c_value,0.5\n")
+        elif stored == "a JSON list":
+            bad.write_text("[]\n")
+        assert main(["compare", "--a-json", str(bad), "--b-json", str(good)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].startswith("caprog compare: error:")
+
     @pytest.mark.parametrize("a, b, family", [
         ("110", "124", SMALL),
         ("30", "90", ["--random-inputs", "5", "--seed", "2", "--width", "21", "--t", "30"]),

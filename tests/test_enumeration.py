@@ -11,6 +11,8 @@ from caprog.enumeration import (
     random_initials,
 )
 
+from reference import ref_gray_members, ref_gray_patches
+
 
 def patterns(family) -> list[str]:
     return ["".join(str(c) for c in m.cells) for m in family.members]
@@ -101,6 +103,22 @@ def test_patches_are_centred_and_minimal_change():
     second = np.zeros((32, 32), dtype=int)
     second[16, 16] = 1  # gray_code(1) = 0001, row-major
     assert np.array_equal(stacked[1], second)
+
+
+@pytest.mark.parametrize("n, shape", [
+    # rows: odd and even margins, and exact fits (width == pattern bits)
+    (2, (4,)), (3, (6,)), (5, (3,)), (20, (12,)), (40, (61,)), (40, (6,)), (512, (61,)),
+    # grids: a 5-bit pattern in a 3x3 patch with odd and even margins on
+    # non-square grids, and exact fits (height == patch side)
+    (2, (2, 3)), (5, (2, 5)), (20, (9, 14)), (20, (20, 24)), (40, (3, 4)), (512, (3, 8)),
+    (512, (32, 32)),
+])
+def test_gray_writer_matches_reference(n, shape):
+    if len(shape) == 1:
+        family, expected = gray_initials(n, *shape), ref_gray_members(n, *shape)
+    else:
+        family, expected = gray_patches(n, *shape), ref_gray_patches(n, *shape)
+    assert [m.cells.tolist() for m in family.members] == expected
 
 
 def test_custom_family_validation():

@@ -5,7 +5,9 @@ would otherwise break ``perfbench/run.py --trace 1`` silently."""
 import importlib.util
 from pathlib import Path
 
-from caprog import coefficient
+import pytest
+
+from caprog import cli, coefficient
 from caprog.engine import rule_from_number
 from caprog.enumeration import gray_initials
 
@@ -35,3 +37,16 @@ def test_tracer_times_the_batched_engine():
     metrics = traced.metrics(wall_s=1.0)
     assert metrics["engine.cells"] == 1 * n * (t + 1) * width
     assert metrics["engine.evolve_s"] > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeff", "--model", "life", "--gray-inputs", "4", "--height", "8", "--width", "8",
+     "--t", "6", "--no-calibrate"],
+    ["sweep", "--t", "8", "--n", "3", "--width", "11", "--workers", "1"],
+])
+def test_tracer_sees_each_command_build_one_family(tmp_path, argv):
+    # The family is built once, through a name the tracer wraps; a wrapper
+    # that bypassed it would hide the enumeration layer from the benchmark.
+    with load_tracer().Tracer() as traced:
+        assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert traced.metrics(wall_s=1.0)["enumeration.family_calls"] == 1
