@@ -8,6 +8,8 @@ transition coefficient) separates systems that react to their inputs from
 inert ones, and supports equality and closeness comparisons between
 systems measured on a shared parameter grid.
 """
+__version__ = "0.1.0"  # first, so that any submodule can import it
+
 from .classify import (
     EPSILON_FLOOR,
     INERT_ECA,
@@ -57,5 +59,3 @@ from .enumeration import (
     gray_patches,
     random_initials,
 )
-
-__version__ = "0.1.0"

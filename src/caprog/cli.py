@@ -241,7 +241,10 @@ def cmd_sweep(args, argv) -> int:
     t_max, t_min, stride = _grid(args, parser, family, DEFAULT_T)
     report = sweep_eca(t_max=t_max, n=args.n, width=args.width, t_min=t_min, stride=stride,
                        include_input=not args.skip_input_row, workers=args.workers)
-    notes = {"r30": r30_grouping(report)}
+    try:
+        notes = {"r30": r30_grouping(report)}
+    except ValueError as err:  # fewer distinct coefficients than clusters
+        parser.error(f"the grid is too small to cluster the rules: {err}")
     files = {
         "sweep.csv": reportio.sweep_csv_bytes(report),
         "sweep.json": reportio.json_bytes(reportio.sweep_json_obj(report, notes)),

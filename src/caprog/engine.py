@@ -170,7 +170,7 @@ def _step_cells(cells: np.ndarray, tables: np.ndarray, system: System, boundary:
     """One synchronous update of a batch of rows (B, W) or grids (B, H, W).
 
     ``tables`` holds the lookup table of each batch entry's system, all of
-    ``system``'s kind and size, or a single row that every entry shares.
+    ``system``'s kind and size.
     """
     if isinstance(system, LifeRule):
         # 3x3 box sums on the torus; the box counts the cell itself, so
@@ -190,8 +190,6 @@ def _step_cells(cells: np.ndarray, tables: np.ndarray, system: System, boundary:
         idx = ext[..., :w].astype(np.min_scalar_type(tables.shape[1] - 1))
         for d in range(1, 2 * r + 1):
             idx = idx * k + ext[..., d : d + w]
-    if len(tables) == 1:
-        return tables[0][idx]
     # Entry b reads row b of the tables, flattened.
     offsets = np.arange(0, tables.size, tables.shape[1]).reshape(-1, *(1,) * (cells.ndim - 1))
     return tables.ravel()[idx + offsets]
@@ -236,10 +234,7 @@ def evolve_batch(systems, inits, t: int) -> EvolutionBatch:
         _check(system, config)
         if (config.cells.shape, config.boundary) != (init.cells.shape, init.boundary):
             raise ValueError("a batch runs configurations of one shape and boundary")
-    if all(system is first for system in systems):
-        tables = first.outputs[None]
-    else:
-        tables = np.stack([system.outputs for system in systems])
+    tables = np.stack([system.outputs for system in systems])
     current = np.stack([config.cells for config in inits])
     rows = np.empty((len(inits), t + 1, *init.cells.shape), dtype=np.uint8)
     rows[:, 0] = current

@@ -13,11 +13,11 @@ import os
 import shutil
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
-from importlib.metadata import PackageNotFoundError, version as _dist_version
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .classify import SweepReport
 from .coefficient import CoefficientResult, FitResult, RunParams, VariabilityCurve
 
@@ -29,13 +29,6 @@ SCHEMA_COMPARE = "caprog.compare.v1"
 SCHEMA_MANIFEST = "caprog.manifest.v1"
 
 MANIFEST_NAME = "manifest.json"
-
-
-def tool_version() -> str:
-    try:
-        return _dist_version("caprog")
-    except PackageNotFoundError:
-        return "0+unknown"
 
 
 def sha256_hex(data: bytes) -> str:
@@ -201,7 +194,7 @@ def write_outputs(out_dir: str | Path, files: dict[str, bytes], argv, params: di
         params=params,
         outputs={name: sha256_hex(data) for name, data in files.items()},
         timestamp=datetime.now(timezone.utc).isoformat(),
-        version=tool_version(),
+        version=__version__,
     )
     out.parent.mkdir(parents=True, exist_ok=True)
     fresh = out.with_name(f".{out.name}.{os.urandom(6).hex()}")

@@ -35,6 +35,14 @@ def read_json(path):
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+def run_from_checkout(*args):
+    """``python *args`` in a fresh interpreter that imports this caprog."""
+    src = str(Path(caprog.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True)
+
+
 class TestEvolve:
     def test_saturating_rule_fills_every_later_row(self, tmp_path):
         out = tmp_path / "runs"
@@ -275,16 +283,22 @@ class TestCoeff:
 
     def test_runs_as_a_module(self, tmp_path):
         # `python -m caprog` works without an installed `caprog` script.
-        src = str(Path(caprog.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         out = tmp_path / "d"
-        done = subprocess.run(
-            [sys.executable, "-m", "caprog", "coeff", "--rule", "30", "--t", "10",
-             "--no-calibrate", "--out", str(out)],
-            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
-        )
+        done = run_from_checkout("-m", "caprog", "coeff", "--rule", "30", "--t", "10",
+                                 "--no-calibrate", "--out", str(out))
         assert done.returncode == 0, done.stderr
         assert read_json(out / "coefficient.json")["params"]["rule_id"] == "eca:30"
+        assert read_json(out / MANIFEST_NAME)["version"] == caprog.__version__
+
+    def test_commands_leave_distribution_metadata_unloaded(self):
+        # the manifest's version is caprog.__version__, so no command needs
+        # importlib.metadata; numpy is loaded first, as every command loads it
+        done = run_from_checkout("-c", "import sys, numpy; before = set(sys.modules); "
+                                 "import caprog.cli; print(*set(sys.modules) - before)")
+        assert done.returncode == 0, done.stderr
+        added = done.stdout.split()
+        assert "caprog.cli" in added
+        assert "importlib.metadata" not in added
 
 
 class TestSweepCommand:
@@ -301,6 +315,19 @@ class TestSweepCommand:
         manifest = load_manifest(out / MANIFEST_NAME)
         assert all(verify_outputs(out, manifest).values())
         assert manifest.params["epsilon"] == obj["epsilon"]
+
+    @pytest.mark.parametrize("grid", [
+        "--t 5 --n 2 --width 1",
+        "--t 8 --n 2 --width 3 --stride 4",
+    ])
+    def test_grid_too_small_to_cluster_is_a_usage_error(self, tmp_path, capsys, grid):
+        # found only after measuring: every coefficient comes out the same
+        out = tmp_path / "sweep"
+        assert main(["sweep", *grid.split(), "--workers", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert [line for line in err if "error:" in line] == err[-1:]
+        assert err[-1].startswith("caprog sweep: error:")
+        assert not out.exists()
 
 
 class TestCompare:

@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import caprog
 from caprog.classify import sweep_eca
 from caprog.coefficient import measure
 from caprog.engine import rule_from_number
@@ -27,7 +29,6 @@ from caprog.reportio import (
     sha256_hex,
     sweep_csv_bytes,
     sweep_json_obj,
-    tool_version,
     verify_outputs,
     write_outputs,
 )
@@ -158,7 +159,13 @@ class TestManifest:
         assert loaded.params == {"n": 4}
         assert loaded.outputs == written.outputs
         assert loaded.schema == SCHEMA_MANIFEST
-        assert loaded.version == tool_version()
+        assert loaded.version == caprog.__version__
+
+    def test_version_is_the_package_version(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).parents[1] / "pyproject.toml"
+        project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+        assert project["version"] == caprog.__version__
 
     def test_corruption_is_detected(self, tmp_path):
         manifest = write_outputs(tmp_path, self.files(), ["caprog"], {})
