@@ -30,12 +30,15 @@ from .complexity import (
 )
 # Bound under the name run_system because the benchmark's tracer
 # (perfbench/tracer.py) times the engine by wrapping that module attribute.
-from .engine import System, check_one_kind, evolve_batch as run_system
+from .engine import STEP_BYTES, System, check_one_kind, evolve_batch as run_system
 from .enumeration import InputFamily
 
-# Space-time cells evolved as one tensor: enough runs to amortise numpy's
+# Bytes a chunk of runs evolved as one tensor may hold: per run, its uint8
+# (t+1, *shape) space-time tensor and one step's temporaries. A chunk holds
+# as many runs as fit, and at least one: enough to amortise numpy's
 # per-call cost, few enough that memory stays bounded at any sweep size.
-CHUNK_CELLS = 256 * 1024
+# The chunk's packed payloads come on top of it.
+MEMORY_BUDGET = 2 * 1024 * 1024
 
 # Payloads of at least this many bytes have their prefix sizes taken from
 # one compression stream, smaller ones by compressing each prefix afresh:
@@ -166,13 +169,21 @@ def _prefix_sizes(payload: bytes, counts: tuple[int, ...], k: int) -> tuple[int,
     return tuple(compressed_size(payload_prefix(payload, count, k)) for count in counts)
 
 
+def _packed_runs(chunk, t_top: int, start: int) -> list[bytes]:
+    """The payload of each (system, member) run of ``chunk``. The runs
+    evolve as one tensor, which is freed on return, before the next chunk
+    evolves."""
+    batch = run_system([system for system, _ in chunk], [member for _, member in chunk], t_top)
+    return [pack_cells(rows[start:].ravel(), chunk[0][0].k) for rows in batch.rows]
+
+
 def _complexity_matrix(
     systems, family: InputFamily, times: tuple[int, ...], include_input: bool, workers: int
 ) -> np.ndarray:
     """Compressed sizes in bits, shape (systems, n, len(times)).
 
-    The (member, system) runs are evolved in chunks of at most
-    CHUNK_CELLS space-time cells, each chunk as one tensor, and each run
+    The (member, system) runs are evolved in chunks that fit
+    MEMORY_BUDGET, one chunk at a time and each as one tensor, and each run
     once to the largest runtime: shorter runtimes compress prefixes of
     the same run. On each member, the sizes are computed once per
     distinct payload at the largest runtime, which determines every
@@ -186,29 +197,27 @@ def _complexity_matrix(
     cells = family.members[0].cells.size
     counts = tuple((t + 1 - start) * cells for t in times)
     pairs = [(system, member) for member in family.members for system in systems]
-    per_chunk = max(1, CHUNK_CELLS // ((t_top + 1) * cells))
+    per_chunk = max(1, MEMORY_BUDGET // ((t_top + 1 + STEP_BYTES) * cells))
+    sizes_of = partial(_prefix_sizes, counts=counts, k=systems[0].k)
     # (member index, payload) -> sizes, for the member now being evolved.
     memo: dict[tuple[int, bytes], tuple[int, ...]] = {}
     out = np.empty((len(pairs), len(times)), dtype=np.int64)
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         mapper = pool.map if pool else map
         for first in range(0, len(pairs), per_chunk):
-            chunk = pairs[first : first + per_chunk]
-            batch = run_system([p[0] for p in chunk], [p[1] for p in chunk], t_top)
-            k = chunk[0][0].k
-            runs = [
-                ((first + b) // len(systems), pack_cells(rows[start:].ravel(), k))
-                for b, rows in enumerate(batch.rows)
-            ]
+            payloads = _packed_runs(pairs[first : first + per_chunk], t_top, start)
+            runs = [((first + b) // len(systems), payload) for b, payload in enumerate(payloads)]
             new = [run for run in dict.fromkeys(runs) if run not in memo]
-            sizes_of = partial(_prefix_sizes, counts=counts, k=k)
             memo.update(zip(new, mapper(sizes_of, [payload for _, payload in new])))
-            out[first : first + len(chunk)] = [memo[run] for run in runs]
+            out[first : first + len(runs)] = [memo[run] for run in runs]
             # Runs are shared on one member only: with the input row in
             # the payload, runs of distinct members always differ, and
             # keeping every member's runs would hold the whole family's
             # payloads in memory. Earlier members are done.
             memo = {run: sizes for run, sizes in memo.items() if run[0] == runs[-1][0]}
+            # The next chunk evolves with no payload of this one alive
+            # but those the memo keeps.
+            del payloads, runs, new
     return out.reshape(family.n, len(systems), len(times)).transpose(1, 0, 2)
 
 

@@ -2,9 +2,12 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caprog import coefficient
 from caprog.classify import INERT_LIFE
@@ -24,8 +27,10 @@ from caprog.engine import (
     CYCLIC,
     FIXED,
     GAME_OF_LIFE,
+    STEP_BYTES,
     Configuration,
     evolve,
+    evolve_batch,
     rule_from_number,
 )
 from caprog.enumeration import CUSTOM, InputFamily, gray_initials, gray_patches
@@ -36,6 +41,11 @@ from reference import ref_coefficient, ref_complexity, ref_evolve, ref_ols
 
 def no_evolution(*args):
     raise AssertionError("a refused request must not evolve anything")
+
+
+def run_bytes(family: InputFamily, t: int) -> int:
+    """What one run to runtime ``t`` counts against the memory budget."""
+    return (t + 1 + STEP_BYTES) * family.members[0].cells.size
 
 
 def curve_from(points) -> VariabilityCurve:
@@ -230,10 +240,15 @@ class TestDifferenceSum:
         with pytest.raises(DegenerateFitError, match="two points"):
             measure(rule_from_number(30), fam, 5, 1, 5)
 
-    @pytest.mark.parametrize("width, t", [(21, 30), (1200, 300)])
-    def test_refuses_mixed_kinds_before_evolving(self, monkeypatch, width, t):
-        # At 1,200 cells and t=300 each chunk holds one run, so no single
-        # batch would see two kinds.
+    @pytest.mark.parametrize("width, t, budget", [
+        pytest.param(21, 30, coefficient.MEMORY_BUDGET, id="21-30"),
+        pytest.param(1200, 300, 1, id="1200-300"),
+    ])
+    def test_refuses_mixed_kinds_before_evolving(self, monkeypatch, width, t, budget):
+        # At 21 cells and t=30 one chunk holds every run. At 1,200 cells
+        # and t=300 the budget is below one run, so each chunk holds one
+        # run and no single batch would see two kinds.
+        monkeypatch.setattr(coefficient, "MEMORY_BUDGET", budget)
         monkeypatch.setattr(coefficient, "run_system", no_evolution)
         family = gray_initials(3, width)
         for systems in ([rule_from_number(30), rule_from_number(5, k=3)],
@@ -332,16 +347,36 @@ BATCH_CASES = {
 
 
 @pytest.mark.parametrize("case", BATCH_CASES)
-def test_batched_matrix_is_bit_exact(case):
+def test_batched_matrix_is_bit_exact(monkeypatch, case):
     """The chunked, memoised matrix equals a per-member evolution and one
-    compression per runtime, and for ECA the naive reference as well."""
+    compression per runtime, and for ECA the naive reference as well, at
+    every chunking and with 1 and 2 workers."""
     systems, family, include_input = BATCH_CASES[case]()
     times = runtime_grid(family, 120, stride=11)[2]
-    cells = family.members[0].cells.size
-    assert len(systems) * family.n * 121 * cells > coefficient.CHUNK_CELLS
-    matrix = coefficient._complexity_matrix(systems, family, times, include_input, 1)
-    threaded = coefficient._complexity_matrix(systems, family, times, include_input, 2)
-    assert threaded.tolist() == matrix.tolist()
+    runs = len(systems) * family.n
+    batches = []
+
+    def recording(chunk_systems, inits, t):
+        batches.append(len(chunk_systems))
+        return evolve_batch(chunk_systems, inits, t)
+
+    monkeypatch.setattr(coefficient, "run_system", recording)
+    # One run per chunk; a first chunk that ends inside member 1's
+    # systems; the whole case in one chunk.
+    run = run_bytes(family, times[-1])
+    split = len(systems) + 1
+    full, rest = divmod(runs, split)
+    chunkings = {1: [1] * runs, split * run: [split] * full + [rest] * (rest > 0), runs * run: [runs]}
+    matrices = []
+    for budget, chunks in chunkings.items():
+        monkeypatch.setattr(coefficient, "MEMORY_BUDGET", budget)
+        for workers in (1, 2):
+            batches.clear()
+            matrices.append(coefficient._complexity_matrix(systems, family, times,
+                                                           include_input, workers))
+            assert batches == chunks
+    matrix = matrices[0]
+    assert all(other.tolist() == matrix.tolist() for other in matrices[1:])
     start = 0 if include_input else 1
     repeats = 0
     longest = 0
@@ -365,3 +400,52 @@ def test_batched_matrix_is_bit_exact(case):
     assert (longest >= coefficient.STREAM_BYTES) == (case in ("eca-wide-no-input", "k3-r2"))
     if case != "k3-r2":
         assert repeats > 0, "no two systems share a run on a member, so the memo is not hit"
+
+
+SMALL_CASES = {
+    "eca": lambda: ([rule_from_number(number) for number in (0, 2, 30, 110)],
+                    gray_initials(5, 13)),
+    "life": lambda: ((*INERT_LIFE, GAME_OF_LIFE), gray_patches(4, 6, 6)),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.sampled_from(sorted(SMALL_CASES)), workers=st.integers(1, 2), data=st.data())
+def test_matrix_is_the_same_at_any_budget(case, workers, data):
+    """From one run per chunk up to every run in one chunk, the budget
+    leaves no trace in the sizes."""
+    systems, family = SMALL_CASES[case]()
+    times = runtime_grid(family, 16, 4, 3)[2]
+    budget = data.draw(st.integers(0, len(systems) * family.n * run_bytes(family, times[-1])))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coefficient, "MEMORY_BUDGET", budget)
+        matrix = coefficient._complexity_matrix(systems, family, times, True, workers)
+    for j, member in enumerate(family.members):
+        for system, sizes in zip(systems, matrix[:, j]):
+            rows = evolve(system, member, times[-1]).rows
+            assert sizes.tolist() == [compressed_size(pack_cells(rows[: t + 1].ravel(), 2))
+                                      for t in times]
+
+
+def test_one_chunk_tensor_is_alive_at_a_time():
+    """The peak of the traced allocations stays within the budget plus one
+    chunk's packed payloads and the memo's: the tensor of a chunk is freed
+    before the next chunk evolves."""
+    systems, family = (*INERT_LIFE, GAME_OF_LIFE), gray_patches(20, 32, 32)
+    times = runtime_grid(family, 120)[2]
+    per_chunk = coefficient.MEMORY_BUDGET // run_bytes(family, times[-1])
+    assert len(systems) * family.n > 3 * per_chunk, "the case must take many chunks"
+    payload = (times[-1] + 1) * family.members[0].cells.size // 8
+    # Payloads of one chunk, then of the member the memo carries to the
+    # next, then the small arrays and lists of the loop.
+    bound = coefficient.MEMORY_BUDGET + (per_chunk + len(systems)) * payload + 64 * 1024
+    expected = coefficient._complexity_matrix(systems, family, times, True, 1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        matrix = coefficient._complexity_matrix(systems, family, times, True, 1)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert matrix.tolist() == expected.tolist()
+    assert peak <= bound, f"peak {peak} B above {bound} B"
