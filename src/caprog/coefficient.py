@@ -25,6 +25,7 @@ from .complexity import (
     COMPRESSOR_ID,
     compressed_size,
     pack_cells,
+    packed_size,
     payload_prefix,
     streamed_prefix_sizes,
 )
@@ -34,10 +35,11 @@ from .engine import STEP_BYTES, System, check_one_kind, evolve_batch as run_syst
 from .enumeration import InputFamily
 
 # Bytes a chunk of runs evolved as one tensor may hold: per run, its uint8
-# (t+1, *shape) space-time tensor and one step's temporaries. A chunk holds
-# as many runs as fit, and at least one: enough to amortise numpy's
-# per-call cost, few enough that memory stays bounded at any sweep size.
-# The chunk's packed payloads come on top of it.
+# (t+1, *shape) space-time tensor, one step's temporaries and its packed
+# payload. A chunk holds as many runs as fit, and at least one: enough to
+# amortise numpy's per-call cost, few enough that memory stays bounded at
+# any sweep size. The payloads the memo keeps for the member being
+# evolved come on top of it.
 MEMORY_BUDGET = 2 * 1024 * 1024
 
 # Payloads of at least this many bytes have their prefix sizes taken from
@@ -194,11 +196,13 @@ def _complexity_matrix(
     """
     t_top = times[-1]
     start = 0 if include_input else 1
+    k = systems[0].k
     cells = family.members[0].cells.size
     counts = tuple((t + 1 - start) * cells for t in times)
     pairs = [(system, member) for member in family.members for system in systems]
-    per_chunk = max(1, MEMORY_BUDGET // ((t_top + 1 + STEP_BYTES) * cells))
-    sizes_of = partial(_prefix_sizes, counts=counts, k=systems[0].k)
+    run_bytes = (t_top + 1 + STEP_BYTES) * cells + packed_size(counts[-1], k)
+    per_chunk = max(1, MEMORY_BUDGET // run_bytes)
+    sizes_of = partial(_prefix_sizes, counts=counts, k=k)
     # (member index, payload) -> sizes, for the member now being evolved.
     memo: dict[tuple[int, bytes], tuple[int, ...]] = {}
     out = np.empty((len(pairs), len(times)), dtype=np.int64)

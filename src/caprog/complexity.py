@@ -31,6 +31,11 @@ def pack_cells(flat: np.ndarray, k: int) -> bytes:
     return np.ascontiguousarray(flat, dtype=np.uint8).tobytes()
 
 
+def packed_size(cell_count: int, k: int) -> int:
+    """Length in bytes of ``pack_cells`` of ``cell_count`` cells."""
+    return -(-cell_count // 8) if k == 2 else cell_count
+
+
 def payload_prefix(payload: bytes, cell_count: int, k: int) -> bytes:
     """The packed form of the first ``cell_count`` cells of ``payload``.
 

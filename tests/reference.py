@@ -47,6 +47,30 @@ def ref_evolve(number: int, cells: list[int], t: int, boundary: str = "cyclic") 
     return rows
 
 
+def ref_ca_evolve(number: int, k: int, r: int, cells: list[int], t: int,
+                  boundary: str = "cyclic") -> list[list[int]]:
+    """Any 1-D rule by its number: digit v of ``number`` in base k is the
+    successor of the neighbourhood whose base-k value is v, leftmost cell
+    most significant. Cells past a fixed edge read as 0; on a cyclic row
+    the neighbourhood wraps as often as r needs."""
+    rows = [list(cells)]
+    w = len(cells)
+    for _ in range(t):
+        prev = rows[-1]
+        out = []
+        for x in range(w):
+            value = 0
+            for d in range(-r, r + 1):
+                if boundary == "cyclic":
+                    cell = prev[(x + d) % w]
+                else:
+                    cell = prev[x + d] if 0 <= x + d < w else 0
+                value = value * k + cell
+            out.append(number // k ** value % k)
+        rows.append(out)
+    return rows
+
+
 def ref_life_step(grid: list[list[int]], born, survives) -> list[list[int]]:
     h, w = len(grid), len(grid[0])
     out = []

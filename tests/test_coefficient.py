@@ -43,9 +43,18 @@ def no_evolution(*args):
     raise AssertionError("a refused request must not evolve anything")
 
 
-def run_bytes(family: InputFamily, t: int) -> int:
-    """What one run to runtime ``t`` counts against the memory budget."""
-    return (t + 1 + STEP_BYTES) * family.members[0].cells.size
+def payload_bytes(family: InputFamily, t: int, k: int = 2, include_input: bool = True) -> int:
+    """Size of one run's packed payload at runtime ``t``."""
+    start = 0 if include_input else 1
+    cells = (t + 1 - start) * family.members[0].cells.size
+    return -(-cells // 8) if k == 2 else cells
+
+
+def run_bytes(family: InputFamily, t: int, k: int = 2, include_input: bool = True) -> int:
+    """What one run to runtime ``t`` counts against the memory budget:
+    its tensor, one step's temporaries and its payload."""
+    return ((t + 1 + STEP_BYTES) * family.members[0].cells.size
+            + payload_bytes(family, t, k, include_input))
 
 
 def curve_from(points) -> VariabilityCurve:
@@ -363,7 +372,7 @@ def test_batched_matrix_is_bit_exact(monkeypatch, case):
     monkeypatch.setattr(coefficient, "run_system", recording)
     # One run per chunk; a first chunk that ends inside member 1's
     # systems; the whole case in one chunk.
-    run = run_bytes(family, times[-1])
+    run = run_bytes(family, times[-1], systems[0].k, include_input)
     split = len(systems) + 1
     full, rest = divmod(runs, split)
     chunkings = {1: [1] * runs, split * run: [split] * full + [rest] * (rest > 0), runs * run: [runs]}
@@ -427,25 +436,51 @@ def test_matrix_is_the_same_at_any_budget(case, workers, data):
                                       for t in times]
 
 
-def test_one_chunk_tensor_is_alive_at_a_time():
-    """The peak of the traced allocations stays within the budget plus one
-    chunk's packed payloads and the memo's: the tensor of a chunk is freed
-    before the next chunk evolves."""
-    systems, family = (*INERT_LIFE, GAME_OF_LIFE), gray_patches(20, 32, 32)
-    times = runtime_grid(family, 120)[2]
-    per_chunk = coefficient.MEMORY_BUDGET // run_bytes(family, times[-1])
-    assert len(systems) * family.n > 3 * per_chunk, "the case must take many chunks"
-    payload = (times[-1] + 1) * family.members[0].cells.size // 8
-    # Payloads of one chunk, then of the member the memo carries to the
-    # next, then the small arrays and lists of the loop.
-    bound = coefficient.MEMORY_BUDGET + (per_chunk + len(systems)) * payload + 64 * 1024
-    expected = coefficient._complexity_matrix(systems, family, times, True, 1)
+def traced_matrix(systems, family, times):
+    """The matrix, and the peak of its traced allocations in bytes."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         matrix = coefficient._complexity_matrix(systems, family, times, True, 1)
-        peak = tracemalloc.get_traced_memory()[1] - before
+        return matrix, tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+
+
+def test_one_chunk_tensor_is_alive_at_a_time():
+    """The peak of the traced allocations stays within the budget plus the
+    memo's payloads: the tensor of a chunk is freed before the next chunk
+    evolves."""
+    systems, family = (*INERT_LIFE, GAME_OF_LIFE), gray_patches(20, 32, 32)
+    times = runtime_grid(family, 120)[2]
+    per_chunk = coefficient.MEMORY_BUDGET // run_bytes(family, times[-1])
+    assert len(systems) * family.n > 3 * per_chunk, "the case must take many chunks"
+    # The budget holds one chunk's tensor and payloads; the memo carries
+    # one member's payloads to the next chunk; 64 KiB cover the small
+    # arrays and lists of the loop.
+    bound = (coefficient.MEMORY_BUDGET + len(systems) * payload_bytes(family, times[-1])
+             + 64 * 1024)
+    expected = coefficient._complexity_matrix(systems, family, times, True, 1)
+    matrix, peak = traced_matrix(systems, family, times)
     assert matrix.tolist() == expected.tolist()
+    assert peak <= bound, f"peak {peak} B above {bound} B"
+
+
+def test_payloads_count_against_the_budget(monkeypatch):
+    """At k = 3 a payload holds one byte per cell, as many bytes as its
+    run's tensor: a chunk that left them out of the budget would hold
+    about twice the budget."""
+    # These payloads hardly compress, and compressing their prefixes takes
+    # about 20 s; the sizes play no part in the peak, so a stand-in gives them.
+    monkeypatch.setattr(coefficient, "_prefix_sizes", lambda payload, counts, k: counts)
+    rng = np.random.default_rng(5)
+    digits = random.Random(5)
+    systems = [rule_from_number(digits.randrange(3 ** 27), k=3) for _ in range(4)]
+    members = tuple(Configuration(rng.integers(0, 3, size=2000, dtype=np.uint8))
+                    for _ in range(8))
+    family = InputFamily(members=members, scheme=CUSTOM)
+    times = runtime_grid(family, 300)[2]
+    bound = (coefficient.MEMORY_BUDGET + len(systems) * payload_bytes(family, times[-1], 3)
+             + 64 * 1024)
+    peak = traced_matrix(systems, family, times)[1]
     assert peak <= bound, f"peak {peak} B above {bound} B"

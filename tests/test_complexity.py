@@ -12,6 +12,7 @@ from caprog.complexity import (
     COMPRESSOR_ID,
     compressed_size,
     pack_cells,
+    packed_size,
     payload_prefix,
     serialize,
     streamed_prefix_sizes,
@@ -71,6 +72,7 @@ class TestPacking:
         payload = pack_cells(flat, k)
         back = ref_unpack(payload, flat.size) if k == 2 else list(payload)
         assert back == flat.tolist()
+        assert len(payload) == packed_size(flat.size, k)
 
     @given(
         size=st.integers(min_value=1, max_value=60),

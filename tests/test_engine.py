@@ -2,9 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from caprog.classify import INERT_LIFE
+from caprog import engine
+from caprog.classify import INERT_ECA, INERT_LIFE
 from caprog.engine import (
+    CYCLIC,
     FIXED,
     GAME_OF_LIFE,
     Configuration,
@@ -16,7 +20,7 @@ from caprog.engine import (
     rule_from_number,
 )
 
-from reference import ref_conjugate, ref_evolve, ref_life_evolve, ref_rule_table
+from reference import ref_ca_evolve, ref_conjugate, ref_evolve, ref_life_evolve, ref_rule_table
 
 
 def row(bits: str) -> Configuration:
@@ -291,3 +295,127 @@ def test_batch_rejects_mixed_kinds_and_shapes():
         evolve_batch([rule_from_number(30), rule_from_number(30)], [row, grid], 2)
     with pytest.raises(ValueError, match="pairs one system"):
         evolve_batch([GAME_OF_LIFE], [grid, grid], 2)
+
+
+def ref_run(system, config: Configuration, t: int) -> list:
+    """The naive reference's space-time array of one Life or ECA run."""
+    cells = config.cells.tolist()
+    if isinstance(system, LifeRule):
+        return ref_life_evolve(cells, t, born=system.born, survives=system.survives)
+    return ref_evolve(system.number, cells, t, boundary=config.boundary)
+
+
+@pytest.fixture
+def step_calls(monkeypatch) -> list:
+    """One entry per engine step made while the test runs."""
+    calls = []
+    step_cells = engine._step_cells
+
+    def counting(*args):
+        calls.append(1)
+        return step_cells(*args)
+
+    monkeypatch.setattr(engine, "_step_cells", counting)
+    return calls
+
+
+def random_rows(count: int, width: int, seed: int, boundary: str = CYCLIC) -> list:
+    rng = np.random.default_rng(seed)
+    return [Configuration(rng.integers(0, 2, size=width, dtype=np.uint8), boundary=boundary)
+            for _ in range(count)]
+
+
+def life_grids(*patterns) -> list:
+    """Each pattern's (row, column) cells live in a 6x6 torus."""
+    grids = []
+    for pattern in patterns:
+        cells = np.zeros((6, 6), dtype=np.uint8)
+        for i, j in pattern:
+            cells[i, j] = 1
+        grids.append(Configuration(cells))
+    return grids
+
+
+BLINKER = ((2, 1), (2, 2), (2, 3))
+BLOCK = ((1, 1), (1, 2), (2, 1), (2, 2))
+
+
+def eca(*numbers) -> list:
+    return [rule_from_number(number) for number in numbers]
+
+
+# (systems, initial configurations, t, steps the engine takes). A step
+# count below t means the chunk settled: every run back at its state of
+# two steps before.
+SETTLING_CASES = {
+    # 204 copies every cell, so the run is still from the start.
+    "rule-204": lambda: (eca(204), random_rows(1, 13, 9), 9, 1),
+    # 0 blanks the row at once, and a blank row repeats from step 1 on.
+    "rule-0": lambda: (eca(0), random_rows(1, 13, 10), 9, 3),
+    # 51 complements every cell, so the run alternates from the start.
+    "rule-51": lambda: (eca(51), random_rows(1, 13, 1), 9, 2),
+    # 204 is still at once; 0 and 255 reach their fixed point after one step.
+    "inert-eca": lambda: (eca(*INERT_ECA), random_rows(4, 13, 2), 200, 3),
+    "inert-life": lambda: (INERT_LIFE, [Configuration(glider(9))] * 2, 200, 3),
+    "blinker-and-block": lambda: ([GAME_OF_LIFE] * 2, life_grids(BLINKER, BLOCK), 9, 2),
+    # 110 never repeats on this row, so neither does the chunk, whatever 0 does.
+    "110-beside-0": lambda: (eca(110, 0), random_rows(2, 31, 4), 200, 200),
+    "110-alone": lambda: (eca(110), random_rows(1, 31, 4), 200, 200),
+    # Rule 0 is back at its state of two steps before at step 3.
+    "settles-at-the-final-step": lambda: (eca(0, 204), random_rows(2, 13, 5), 3, 3),
+    "t-1": lambda: (eca(*INERT_ECA), random_rows(4, 13, 6), 1, 1),
+    "t-2": lambda: (eca(*INERT_ECA), random_rows(4, 13, 7), 2, 2),
+    "fixed": lambda: (eca(*INERT_ECA), random_rows(4, 13, 8, FIXED), 9, 3),
+}
+
+
+@pytest.mark.parametrize("case", SETTLING_CASES)
+def test_settled_batch_stops_stepping_and_stays_exact(step_calls, case):
+    systems, inits, t, steps = SETTLING_CASES[case]()
+    batch = evolve_batch(systems, inits, t)
+    assert len(step_calls) == steps
+    for system, init, rows in zip(systems, inits, batch.rows):
+        assert rows.tolist() == ref_run(system, init, t)
+
+
+# Rules whose runs settle, after a transient or at once, next to rules
+# whose runs mostly never do.
+SETTLING_ECA = (*INERT_ECA, 4, 8, 128, 136, 160, 232)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), life=st.booleans(), t=st.integers(1, 24),
+       boundary=st.sampled_from([CYCLIC, FIXED]))
+def test_batch_matches_reference_whether_or_not_it_settles(data, life, t, boundary):
+    if life:
+        systems = data.draw(st.lists(st.sampled_from((GAME_OF_LIFE, *INERT_LIFE)),
+                                     min_size=1, max_size=4))
+        shape = (data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7)))
+        boundary = CYCLIC
+    else:
+        systems = eca(*data.draw(st.lists(
+            st.one_of(st.sampled_from(SETTLING_ECA), st.integers(0, 255)), min_size=1, max_size=6)))
+        shape = (data.draw(st.integers(1, 16)),)
+    size = int(np.prod(shape))
+    inits = []
+    for _ in systems:
+        bits = data.draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
+        inits.append(Configuration(np.array(bits, dtype=np.uint8).reshape(shape), boundary=boundary))
+    batch = evolve_batch(systems, inits, t)
+    for system, init, rows in zip(systems, inits, batch.rows):
+        assert rows.tolist() == ref_run(system, init, t)
+
+
+@pytest.mark.parametrize("boundary", [CYCLIC, FIXED])
+@pytest.mark.parametrize("width", [1, 2, 7])
+def test_halo_wider_than_the_row(boundary, width):
+    # At r = 3 the neighbourhood of a cell on a row of 1 or 2 cells wraps
+    # several times round a cyclic row.
+    rng = np.random.default_rng(width)
+    systems = [rule_from_number(int.from_bytes(rng.bytes(16), "big"), k=2, r=3) for _ in range(4)]
+    inits = [Configuration(rng.integers(0, 2, size=width, dtype=np.uint8), boundary=boundary)
+             for _ in systems]
+    batch = evolve_batch(systems, inits, 10)
+    for system, init, rows in zip(systems, inits, batch.rows):
+        assert rows.tolist() == ref_ca_evolve(system.number, 2, 3, init.cells.tolist(), 10,
+                                              boundary=boundary)
