@@ -31,7 +31,7 @@ from .complexity import (
 )
 # Bound under the name run_system because the benchmark's tracer
 # (perfbench/tracer.py) times the engine by wrapping that module attribute.
-from .engine import STEP_BYTES, System, check_one_kind, evolve_batch as run_system
+from .engine import STEP_BYTES, System, check_batch, evolve_batch as run_system
 from .enumeration import InputFamily
 
 # Bytes a chunk of runs evolved as one tensor may hold: per run, its uint8
@@ -39,7 +39,7 @@ from .enumeration import InputFamily
 # payload. A chunk holds as many runs as fit, and at least one: enough to
 # amortise numpy's per-call cost, few enough that memory stays bounded at
 # any sweep size. The payloads the memo keeps for the member being
-# evolved come on top of it.
+# evolved and the family's stacked cells, n x cells bytes, come on top.
 MEMORY_BUDGET = 2 * 1024 * 1024
 
 # Payloads of at least this many bytes have their prefix sizes taken from
@@ -171,18 +171,11 @@ def _prefix_sizes(payload: bytes, counts: tuple[int, ...], k: int) -> tuple[int,
     return tuple(compressed_size(payload_prefix(payload, count, k)) for count in counts)
 
 
-def _packed_runs(chunk, t_top: int, start: int) -> list[bytes]:
-    """The payload of each (system, member) run of ``chunk``. The runs
-    evolve as one tensor, which is freed on return, before the next chunk
-    evolves."""
-    batch = run_system([system for system, _ in chunk], [member for _, member in chunk], t_top)
-    return [pack_cells(rows[start:].ravel(), chunk[0][0].k) for rows in batch.rows]
-
-
 def _complexity_matrix(
-    systems, family: InputFamily, times: tuple[int, ...], include_input: bool, workers: int
+    systems, cells, boundary: str, times: tuple[int, ...], include_input: bool, workers: int
 ) -> np.ndarray:
-    """Compressed sizes in bits, shape (systems, n, len(times)).
+    """Compressed sizes in bits, shape (systems, n, len(times)), of the runs
+    from the n initial states stacked in ``cells``.
 
     The (member, system) runs are evolved in chunks that fit
     MEMORY_BUDGET, one chunk at a time and each as one tensor, and each run
@@ -197,20 +190,27 @@ def _complexity_matrix(
     t_top = times[-1]
     start = 0 if include_input else 1
     k = systems[0].k
-    cells = family.members[0].cells.size
-    counts = tuple((t + 1 - start) * cells for t in times)
-    pairs = [(system, member) for member in family.members for system in systems]
-    run_bytes = (t_top + 1 + STEP_BYTES) * cells + packed_size(counts[-1], k)
+    size = cells[0].size
+    counts = tuple((t + 1 - start) * size for t in times)
+    total = len(cells) * len(systems)
+    run_bytes = (t_top + 1 + STEP_BYTES) * size + packed_size(counts[-1], k)
     per_chunk = max(1, MEMORY_BUDGET // run_bytes)
     sizes_of = partial(_prefix_sizes, counts=counts, k=k)
     # (member index, payload) -> sizes, for the member now being evolved.
     memo: dict[tuple[int, bytes], tuple[int, ...]] = {}
-    out = np.empty((len(pairs), len(times)), dtype=np.int64)
+    out = np.empty((total, len(times)), dtype=np.int64)
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         mapper = pool.map if pool else map
-        for first in range(0, len(pairs), per_chunk):
-            payloads = _packed_runs(pairs[first : first + per_chunk], t_top, start)
-            runs = [((first + b) // len(systems), payload) for b, payload in enumerate(payloads)]
+        for first in range(0, total, per_chunk):
+            # Run i is systems[i % S] from member i // S. The chunk's runs
+            # evolve as one tensor, which is freed once they are packed.
+            chunk = range(first, min(first + per_chunk, total))
+            members = [i // len(systems) for i in chunk]
+            batch = run_system([systems[i % len(systems)] for i in chunk], cells[members],
+                               boundary, t_top)
+            payloads = [pack_cells(rows[start:].ravel(), k) for rows in batch.rows]
+            del batch
+            runs = list(zip(members, payloads))
             new = [run for run in dict.fromkeys(runs) if run not in memo]
             memo.update(zip(new, mapper(sizes_of, [payload for _, payload in new])))
             out[first : first + len(runs)] = [memo[run] for run in runs]
@@ -222,7 +222,7 @@ def _complexity_matrix(
             # The next chunk evolves with no payload of this one alive
             # but those the memo keeps.
             del payloads, runs, new
-    return out.reshape(family.n, len(systems), len(times)).transpose(1, 0, 2)
+    return out.reshape(len(cells), len(systems), len(times)).transpose(1, 0, 2)
 
 
 def _gap_sums(matrix: np.ndarray, times: tuple[int, ...], n: int) -> list[float]:
@@ -266,11 +266,13 @@ def measure_all(
 ) -> list[tuple[CoefficientResult, VariabilityCurve]]:
     """:func:`measure` for each of ``systems`` on one shared family, with
     every run evolved and compressed in one batched pass; ``workers``
-    threads compress distinct runs. The systems must be of one kind (Life,
-    or 1-D with one k and r)."""
-    check_one_kind(systems)
+    threads compress distinct runs. Systems not of one kind (Life, or 1-D
+    with one k and r), or unable to act on the family, are refused before
+    anything evolves."""
+    cells = np.stack([member.cells for member in family.members])
+    check_batch(systems, cells, family.boundary)
     t_min, stride, times = runtime_grid(family, t_max, t_min, stride)
-    matrices = _complexity_matrix(systems, family, times, include_input, workers)
+    matrices = _complexity_matrix(systems, cells, family.boundary, times, include_input, workers)
     measured = []
     for system, matrix in zip(systems, matrices):
         curve = VariabilityCurve(

@@ -209,54 +209,51 @@ def _step_cells(cells: np.ndarray, tables: np.ndarray, system: System, boundary:
     return tables.ravel()[idx + offsets]
 
 
-def check_one_kind(systems) -> None:
-    """Raise unless ``systems`` can run as one batch: all Life, or all
-    1-D with one k and r."""
+def check_batch(systems, cells, boundary: str) -> None:
+    """Raise unless every one of ``systems``, all Life or all 1-D with one
+    k and r, can act on every initial state stacked in ``cells`` under
+    ``boundary``: Life on cyclic grids, a 1-D rule on rows, colours < k."""
+    if not len(systems) or np.size(cells) == 0:
+        raise ValueError("a batch needs >= 1 system and >= 1 non-empty initial state")
     for system in systems:
         if not isinstance(system, (RuleTable, LifeRule)):
             raise TypeError(f"unsupported system type {type(system).__name__}")
     # k and the table size fix r, so this is one kind, k and r.
     if len({(type(system), system.k, system.outputs.size) for system in systems}) > 1:
         raise ValueError("a batch runs systems of one kind, colour count and radius")
+    if boundary not in (CYCLIC, FIXED):
+        raise ValueError(f"unknown boundary {boundary!r}")
+    first = systems[0]
+    if isinstance(first, LifeRule):
+        if np.ndim(cells) != 3 or boundary != CYCLIC:
+            raise ValueError(f"{first.rule_id} acts on cyclic 2-D grids only")
+    elif np.ndim(cells) != 2:
+        raise ValueError(f"{first.rule_id} acts on 1-D rows only")
+    if np.min(cells) < 0 or np.max(cells) >= first.k:
+        raise ValueError(f"initial states use colours outside 0..{first.k - 1}")
 
 
-def _check(system: System, config: Configuration) -> None:
-    """Raise unless ``system`` can act on ``config``."""
-    if isinstance(system, LifeRule):
-        if config.cells.ndim != 2 or config.boundary != CYCLIC:
-            raise ValueError(f"{system.rule_id} acts on cyclic 2-D grids only")
-    elif config.cells.ndim != 1:
-        raise ValueError(f"{system.rule_id} acts on 1-D rows only")
-    if config.cells.max(initial=0) >= system.k:
-        raise ValueError(f"configuration uses colours >= k={system.k}")
-
-
-def evolve_batch(systems, inits, t: int) -> EvolutionBatch:
-    """Run ``systems[b]`` for ``t`` transitions from ``inits[b]``, for every
+def evolve_batch(systems, cells, boundary: str, t: int) -> EvolutionBatch:
+    """Run ``systems[b]`` for ``t`` transitions from ``cells[b]``, for every
     b at once.
 
-    The systems must be of one kind (see :func:`check_one_kind`) and the
-    initial configurations of one shape and boundary. Stepping stops once
-    every run of the batch repeats with period 1 or 2; the rest of the
-    rows are copies.
+    ``cells`` stacks one initial row or grid per system, all under
+    ``boundary`` (see :func:`check_batch`). Stepping stops once every run
+    of the batch repeats with period 1 or 2; the rest of the rows are
+    copies.
     """
     if t < 1:
         raise ValueError("an evolution must contain at least one transition (t >= 1)")
-    if len(systems) != len(inits) or not inits:
-        raise ValueError("a batch pairs one system with each of >= 1 configurations")
-    check_one_kind(systems)
-    first, init = systems[0], inits[0]
-    for system, config in zip(systems, inits):
-        _check(system, config)
-        if (config.cells.shape, config.boundary) != (init.cells.shape, init.boundary):
-            raise ValueError("a batch runs configurations of one shape and boundary")
+    if len(systems) != len(cells):
+        raise ValueError("a batch pairs one system with each initial state")
+    check_batch(systems, cells, boundary)
     tables = np.stack([system.outputs for system in systems])
-    current = np.stack([config.cells for config in inits])
-    rows = np.empty((len(inits), t + 1, *init.cells.shape), dtype=np.uint8)
+    current = np.ascontiguousarray(cells, dtype=np.uint8)
+    rows = np.empty((len(systems), t + 1, *current.shape[1:]), dtype=np.uint8)
     rows[:, 0] = current
     before = current
     for s in range(1, t + 1):
-        older, before, current = before, current, _step_cells(current, tables, first, init.boundary)
+        older, before, current = before, current, _step_cells(current, tables, systems[0], boundary)
         rows[:, s] = current
         # A step is a pure function of the state: once every run is back
         # at its state of two steps before (older), the remaining rows
@@ -274,7 +271,8 @@ def evolve_batch(systems, inits, t: int) -> EvolutionBatch:
 
 def evolve(system: System, init: Configuration, t: int) -> Evolution:
     """Run ``system`` for ``t`` transitions from ``init``; returns t+1 rows."""
-    return Evolution(rows=evolve_batch([system], [init], t).rows[0], k=system.k)
+    return Evolution(rows=evolve_batch([system], init.cells[None], init.boundary, t).rows[0],
+                     k=system.k)
 
 
 def default_width(seed_width: int, r: int, t: int) -> int:

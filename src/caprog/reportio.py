@@ -23,8 +23,7 @@ from .coefficient import CoefficientResult, FitResult, RunParams, VariabilityCur
 
 SCHEMA_CURVE = "caprog.curve.v1"
 SCHEMA_COEFFICIENT = "caprog.coefficient.v1"
-SCHEMA_SWEEP_CSV = "caprog.sweep.v1"
-SCHEMA_SWEEP_JSON = "caprog.sweep.v1"
+SCHEMA_SWEEP = "caprog.sweep.v1"  # sweep.csv and sweep.json
 SCHEMA_COMPARE = "caprog.compare.v1"
 SCHEMA_MANIFEST = "caprog.manifest.v1"
 
@@ -64,19 +63,17 @@ def curve_csv_bytes(curve: VariabilityCurve) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def coefficient_json_obj(res: CoefficientResult, curve: VariabilityCurve | None = None) -> dict:
-    obj = {
+def coefficient_json_obj(res: CoefficientResult, curve: VariabilityCurve) -> dict:
+    return {
         "schema": SCHEMA_COEFFICIENT,
         "c_value": res.c_value,
         "fit": asdict(res.fit),
         "params": asdict(res.params),
-    }
-    if curve is not None:
-        obj["curve"] = {
+        "curve": {
             "family": curve.family_descriptor,
             "points": [[t, value] for t, value in curve.points],
-        }
-    return obj
+        },
+    }
 
 
 def coefficient_from_obj(obj: dict) -> CoefficientResult:
@@ -100,23 +97,21 @@ def _sweep_rows(report: SweepReport):
 
 
 def sweep_csv_bytes(report: SweepReport) -> bytes:
-    lines = [f"# schema={SCHEMA_SWEEP_CSV}", ",".join(_SWEEP_COLUMNS)]
+    lines = [f"# schema={SCHEMA_SWEEP}", ",".join(_SWEEP_COLUMNS)]
     lines += [f"{rule},{c_value!r},{rmse!r},{rank},{cluster}"
               for rule, c_value, rmse, rank, cluster in _sweep_rows(report)]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def sweep_json_obj(report: SweepReport, notes: dict | None = None) -> dict:
-    obj = {
-        "schema": SCHEMA_SWEEP_JSON,
+def sweep_json_obj(report: SweepReport, notes: dict) -> dict:
+    return {
+        "schema": SCHEMA_SWEEP,
         "epsilon": report.epsilon,
         "ranking": list(report.ranking),
         "entries": [dict(zip(_SWEEP_COLUMNS, row)) for row in _sweep_rows(report)],
         "params": report.entries[0].params.grid(),
+        "notes": notes,
     }
-    if notes:
-        obj["notes"] = notes
-    return obj
 
 
 # ---------------------------------------------------------------------------

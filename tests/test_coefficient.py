@@ -57,6 +57,12 @@ def run_bytes(family: InputFamily, t: int, k: int = 2, include_input: bool = Tru
             + payload_bytes(family, t, k, include_input))
 
 
+def stacked(family: InputFamily) -> tuple:
+    """The family's initial states stacked into one array, and its
+    boundary: what a measurement passes to the complexity matrix."""
+    return np.stack([member.cells for member in family.members]), family.boundary
+
+
 def curve_from(points) -> VariabilityCurve:
     return VariabilityCurve(points=tuple(points), family_descriptor="gray(n=4,W9)")
 
@@ -203,7 +209,7 @@ class TestResultTypes:
         with pytest.raises(TypeError, match="c_value"):
             CoefficientResult(c_value=fit.slope, fit=fit, params=self.params())
         # A stored result comes from outside the program: a tampered copy is refused.
-        stored = coefficient_json_obj(res)
+        stored = coefficient_json_obj(res, curve_from([(1, 1.0), (2, 2.0)]))
         stored["c_value"] = fit.slope + 1e-9
         with pytest.raises(ValueError, match="slope"):
             coefficient_from_obj(stored)
@@ -256,7 +262,8 @@ class TestDifferenceSum:
     def test_refuses_mixed_kinds_before_evolving(self, monkeypatch, width, t, budget):
         # At 21 cells and t=30 one chunk holds every run. At 1,200 cells
         # and t=300 the budget is below one run, so each chunk holds one
-        # run and no single batch would see two kinds.
+        # run and no single batch would see two kinds, or the last
+        # member's colour 2.
         monkeypatch.setattr(coefficient, "MEMORY_BUDGET", budget)
         monkeypatch.setattr(coefficient, "run_system", no_evolution)
         family = gray_initials(3, width)
@@ -265,6 +272,18 @@ class TestDifferenceSum:
                         [rule_from_number(30), GAME_OF_LIFE]):
             with pytest.raises(ValueError, match="one kind"):
                 coefficient.measure_all(systems, family, t)
+        last = family.members[-1].cells.copy()
+        last[0] = 2
+        coloured = InputFamily(members=(*family.members[:-1], Configuration(last)), scheme=CUSTOM)
+        grids = gray_patches(3, 8, width)
+        fixed_grids = InputFamily(members=tuple(Configuration(member.cells, boundary=FIXED)
+                                                for member in grids.members), scheme=CUSTOM)
+        for system, refused, match in ((rule_from_number(110), coloured, "colours"),
+                                       (GAME_OF_LIFE, family, "2-D grids"),
+                                       (rule_from_number(30), grids, "1-D rows"),
+                                       (GAME_OF_LIFE, fixed_grids, "cyclic")):
+            with pytest.raises(ValueError, match=match):
+                measure(system, refused, t)
 
 
 class TestVariabilityCurve:
@@ -365,9 +384,9 @@ def test_batched_matrix_is_bit_exact(monkeypatch, case):
     runs = len(systems) * family.n
     batches = []
 
-    def recording(chunk_systems, inits, t):
+    def recording(chunk_systems, cells, boundary, t):
         batches.append(len(chunk_systems))
-        return evolve_batch(chunk_systems, inits, t)
+        return evolve_batch(chunk_systems, cells, boundary, t)
 
     monkeypatch.setattr(coefficient, "run_system", recording)
     # One run per chunk; a first chunk that ends inside member 1's
@@ -381,7 +400,7 @@ def test_batched_matrix_is_bit_exact(monkeypatch, case):
         monkeypatch.setattr(coefficient, "MEMORY_BUDGET", budget)
         for workers in (1, 2):
             batches.clear()
-            matrices.append(coefficient._complexity_matrix(systems, family, times,
+            matrices.append(coefficient._complexity_matrix(systems, *stacked(family), times,
                                                            include_input, workers))
             assert batches == chunks
     matrix = matrices[0]
@@ -428,7 +447,7 @@ def test_matrix_is_the_same_at_any_budget(case, workers, data):
     budget = data.draw(st.integers(0, len(systems) * family.n * run_bytes(family, times[-1])))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(coefficient, "MEMORY_BUDGET", budget)
-        matrix = coefficient._complexity_matrix(systems, family, times, True, workers)
+        matrix = coefficient._complexity_matrix(systems, *stacked(family), times, True, workers)
     for j, member in enumerate(family.members):
         for system, sizes in zip(systems, matrix[:, j]):
             rows = evolve(system, member, times[-1]).rows
@@ -441,7 +460,7 @@ def traced_matrix(systems, family, times):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        matrix = coefficient._complexity_matrix(systems, family, times, True, 1)
+        matrix = coefficient._complexity_matrix(systems, *stacked(family), times, True, 1)
         return matrix, tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -460,7 +479,7 @@ def test_one_chunk_tensor_is_alive_at_a_time():
     # arrays and lists of the loop.
     bound = (coefficient.MEMORY_BUDGET + len(systems) * payload_bytes(family, times[-1])
              + 64 * 1024)
-    expected = coefficient._complexity_matrix(systems, family, times, True, 1)
+    expected = coefficient._complexity_matrix(systems, *stacked(family), times, True, 1)
     matrix, peak = traced_matrix(systems, family, times)
     assert matrix.tolist() == expected.tolist()
     assert peak <= bound, f"peak {peak} B above {bound} B"

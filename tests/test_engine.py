@@ -274,27 +274,33 @@ def test_fixed_boundary_matches_naive_reference():
 def test_batch_rows_are_the_members_runs():
     rng = np.random.default_rng(17)
     rules = [rule_from_number(int(n)) for n in rng.integers(256, size=5)]
-    inits = [Configuration(rng.integers(0, 2, size=23, dtype=np.uint8)) for _ in rules]
-    batch = evolve_batch(rules, inits, 12)
+    cells = rng.integers(0, 2, size=(5, 23), dtype=np.uint8)
+    batch = evolve_batch(rules, cells, CYCLIC, 12)
     assert batch.rows.shape == (5, 13, 23)
-    for rule, init, rows in zip(rules, inits, batch.rows):
-        assert rows.tolist() == evolve(rule, init, 12).rows.tolist()
+    for rule, init, rows in zip(rules, cells, batch.rows):
+        assert rows.tolist() == evolve(rule, Configuration(init), 12).rows.tolist()
 
 
 def test_batch_rejects_mixed_kinds_and_shapes():
-    row, grid = Configuration(np.zeros(9, dtype=np.uint8)), Configuration(np.zeros((3, 3), np.uint8))
+    rows, grids = np.zeros((2, 9), dtype=np.uint8), np.zeros((2, 3, 3), np.uint8)
     with pytest.raises(ValueError, match="one kind"):
-        evolve_batch([rule_from_number(30), rule_from_number(5, k=3, r=1)], [row, row], 2)
+        evolve_batch([rule_from_number(30), rule_from_number(5, k=3, r=1)], rows, CYCLIC, 2)
     with pytest.raises(ValueError, match="one kind"):
-        evolve_batch([rule_from_number(30), rule_from_number(30, r=2)], [row, row], 2)
-    with pytest.raises(ValueError, match="one shape"):
-        evolve_batch([rule_from_number(30)] * 2, [row, Configuration(np.zeros(8, np.uint8))], 2)
-    with pytest.raises(ValueError, match="one shape"):
-        evolve_batch([rule_from_number(30)] * 2, [row, Configuration(row.cells, boundary=FIXED)], 2)
+        evolve_batch([rule_from_number(30), rule_from_number(30, r=2)], rows, CYCLIC, 2)
     with pytest.raises(ValueError, match="1-D rows only"):
-        evolve_batch([rule_from_number(30), rule_from_number(30)], [row, grid], 2)
+        evolve_batch([rule_from_number(30), rule_from_number(30)], grids, CYCLIC, 2)
     with pytest.raises(ValueError, match="pairs one system"):
-        evolve_batch([GAME_OF_LIFE], [grid, grid], 2)
+        evolve_batch([GAME_OF_LIFE], grids, CYCLIC, 2)
+    with pytest.raises(ValueError, match="pairs one system"):
+        evolve_batch([rule_from_number(30)] * 3, rows, CYCLIC, 2)
+    with pytest.raises(ValueError, match=">= 1 system"):
+        evolve_batch([], rows[:0], CYCLIC, 2)
+    with pytest.raises(ValueError, match="unknown boundary"):
+        evolve_batch([rule_from_number(30)] * 2, rows, "wrapped", 2)
+    coloured = rows.copy()
+    coloured[1, 4] = 2
+    with pytest.raises(ValueError, match="colours"):
+        evolve_batch([rule_from_number(30)] * 2, coloured, CYCLIC, 2)
 
 
 def ref_run(system, config: Configuration, t: int) -> list:
@@ -369,10 +375,15 @@ SETTLING_CASES = {
 }
 
 
+def stacked(inits: list) -> tuple:
+    """The cells and the boundary of a batch of configurations."""
+    return np.stack([init.cells for init in inits]), inits[0].boundary
+
+
 @pytest.mark.parametrize("case", SETTLING_CASES)
 def test_settled_batch_stops_stepping_and_stays_exact(step_calls, case):
     systems, inits, t, steps = SETTLING_CASES[case]()
-    batch = evolve_batch(systems, inits, t)
+    batch = evolve_batch(systems, *stacked(inits), t)
     assert len(step_calls) == steps
     for system, init, rows in zip(systems, inits, batch.rows):
         assert rows.tolist() == ref_run(system, init, t)
@@ -401,7 +412,7 @@ def test_batch_matches_reference_whether_or_not_it_settles(data, life, t, bounda
     for _ in systems:
         bits = data.draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
         inits.append(Configuration(np.array(bits, dtype=np.uint8).reshape(shape), boundary=boundary))
-    batch = evolve_batch(systems, inits, t)
+    batch = evolve_batch(systems, *stacked(inits), t)
     for system, init, rows in zip(systems, inits, batch.rows):
         assert rows.tolist() == ref_run(system, init, t)
 
@@ -415,7 +426,68 @@ def test_halo_wider_than_the_row(boundary, width):
     systems = [rule_from_number(int.from_bytes(rng.bytes(16), "big"), k=2, r=3) for _ in range(4)]
     inits = [Configuration(rng.integers(0, 2, size=width, dtype=np.uint8), boundary=boundary)
              for _ in systems]
-    batch = evolve_batch(systems, inits, 10)
+    batch = evolve_batch(systems, *stacked(inits), 10)
     for system, init, rows in zip(systems, inits, batch.rows):
         assert rows.tolist() == ref_ca_evolve(system.number, 2, 3, init.cells.tolist(), 10,
                                               boundary=boundary)
+
+
+@pytest.mark.parametrize("layout", ["int64", "strided"])
+def test_batch_takes_any_integer_layout(step_calls, layout):
+    # A batch of int64 cells, or a strided view, runs exactly like its
+    # C-contiguous uint8 copy, with as many steps. Rule 0 settles; 110 does not.
+    rng = np.random.default_rng(23)
+    wide = rng.integers(0, 2, size=(3, 34), dtype=np.int64)
+    cells = wide if layout == "int64" else wide.astype(np.uint8)[:, ::2]
+    assert cells.dtype != np.uint8 or not cells.flags.c_contiguous
+    copy = np.ascontiguousarray(cells, dtype=np.uint8)
+    for systems in (eca(0, 0, 0), eca(110, 0, 30)):
+        step_calls.clear()
+        rows = evolve_batch(systems, cells, CYCLIC, 16).rows
+        steps = len(step_calls)
+        step_calls.clear()
+        assert rows.tolist() == evolve_batch(systems, copy, CYCLIC, 16).rows.tolist()
+        assert steps == len(step_calls)
+
+
+# k = 3, r = 1 rules that settle: 0 blanks the row, and the identity
+# keeps the middle digit of every neighbourhood.
+SETTLING_K3 = (0, sum((v // 3) % 3 * 3 ** v for v in range(27)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(["eca", "k3", "life"]), settles=st.booleans(),
+       t=st.integers(2, 24))
+def test_a_run_continues_from_its_last_state(data, kind, settles, t):
+    """Evolving t steps equals evolving t1 steps, then t - t1 more from
+    the last state with the first row of that second part dropped. When
+    the batch settles, it does so inside the first part, so the early stop
+    lies between the parts."""
+    if settles:
+        t = max(t, 5)
+    t1 = data.draw(st.integers(4 if settles else 1, t - 1))
+    k, boundary = 2, data.draw(st.sampled_from([CYCLIC, FIXED]))
+    if kind == "life":
+        pool = INERT_LIFE if settles else (GAME_OF_LIFE, *INERT_LIFE)
+        systems = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+        shape = (data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7)))
+        boundary = CYCLIC
+    elif kind == "eca":
+        numbers = st.sampled_from(INERT_ECA) if settles else st.integers(0, 255)
+        systems = eca(*data.draw(st.lists(numbers, min_size=1, max_size=6)))
+        shape = (data.draw(st.integers(1, 16)),)
+    else:
+        k = 3
+        numbers = st.sampled_from(SETTLING_K3) if settles else st.integers(0, 3 ** 27 - 1)
+        systems = [rule_from_number(number, k=3) for number in
+                   data.draw(st.lists(numbers, min_size=1, max_size=4))]
+        shape = (data.draw(st.integers(1, 16)),)
+    size = len(systems) * int(np.prod(shape))
+    digits = data.draw(st.lists(st.integers(0, k - 1), min_size=size, max_size=size))
+    cells = np.array(digits, dtype=np.uint8).reshape(len(systems), *shape)
+    whole = evolve_batch(systems, cells, boundary, t).rows
+    first = evolve_batch(systems, cells, boundary, t1).rows
+    if settles:
+        assert first[:, 3].tolist() == first[:, 1].tolist()
+    rest = evolve_batch(systems, first[:, -1], boundary, t - t1).rows
+    assert np.concatenate([first, rest[:, 1:]], axis=1).tolist() == whole.tolist()

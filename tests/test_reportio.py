@@ -19,7 +19,7 @@ from caprog.reportio import (
     SCHEMA_COEFFICIENT,
     SCHEMA_CURVE,
     SCHEMA_MANIFEST,
-    SCHEMA_SWEEP_CSV,
+    SCHEMA_SWEEP,
     coefficient_from_obj,
     coefficient_json_obj,
     curve_csv_bytes,
@@ -106,12 +106,6 @@ class TestJsonAndCsv:
         assert back.c_value == res.c_value
         assert back.params.grid_key() == res.params.grid_key()
 
-    def test_coefficient_json_curve_is_optional(self, one_measurement):
-        res, _ = one_measurement
-        obj = coefficient_json_obj(res)
-        assert "curve" not in obj
-        assert coefficient_from_obj(obj) == res
-
     def test_from_obj_rejects_foreign_payloads(self):
         with pytest.raises(ValueError, match="coefficient"):
             coefficient_from_obj({"schema": "something.else.v1"})
@@ -120,7 +114,7 @@ class TestJsonAndCsv:
 class TestSweepSerialization:
     def test_csv_covers_every_rule(self, tiny_sweep):
         lines = sweep_csv_bytes(tiny_sweep).decode("utf-8").strip().split("\n")
-        assert lines[0] == f"# schema={SCHEMA_SWEEP_CSV}"
+        assert lines[0] == f"# schema={SCHEMA_SWEEP}"
         assert lines[1] == "rule,c_value,rmse,rank,cluster"
         assert len(lines) == 2 + 256
         first = lines[2].split(",")
