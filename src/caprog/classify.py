@@ -213,7 +213,10 @@ class SweepReport:
 
 
 def resolve_workers(workers: int | None) -> int:
+    """``workers``, or by default the CPUs this process may run on."""
     if workers is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     if workers < 1:
         raise ValueError("worker count must be >= 1")

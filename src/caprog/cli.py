@@ -307,16 +307,17 @@ def cmd_compare(args, argv) -> int:
 
 def cmd_rerun(args, argv) -> int:
     manifest = reportio.load_manifest(args.manifest)
-    if not manifest.argv or manifest.argv[0] not in REPLAYABLE:
+    command = manifest["argv"]
+    if not command or command[0] not in REPLAYABLE:
         raise ValueError(f"{args.manifest} records no {'/'.join(REPLAYABLE)} command to replay")
-    recorded = manifest.params.get("compressor_id", COMPRESSOR_ID)
+    recorded = manifest["params"].get("compressor_id", COMPRESSOR_ID)
     if recorded != COMPRESSOR_ID:
         # Sizes under another compressor differ for a known reason; that is
         # not a corrupted result, so it is not reported as a hash mismatch.
         raise IncomparableError(f"the manifest was written under {recorded}, "
                                 f"this environment runs {COMPRESSOR_ID}")
     # argparse keeps the last --out, so the recorded one is overridden.
-    code = main([*manifest.argv, "--out", args.out])
+    code = main([*command, "--out", args.out])
     if code != EXIT_OK:
         print(f"replay exited with {code}", file=sys.stderr)
         return code
@@ -356,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_size, default=DEFAULT_N, help="Gray family size")
     p.add_argument("--width", type=_size, default=DEFAULT_W, help="row width")
     p.add_argument("--workers", type=_size,
-                   help="threads compressing distinct runs (default: all cores)")
+                   help="threads compressing distinct runs "
+                        "(default: every CPU this process may run on)")
     p.add_argument("--out", default="caprog-sweep", help="output directory")
     p.set_defaults(func=cmd_sweep, parser=p)
 

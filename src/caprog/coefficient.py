@@ -13,6 +13,7 @@ sensitivity grows (or decays) with runtime.
 """
 from __future__ import annotations
 
+import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -38,8 +39,7 @@ from .enumeration import InputFamily
 # (t+1, *shape) space-time tensor, one step's temporaries and its packed
 # payload. A chunk holds as many runs as fit, and at least one: enough to
 # amortise numpy's per-call cost, few enough that memory stays bounded at
-# any sweep size. The payloads the memo keeps for the member being
-# evolved and the family's stacked cells, n x cells bytes, come on top.
+# any sweep size. The family's stacked cells, n x cells bytes, come on top.
 MEMORY_BUDGET = 2 * 1024 * 1024
 
 # Payloads of at least this many bytes have their prefix sizes taken from
@@ -196,32 +196,36 @@ def _complexity_matrix(
     run_bytes = (t_top + 1 + STEP_BYTES) * size + packed_size(counts[-1], k)
     per_chunk = max(1, MEMORY_BUDGET // run_bytes)
     sizes_of = partial(_prefix_sizes, counts=counts, k=k)
-    # (member index, payload) -> sizes, for the member now being evolved.
-    memo: dict[tuple[int, bytes], tuple[int, ...]] = {}
+    # (member index, payload digest) -> sizes, for a member whose runs
+    # continue into the next chunk.
+    carried: dict[tuple[int, bytes], tuple[int, ...]] = {}
     out = np.empty((total, len(times)), dtype=np.int64)
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         mapper = pool.map if pool else map
         for first in range(0, total, per_chunk):
             # Run i is systems[i % S] from member i // S. The chunk's runs
             # evolve as one tensor, which is freed once they are packed.
-            chunk = range(first, min(first + per_chunk, total))
-            members = [i // len(systems) for i in chunk]
-            batch = run_system([systems[i % len(systems)] for i in chunk], cells[members],
-                               boundary, t_top)
+            stop = min(first + per_chunk, total)
+            members = [i // len(systems) for i in range(first, stop)]
+            batch = run_system([systems[i % len(systems)] for i in range(first, stop)],
+                               cells[members], boundary, t_top)
             payloads = [pack_cells(rows[start:].ravel(), k) for rows in batch.rows]
             del batch
-            runs = list(zip(members, payloads))
-            new = [run for run in dict.fromkeys(runs) if run not in memo]
-            memo.update(zip(new, mapper(sizes_of, [payload for _, payload in new])))
-            out[first : first + len(runs)] = [memo[run] for run in runs]
+            # A member whose runs span two chunks is keyed by the digest of
+            # each payload, so what the next chunk inherits holds none.
+            head = members[0] if first % len(systems) else None
+            tail = members[-1] if stop % len(systems) else None
+            keys = [(member, hashlib.sha256(payload).digest() if member in (head, tail)
+                     else payload) for member, payload in zip(members, payloads)]
             # Runs are shared on one member only: with the input row in
-            # the payload, runs of distinct members always differ, and
-            # keeping every member's runs would hold the whole family's
-            # payloads in memory. Earlier members are done.
-            memo = {run: sizes for run, sizes in memo.items() if run[0] == runs[-1][0]}
-            # The next chunk evolves with no payload of this one alive
-            # but those the memo keeps.
-            del payloads, runs, new
+            # the payload, runs of distinct members always differ.
+            memo = dict(carried)
+            new = {key: payload for key, payload in zip(keys, payloads) if key not in memo}
+            memo.update(zip(new, mapper(sizes_of, new.values())))
+            out[first:stop] = [memo[key] for key in keys]
+            carried = {key: sizes for key, sizes in memo.items() if key[0] == tail}
+            # The next chunk evolves with no payload of this one alive.
+            del payloads, keys, memo, new
     return out.reshape(len(cells), len(systems), len(times)).transpose(1, 0, 2)
 
 

@@ -11,7 +11,7 @@ import hashlib
 import json
 import os
 import shutil
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -57,10 +57,17 @@ def pbm_bytes(rows: np.ndarray) -> bytes:
 # ---------------------------------------------------------------------------
 # Tabular and structured result formats.
 
-def curve_csv_bytes(curve: VariabilityCurve) -> bytes:
-    lines = [f"# schema={SCHEMA_CURVE}", "t_prime,S"]
-    lines += [f"{t},{value!r}" for t, value in curve.points]
+def _csv_bytes(schema: str, columns, rows) -> bytes:
+    """A schema comment line, a header and one line per row; floats are
+    written by repr, so they read back exactly."""
+    lines = [f"# schema={schema}", ",".join(columns)]
+    lines += [",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
+              for row in rows]
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def curve_csv_bytes(curve: VariabilityCurve) -> bytes:
+    return _csv_bytes(SCHEMA_CURVE, ("t_prime", "S"), curve.points)
 
 
 def coefficient_json_obj(res: CoefficientResult, curve: VariabilityCurve) -> dict:
@@ -97,10 +104,7 @@ def _sweep_rows(report: SweepReport):
 
 
 def sweep_csv_bytes(report: SweepReport) -> bytes:
-    lines = [f"# schema={SCHEMA_SWEEP}", ",".join(_SWEEP_COLUMNS)]
-    lines += [f"{rule},{c_value!r},{rmse!r},{rank},{cluster}"
-              for rule, c_value, rmse, rank, cluster in _sweep_rows(report)]
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return _csv_bytes(SCHEMA_SWEEP, _SWEEP_COLUMNS, _sweep_rows(report))
 
 
 def sweep_json_obj(report: SweepReport, notes: dict) -> dict:
@@ -115,41 +119,18 @@ def sweep_json_obj(report: SweepReport, notes: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Manifests.
+# Manifests: a manifest is the JSON object it is written as. Its keys are
+# schema, tool, version, argv, params, outputs (artifact name -> sha256 of
+# its bytes) and timestamp; a loaded one keeps any other key it has.
 
-@dataclass(frozen=True)
-class RunManifest:
-    argv: list[str]
-    params: dict
-    outputs: dict[str, str]  # artifact name -> sha256 of its bytes
-    timestamp: str
-    version: str
-
-    schema = SCHEMA_MANIFEST  # a class constant, not a field
-
-    def to_obj(self) -> dict:
-        return {
-            "schema": self.schema,
-            "tool": "caprog",
-            "version": self.version,
-            "argv": list(self.argv),
-            "params": self.params,
-            "outputs": dict(sorted(self.outputs.items())),
-            "timestamp": self.timestamp,
-        }
-
-
-def load_manifest(path: str | Path) -> RunManifest:
+def load_manifest(path: str | Path) -> dict:
     obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    if obj.get("schema") != SCHEMA_MANIFEST:
+    if not isinstance(obj, dict) or obj.get("schema") != SCHEMA_MANIFEST:
         raise ValueError(f"not a run manifest: {path}")
-    return RunManifest(
-        argv=list(obj["argv"]),
-        params=obj["params"],
-        outputs=dict(obj["outputs"]),
-        timestamp=obj["timestamp"],
-        version=obj.get("version", "0+unknown"),
-    )
+    if not (isinstance(obj.get("argv"), list) and isinstance(obj.get("params"), dict)
+            and isinstance(obj.get("outputs"), dict)):
+        raise ValueError(f"a run manifest needs an argv list, params and outputs: {path}")
+    return obj
 
 
 def _holds_only_a_run(out: Path) -> bool:
@@ -160,13 +141,13 @@ def _holds_only_a_run(out: Path) -> bool:
         return True
     try:
         manifest = load_manifest(out / MANIFEST_NAME)
-    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+    except (OSError, ValueError):
         return False
-    known = {*manifest.outputs, MANIFEST_NAME}
+    known = {*manifest["outputs"], MANIFEST_NAME}
     return all(entry.name in known and entry.is_file() for entry in entries)
 
 
-def write_outputs(out_dir: str | Path, files: dict[str, bytes], argv, params: dict) -> RunManifest:
+def write_outputs(out_dir: str | Path, files: dict[str, bytes], argv, params: dict) -> dict:
     """Write a fully materialised artifact set plus its manifest.
 
     The set is written to a fresh sibling directory that then takes the
@@ -184,20 +165,22 @@ def write_outputs(out_dir: str | Path, files: dict[str, bytes], argv, params: di
                 f"{out} exists and holds more than an earlier caprog run; not replacing it")
         if out == Path.cwd() or out in Path.cwd().parents:
             raise FileExistsError(f"{out} holds the working directory; not replacing it")
-    manifest = RunManifest(
-        argv=list(argv),
-        params=params,
-        outputs={name: sha256_hex(data) for name, data in files.items()},
-        timestamp=datetime.now(timezone.utc).isoformat(),
-        version=__version__,
-    )
+    manifest = {
+        "schema": SCHEMA_MANIFEST,
+        "tool": "caprog",
+        "version": __version__,
+        "argv": list(argv),
+        "params": params,
+        "outputs": {name: sha256_hex(data) for name, data in files.items()},
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+    }
     out.parent.mkdir(parents=True, exist_ok=True)
     fresh = out.with_name(f".{out.name}.{os.urandom(6).hex()}")
     fresh.mkdir()
     try:
         for name, data in files.items():
             (fresh / name).write_bytes(data)
-        (fresh / MANIFEST_NAME).write_bytes(json_bytes(manifest.to_obj()))
+        (fresh / MANIFEST_NAME).write_bytes(json_bytes(manifest))
         if out.exists():
             # A directory can only be renamed onto an empty one, so the
             # earlier run moves aside first and is deleted after the swap.
@@ -212,11 +195,15 @@ def write_outputs(out_dir: str | Path, files: dict[str, bytes], argv, params: di
     return manifest
 
 
-def verify_outputs(out_dir: str | Path, manifest: RunManifest) -> dict[str, bool]:
-    """Per-artifact hash check of a directory against a manifest."""
+def verify_outputs(out_dir: str | Path, manifest: dict) -> dict[str, bool]:
+    """Per-artifact hash check of a directory against a manifest. An entry
+    of the directory that the manifest does not list does not match; the
+    directory's own manifest is exempt."""
     out = Path(out_dir)
-    return {
+    checks = {entry.name: False for entry in out.iterdir() if entry.name != MANIFEST_NAME}
+    checks.update({
         name: out.joinpath(name).is_file()
         and sha256_hex(out.joinpath(name).read_bytes()) == digest
-        for name, digest in manifest.outputs.items()
-    }
+        for name, digest in manifest["outputs"].items()
+    })
+    return checks

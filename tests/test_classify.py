@@ -1,6 +1,8 @@
 """Tests for zero-band calibration, the computes predicate, equivalence
 checks, clustering, and the whole-family sweep."""
 
+import os
+
 import pytest
 
 from caprog.classify import (
@@ -171,6 +173,11 @@ class TestWorkers:
 
     def test_defaults_to_cpu_count(self):
         assert resolve_workers(None) >= 1
+
+    def test_defaults_to_the_cpus_this_process_may_use(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert resolve_workers(None) == 1
 
     def test_invalid_count(self):
         with pytest.raises(ValueError, match="worker"):

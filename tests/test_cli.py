@@ -14,6 +14,7 @@ import caprog
 from caprog.classify import calibrate_epsilon
 from caprog.cli import DEFAULT_T, LIFE_T, build_parser, main
 from caprog.coefficient import measure
+from caprog.complexity import COMPRESSOR_ID
 from caprog.engine import rule_from_number
 from caprog.enumeration import gray_initials
 from caprog.reportio import (
@@ -29,6 +30,9 @@ from reference import ref_read_pbm
 
 # Small measurement grid reused across tests to keep runs quick.
 SMALL = ["--gray-inputs", "6", "--width", "15", "--t", "24"]
+# The smallest `coeff` run a manifest is kept of.
+TINY = ["--rule", "110", "--gray-inputs", "4", "--width", "9", "--t", "8", "--no-calibrate"]
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def read_json(path):
@@ -87,16 +91,16 @@ class TestEvolve:
         main(["evolve", "--rule", "30", "--gray-inputs", "4", "--t", "12",
               "--out", str(out)])
         manifest = load_manifest(out / MANIFEST_NAME)
-        assert set(manifest.outputs) == {f"evolution_{j:03d}.pbm" for j in range(4)}
+        assert set(manifest["outputs"]) == {f"evolution_{j:03d}.pbm" for j in range(4)}
         assert all(verify_outputs(out, manifest).values())
-        assert manifest.params["system"] == "eca:30"
+        assert manifest["params"]["system"] == "eca:30"
 
     def test_life_defaults_to_the_full_3x3_gray_cycle(self, tmp_path):
         out = tmp_path / "life"
         assert main(["evolve", "--model", "life", "--height", "3", "--width", "3",
                      "--t", "1", "--out", str(out)]) == 0
         manifest = load_manifest(out / MANIFEST_NAME)
-        assert manifest.params["n"] == 512 and len(manifest.outputs) == 512
+        assert manifest["params"]["n"] == 512 and len(manifest["outputs"]) == 512
         # the grids of a run are stacked top to bottom; the last member,
         # gray_code(511) = 100000000 written row-major, has one live cell
         rows = ref_read_pbm((out / "evolution_511.pbm").read_bytes())
@@ -252,7 +256,7 @@ class TestCoeff:
         assert main([*argv, "--out", str(out)]) == 0
         manifest = load_manifest(out / MANIFEST_NAME)
         names = {path.name for path in out.iterdir()}
-        assert names == {*manifest.outputs, MANIFEST_NAME}
+        assert names == {*manifest["outputs"], MANIFEST_NAME}
         assert not any(name.endswith(".bin") for name in names)
         assert all(verify_outputs(out, manifest).values())
         assert [path.name for path in tmp_path.iterdir()] == ["runs"]
@@ -314,7 +318,7 @@ class TestSweepCommand:
         assert len(obj["entries"]) == 256
         manifest = load_manifest(out / MANIFEST_NAME)
         assert all(verify_outputs(out, manifest).values())
-        assert manifest.params["epsilon"] == obj["epsilon"]
+        assert manifest["params"]["epsilon"] == obj["epsilon"]
 
     @pytest.mark.parametrize("grid", [
         "--t 5 --n 2 --width 1",
@@ -440,6 +444,54 @@ class TestRerun:
         code = main(["rerun", "--manifest", str(manifest_path),
                      "--out", str(tmp_path / "second")])
         assert code == 4
+
+    @pytest.mark.parametrize("tamper", ["drop coefficient.json", "empty outputs"])
+    def test_replay_must_write_only_the_listed_artifacts(self, tmp_path, capsys, tamper):
+        first = tmp_path / "first"
+        assert main(["coeff", *TINY, "--out", str(first)]) == 0
+        manifest_path = first / MANIFEST_NAME
+        obj = read_json(manifest_path)
+        if tamper == "empty outputs":
+            obj["outputs"] = {}
+        else:
+            del obj["outputs"]["coefficient.json"]
+        manifest_path.write_bytes(json_bytes(obj))
+        capsys.readouterr()
+        code = main(["rerun", "--manifest", str(manifest_path),
+                     "--out", str(tmp_path / "second")])
+        assert code == 4
+        out = capsys.readouterr().out
+        verdict = json.loads(out[out.index("{"):])
+        assert verdict["match"] is False
+        assert verdict["files"]["coefficient.json"] is False
+
+    def test_extra_manifest_keys_replay_to_a_match(self, tmp_path, capsys):
+        first = tmp_path / "first"
+        assert main(["coeff", *TINY, "--out", str(first)]) == 0
+        manifest_path = first / MANIFEST_NAME
+        obj = read_json(manifest_path)
+        obj["telemetry"] = {"wall_s": 0.5}
+        manifest_path.write_bytes(json_bytes(obj))
+        capsys.readouterr()
+        code = main(["rerun", "--manifest", str(manifest_path),
+                     "--out", str(tmp_path / "second")])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert json.loads(out[out.index("{"):])["match"] is True
+
+    def test_checked_in_manifest_replays_to_a_match(self, tmp_path, capsys):
+        # written by an earlier caprog for `coeff` with the TINY flags
+        manifest_path = FIXTURES / "coeff_110_tiny_manifest.json"
+        obj = read_json(manifest_path)
+        if obj["params"]["compressor_id"] != COMPRESSOR_ID:
+            pytest.skip(f"the fixture was written under {obj['params']['compressor_id']}")
+        assert obj["argv"][1:-2] == TINY
+        code = main(["rerun", "--manifest", str(manifest_path),
+                     "--out", str(tmp_path / "replay")])
+        assert code == 0
+        out = capsys.readouterr().out
+        verdict = json.loads(out[out.index("{"):])
+        assert verdict["files"] == {"coefficient.json": True, "curve.csv": True}
 
     def test_other_compressor_is_incomparable(self, tmp_path, capsys):
         first = tmp_path / "first"

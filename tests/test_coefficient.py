@@ -468,17 +468,16 @@ def traced_matrix(systems, family, times):
 
 def test_one_chunk_tensor_is_alive_at_a_time():
     """The peak of the traced allocations stays within the budget plus the
-    memo's payloads: the tensor of a chunk is freed before the next chunk
+    stacked family: the tensor of a chunk is freed before the next chunk
     evolves."""
     systems, family = (*INERT_LIFE, GAME_OF_LIFE), gray_patches(20, 32, 32)
     times = runtime_grid(family, 120)[2]
     per_chunk = coefficient.MEMORY_BUDGET // run_bytes(family, times[-1])
     assert len(systems) * family.n > 3 * per_chunk, "the case must take many chunks"
     # The budget holds one chunk's tensor and payloads; the memo carries
-    # one member's payloads to the next chunk; 64 KiB cover the small
-    # arrays and lists of the loop.
-    bound = (coefficient.MEMORY_BUDGET + len(systems) * payload_bytes(family, times[-1])
-             + 64 * 1024)
+    # only digests to the next chunk; 64 KiB cover the small arrays and
+    # lists of the loop.
+    bound = coefficient.MEMORY_BUDGET + stacked(family)[0].nbytes + 64 * 1024
     expected = coefficient._complexity_matrix(systems, *stacked(family), times, True, 1)
     matrix, peak = traced_matrix(systems, family, times)
     assert matrix.tolist() == expected.tolist()
@@ -499,7 +498,6 @@ def test_payloads_count_against_the_budget(monkeypatch):
                     for _ in range(8))
     family = InputFamily(members=members, scheme=CUSTOM)
     times = runtime_grid(family, 300)[2]
-    bound = (coefficient.MEMORY_BUDGET + len(systems) * payload_bytes(family, times[-1], 3)
-             + 64 * 1024)
+    bound = coefficient.MEMORY_BUDGET + stacked(family)[0].nbytes + 64 * 1024
     peak = traced_matrix(systems, family, times)[1]
     assert peak <= bound, f"peak {peak} B above {bound} B"

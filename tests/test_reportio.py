@@ -143,17 +143,19 @@ class TestManifest:
 
     def test_hashes_are_sha256_of_bytes(self, tmp_path):
         manifest = write_outputs(tmp_path, self.files(), ["caprog"], {})
-        assert manifest.outputs["a.txt"] == hashlib.sha256(b"alpha\n").hexdigest()
-        assert sha256_hex(b"alpha\n") == manifest.outputs["a.txt"]
+        assert manifest["outputs"]["a.txt"] == hashlib.sha256(b"alpha\n").hexdigest()
+        assert sha256_hex(b"alpha\n") == manifest["outputs"]["a.txt"]
 
     def test_load_roundtrip(self, tmp_path):
         written = write_outputs(tmp_path, self.files(), ["caprog", "x"], {"n": 4})
         loaded = load_manifest(tmp_path / MANIFEST_NAME)
-        assert loaded.argv == ["caprog", "x"]
-        assert loaded.params == {"n": 4}
-        assert loaded.outputs == written.outputs
-        assert loaded.schema == SCHEMA_MANIFEST
-        assert loaded.version == caprog.__version__
+        assert loaded == written
+        assert loaded["argv"] == ["caprog", "x"]
+        assert loaded["params"] == {"n": 4}
+        assert loaded["schema"] == SCHEMA_MANIFEST
+        assert loaded["version"] == caprog.__version__
+        assert set(loaded) == {"schema", "tool", "version", "argv", "params", "outputs",
+                               "timestamp"}
 
     def test_version_is_the_package_version(self):
         tomllib = pytest.importorskip("tomllib")
@@ -203,7 +205,7 @@ class TestManifest:
             write_outputs(out, {"c.txt": b"gamma\n"}, ["caprog"], {})
         assert sorted(p.name for p in out.iterdir()) == [
             "a.txt", "b.bin", MANIFEST_NAME, "notes.txt"]
-        assert all(verify_outputs(out, first).values())
+        assert verify_outputs(out, first) == {"a.txt": True, "b.bin": True, "notes.txt": False}
 
     def test_working_directory_is_never_replaced(self, tmp_path, monkeypatch):
         out = tmp_path / "out"
@@ -216,5 +218,37 @@ class TestManifest:
     def test_load_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_bytes(json_bytes({"schema": "not.a.manifest"}))
+        with pytest.raises(ValueError, match="manifest"):
+            load_manifest(path)
+
+    def test_unlisted_file_does_not_match(self, tmp_path):
+        manifest = write_outputs(tmp_path, self.files(), ["caprog"], {})
+        del manifest["outputs"]["b.bin"]
+        assert verify_outputs(tmp_path, manifest) == {"a.txt": True, "b.bin": False}
+        manifest["outputs"] = {}
+        assert verify_outputs(tmp_path, manifest) == {"a.txt": False, "b.bin": False}
+
+    def test_extra_keys_are_kept_and_the_run_still_replaced(self, tmp_path):
+        out = tmp_path / "out"
+        write_outputs(out, self.files(), ["caprog"], {})
+        obj = json.loads((out / MANIFEST_NAME).read_text(encoding="utf-8"))
+        obj["telemetry"] = {"wall_s": 0.5}
+        (out / MANIFEST_NAME).write_bytes(json_bytes(obj))
+        assert load_manifest(out / MANIFEST_NAME) == obj
+        manifest = write_outputs(out, {"c.txt": b"gamma\n"}, ["caprog"], {})
+        assert "telemetry" not in manifest
+        assert load_manifest(out / MANIFEST_NAME) == manifest
+        assert sorted(p.name for p in out.iterdir()) == ["c.txt", MANIFEST_NAME]
+
+    @pytest.mark.parametrize("change", [
+        {"outputs": None}, {"outputs": []}, {"outputs": "a.txt"},
+        {"params": None}, {"argv": "caprog coeff"}, {"argv": None},
+    ])
+    def test_load_needs_argv_params_and_outputs(self, tmp_path, change):
+        path = tmp_path / MANIFEST_NAME
+        obj = {"schema": SCHEMA_MANIFEST, "argv": ["coeff"], "params": {}, "outputs": {}}
+        obj.update(change)
+        obj = {key: value for key, value in obj.items() if value is not None}
+        path.write_bytes(json_bytes(obj))
         with pytest.raises(ValueError, match="manifest"):
             load_manifest(path)
