@@ -38,14 +38,12 @@ from .coefficient import (
 from .complexity import (
     COMPRESSOR_ID,
     compressed_size,
-    serialize,
 )
 from .engine import (
     CYCLIC,
     FIXED,
     GAME_OF_LIFE,
     Configuration,
-    Evolution,
     LifeRule,
     RuleTable,
     default_width,

@@ -36,7 +36,7 @@ from .classify import (
     sweep_eca,
 )
 from .coefficient import measure, measure_all, runtime_grid
-from .complexity import COMPRESSOR_ID, serialize
+from .complexity import COMPRESSOR_ID, pack_cells
 from .engine import (
     CYCLIC,
     FIXED,
@@ -186,11 +186,11 @@ def cmd_evolve(args, argv) -> int:
     family = _family(args, parser, lambda core: default_width(core, system.r, t))
     files = {}
     for j, member in enumerate(family.members):
-        evo = evolve(system, member, t)
+        rows = evolve(system, member, t)
         # A 2-D run renders as its grids stacked top to bottom.
-        files[f"evolution_{j:03d}.pbm"] = reportio.pbm_bytes(evo.rows.reshape(-1, evo.width))
+        files[f"evolution_{j:03d}.pbm"] = reportio.pbm_bytes(rows.reshape(-1, rows.shape[-1]))
         if args.raw:
-            files[f"evolution_{j:03d}.bin"] = serialize(evo)
+            files[f"evolution_{j:03d}.bin"] = pack_cells(rows.ravel(), system.k)
     described = {"scheme": family.scheme, "n": family.n, "width": family.width,
                  "height": family.height, "seed": family.seed, "density": family.density}
     params = {"system": system.rule_id, "t": t, "raw": bool(args.raw),
@@ -338,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evolve", help="render space-time diagrams as PBM bitmaps")
     p.add_argument("--rule", type=int, help="elementary rule number 0..255")
     p.add_argument("--t", type=_size, required=True, help="number of steps")
-    p.add_argument("--raw", action="store_true", help="also dump serialized payloads")
+    p.add_argument("--raw", action="store_true", help="also dump packed payloads")
     p.add_argument("--out", default="caprog-evolve", help="output directory")
     _add_family_args(p, with_model=True, with_input=True)
     p.set_defaults(func=cmd_evolve, parser=p)

@@ -1,17 +1,16 @@
 """Compression proxy for the algorithmic complexity of an evolution.
 
-The payload is a canonical headerless serialization of the space-time
-array; its compressed size under a pinned DEFLATE stream stands in for the
-(uncomputable) shortest-description length. Sizes are reported in bits to
-soften quantisation plateaus in downstream difference terms.
+The payload is the space-time array's cells, row-major, packed by
+:func:`pack_cells` with no header; its compressed size under a pinned
+DEFLATE stream stands in for the (uncomputable) shortest-description
+length. Sizes are reported in bits to soften quantisation plateaus in
+downstream difference terms.
 """
 from __future__ import annotations
 
 import zlib
 
 import numpy as np
-
-from .engine import Evolution
 
 # Pinned compressor: DEFLATE via zlib at maximum effort. Results are only
 # comparable under an identical compressor_id, so the library version is
@@ -50,14 +49,6 @@ def payload_prefix(payload: bytes, cell_count: int, k: int) -> bytes:
     # Zero the cells past cell_count in the final partial byte.
     last = payload[size] & (0xFF << (8 - tail)) & 0xFF
     return payload[:size] + bytes((last,))
-
-
-def serialize(evo: Evolution) -> bytes:
-    """Row-major cells of the whole run, packed; no header.
-
-    Dimensions live in the run manifest, not the payload.
-    """
-    return pack_cells(evo.rows.ravel(), evo.k)
 
 
 def compressed_size(payload: bytes) -> int:

@@ -117,9 +117,15 @@ class Configuration:
     boundary: str = CYCLIC
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.cells, dtype=np.uint8)
+        arr = np.asarray(self.cells)
         if not 1 <= arr.ndim <= 2 or arr.size < 1:
             raise ValueError("a configuration is a non-empty 1-D row or 2-D grid of cells")
+        # Checked before the cast to uint8, which would wrap or truncate.
+        if arr.dtype.kind not in "biu":
+            raise ValueError(f"cells must be integers, got dtype {arr.dtype}")
+        if not np.can_cast(arr.dtype, np.uint8) and (arr.min() < 0 or arr.max() > 255):
+            raise ValueError("cell values must lie in 0..255")
+        arr = np.ascontiguousarray(arr, dtype=np.uint8)
         if self.boundary not in (CYCLIC, FIXED):
             raise ValueError(f"unknown boundary {self.boundary!r}")
         arr.setflags(write=False)
@@ -127,34 +133,10 @@ class Configuration:
 
 
 @dataclass(frozen=True, eq=False)
-class Evolution:
-    """Space-time array of a run: ``rows[s+1]`` is one update of ``rows[s]``.
-
-    ``rows`` has shape (t+1, W) for a 1-D run and (t+1, H, W) for a 2-D
-    one; ``t`` counts transitions.
-    """
-
-    rows: np.ndarray
-    k: int
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(self.rows, dtype=np.uint8)
-        if arr.ndim not in (2, 3) or arr.shape[0] < 2 or arr.size == 0:
-            raise ValueError("an evolution needs >= 2 rows or grids of equal positive size")
-        if arr.max(initial=0) >= self.k:
-            raise ValueError(f"cell values must lie in 0..{self.k - 1}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "rows", arr)
-
-    @property
-    def width(self) -> int:
-        return int(self.rows.shape[-1])
-
-
-@dataclass(frozen=True, eq=False)
 class EvolutionBatch:
-    """Runs evolved together as one tensor: ``rows[b]`` is the space-time
-    array of batch entry b, shaped like :attr:`Evolution.rows`."""
+    """Runs evolved together as one read-only tensor: ``rows[b]`` is the
+    space-time array of batch entry b, shaped like what :func:`evolve`
+    returns."""
 
     rows: np.ndarray
 
@@ -269,10 +251,14 @@ def evolve_batch(systems, cells, boundary: str, t: int) -> EvolutionBatch:
     return EvolutionBatch(rows=rows)
 
 
-def evolve(system: System, init: Configuration, t: int) -> Evolution:
-    """Run ``system`` for ``t`` transitions from ``init``; returns t+1 rows."""
-    return Evolution(rows=evolve_batch([system], init.cells[None], init.boundary, t).rows[0],
-                     k=system.k)
+def evolve(system: System, init: Configuration, t: int) -> np.ndarray:
+    """Run ``system`` for ``t`` transitions from ``init``.
+
+    Returns the read-only uint8 space-time array: ``rows[s+1]`` is one
+    update of ``rows[s]``, with shape (t+1, W) for a 1-D run and
+    (t+1, H, W) for a 2-D one.
+    """
+    return evolve_batch([system], init.cells[None], init.boundary, t).rows[0]
 
 
 def default_width(seed_width: int, r: int, t: int) -> int:

@@ -31,7 +31,7 @@ from caprog.classify import (
     sweep_eca,
 )
 from caprog.coefficient import measure
-from caprog.complexity import serialize
+from caprog.complexity import pack_cells
 from caprog.engine import (
     FIXED,
     GAME_OF_LIFE,
@@ -129,8 +129,8 @@ def test_criterion_4_parity_blocks_reduce_exactly():
         cells = np.zeros(32, dtype=np.uint8)
         start = (32 - size) // 2
         cells[start : start + size] = 1
-        evo = evolve(rule, Configuration(cells), 12)
-        outcomes[size] = int(evo.rows[-1].sum())
+        rows = evolve(rule, Configuration(cells), 12)
+        outcomes[size] = int(rows[-1].sum())
     ok = all(survivors == size % 2 for size, survivors in outcomes.items())
     record_criterion(
         4, ok, f"rule 132 block parity exact for sizes 2..9: {outcomes}"
@@ -214,22 +214,22 @@ def test_criterion_7_invariants(tmp_path):
         seg[rng.integers(0, sw)] = 1
         cells = np.zeros(width, dtype=np.uint8)
         cells[pos : pos + sw] = seg
-        evo = evolve(rule_from_number(number), Configuration(cells, boundary=FIXED), t)
-        for s, row in enumerate(evo.rows):
+        rows = evolve(rule_from_number(number), Configuration(cells, boundary=FIXED), t)
+        for s, row in enumerate(rows):
             lo, hi = max(0, pos - s), min(width, pos + sw + s)
             if row[:lo].any() or row[hi:].any():
                 cone_ok = False
     ok_parts["light cone, 200 cases"] = cone_ok
 
-    # Serialization is lossless.
+    # A run's packed payload is lossless.
     round_ok = True
     for _ in range(200):
         number = int(rng.integers(0, 256))
         width = int(rng.integers(3, 40))
         t = int(rng.integers(1, 16))
         init = Configuration(rng.integers(0, 2, size=width, dtype=np.uint8))
-        evo = evolve(rule_from_number(number), init, t)
-        if ref_unpack(serialize(evo), evo.rows.size) != evo.rows.ravel().tolist():
+        rows = evolve(rule_from_number(number), init, t)
+        if ref_unpack(pack_cells(rows.ravel(), 2), rows.size) != rows.ravel().tolist():
             round_ok = False
     ok_parts["serialization roundtrip, 200 cases"] = round_ok
 

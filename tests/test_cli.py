@@ -26,7 +26,7 @@ from caprog.reportio import (
     verify_outputs,
 )
 
-from reference import ref_read_pbm
+from reference import ref_read_pbm, ref_unpack
 
 # Small measurement grid reused across tests to keep runs quick.
 SMALL = ["--gray-inputs", "6", "--width", "15", "--t", "24"]
@@ -78,13 +78,28 @@ class TestEvolve:
         for a, b in zip(images, images[1:]):
             assert a != b
 
+    @staticmethod
+    def assert_raw_matches_images(out, n):
+        # Each payload holds the cells of its bitmap, row-major, 8 to a byte.
+        for j in range(n):
+            cells = sum(ref_read_pbm((out / f"evolution_{j:03d}.pbm").read_bytes()), [])
+            data = (out / f"evolution_{j:03d}.bin").read_bytes()
+            assert len(data) == -(-len(cells) // 8)
+            assert ref_unpack(data, len(cells)) == cells
+
     def test_raw_payloads_on_request(self, tmp_path):
         out = tmp_path / "raw"
         code = main(["evolve", "--rule", "90", "--gray-inputs", "2",
                      "--t", "8", "--raw", "--out", str(out)])
         assert code == 0
-        assert (out / "evolution_000.bin").is_file()
-        assert (out / "evolution_001.bin").is_file()
+        self.assert_raw_matches_images(out, 2)
+
+    def test_raw_payloads_of_life_grids(self, tmp_path):
+        out = tmp_path / "raw"
+        code = main(["evolve", "--model", "life", "--gray-inputs", "5", "--height", "5",
+                     "--width", "7", "--t", "6", "--raw", "--out", str(out)])
+        assert code == 0
+        self.assert_raw_matches_images(out, 5)
 
     def test_manifest_lists_every_artifact(self, tmp_path):
         out = tmp_path / "mani"

@@ -411,7 +411,7 @@ def test_batched_matrix_is_bit_exact(monkeypatch, case):
     for j, member in enumerate(family.members):
         payloads = set()
         for system, sizes in zip(systems, matrix[:, j]):
-            rows = evolve(system, member, times[-1]).rows
+            rows = evolve(system, member, times[-1])
             payload = pack_cells(rows[start:].ravel(), system.k)
             payloads.add(payload)
             longest = max(longest, len(payload))
@@ -450,7 +450,7 @@ def test_matrix_is_the_same_at_any_budget(case, workers, data):
         matrix = coefficient._complexity_matrix(systems, *stacked(family), times, True, workers)
     for j, member in enumerate(family.members):
         for system, sizes in zip(systems, matrix[:, j]):
-            rows = evolve(system, member, times[-1]).rows
+            rows = evolve(system, member, times[-1])
             assert sizes.tolist() == [compressed_size(pack_cells(rows[: t + 1].ravel(), 2))
                                       for t in times]
 

@@ -1,4 +1,4 @@
-"""Tests for cell packing, serialization, and compressed-size measurement."""
+"""Tests for cell packing and compressed-size measurement."""
 
 import zlib
 
@@ -14,7 +14,6 @@ from caprog.complexity import (
     pack_cells,
     packed_size,
     payload_prefix,
-    serialize,
     streamed_prefix_sizes,
 )
 from caprog.engine import Configuration, evolve, rule_from_number
@@ -29,7 +28,7 @@ def cells(bits: str) -> np.ndarray:
 
 def run_payload(number: int, init: Configuration, t: int, include_input: bool = True) -> bytes:
     """Packed cells of one run: every row, or rows 1..t without the input."""
-    rows = evolve(rule_from_number(number), init, t).rows
+    rows = evolve(rule_from_number(number), init, t)
     return pack_cells((rows if include_input else rows[1:]).ravel(), 2)
 
 
@@ -175,17 +174,17 @@ class TestCompressedSize:
         assert c_zero < c_rand
 
 
-class TestSerialization:
-    def test_serialize_streams_rows_together(self):
-        evo = evolve(rule_from_number(204), Configuration(cells("1010")), 1)
+class TestRunPayload:
+    def test_run_payload_streams_rows_together(self):
+        rows = evolve(rule_from_number(204), Configuration(cells("1010")), 1)
         # rows are [1010],[1010]; streamed they fill one byte 0xAA
-        assert serialize(evo) == b"\xaa"
+        assert pack_cells(rows.ravel(), 2) == b"\xaa"
 
     def test_roundtrip_through_unpacking(self):
         rule = rule_from_number(110)
-        evo = evolve(rule, gray_initials(8, 21).members[5], 13)
-        payload = serialize(evo)
-        assert ref_unpack(payload, evo.rows.size) == evo.rows.ravel().tolist()
+        rows = evolve(rule, gray_initials(8, 21).members[5], 13)
+        payload = pack_cells(rows.ravel(), rule.k)
+        assert ref_unpack(payload, rows.size) == rows.ravel().tolist()
 
     @given(
         number=st.integers(min_value=0, max_value=255),
@@ -196,8 +195,8 @@ class TestSerialization:
     def test_roundtrip_property(self, number, t, seed):
         rng = np.random.default_rng(seed)
         init = Configuration(rng.integers(0, 2, size=17, dtype=np.uint8))
-        evo = evolve(rule_from_number(number), init, t)
-        assert ref_unpack(serialize(evo), evo.rows.size) == evo.rows.ravel().tolist()
+        rows = evolve(rule_from_number(number), init, t)
+        assert ref_unpack(pack_cells(rows.ravel(), 2), rows.size) == rows.ravel().tolist()
 
 
 class TestEvolutionComplexity:

@@ -28,7 +28,7 @@ def row(bits: str) -> Configuration:
 
 
 def step(config: Configuration, system) -> Configuration:
-    return Configuration(evolve(system, config, 1).rows[1], boundary=config.boundary)
+    return Configuration(evolve(system, config, 1)[1], boundary=config.boundary)
 
 
 def test_rule_digit_convention():
@@ -92,8 +92,8 @@ def test_conjugate_semantics():
     for _ in range(25):
         number = int(rng.integers(256))
         cells = rng.integers(0, 2, size=17, dtype=np.uint8)
-        direct = evolve(rule_from_number(number), Configuration(cells), 9).rows
-        flipped = evolve(rule_from_number(ref_conjugate(number)), Configuration(1 - cells), 9).rows
+        direct = evolve(rule_from_number(number), Configuration(cells), 9)
+        flipped = evolve(rule_from_number(ref_conjugate(number)), Configuration(1 - cells), 9)
         assert np.array_equal(flipped, 1 - direct)
 
 
@@ -115,11 +115,31 @@ def test_step_rejects_out_of_range_colours():
         step(Configuration([0, 2, 0]), rule_from_number(110))
 
 
+@pytest.mark.parametrize("cells, match", [
+    (np.array([0, 256, 1, 0, 0]), "0..255"),
+    (np.array([0, -255, 1, 0, 0]), "0..255"),
+    (np.array([0.5, 1.7, 1]), "integers"),
+    ([0, 1.0, 0], "integers"),
+])
+def test_configuration_refuses_cells_it_cannot_hold(cells, match):
+    # A cast to uint8 would wrap 256 to 0 and -255 to 1, and truncate 1.7.
+    with pytest.raises(ValueError, match=match):
+        Configuration(cells)
+
+
+def test_configuration_keeps_every_cell_it_can_hold():
+    for cells in (np.array([0, 255, 1]), np.array([True, False, True]), [0, 1, 2]):
+        assert Configuration(cells).cells.tolist() == np.asarray(cells, dtype=int).tolist()
+
+
 def test_evolve_shape_and_replay():
-    evo = evolve(rule_from_number(90), row("0001000"), 7)
-    assert evo.rows.shape == (8, 7)
-    assert evo.width == 7
-    assert evo.rows.tolist() == ref_evolve(90, [0, 0, 0, 1, 0, 0, 0], 7)
+    rows = evolve(rule_from_number(90), row("0001000"), 7)
+    assert rows.shape == (8, 7) and rows.dtype == np.uint8
+    assert rows.shape[-1] == 7
+    assert rows.tolist() == ref_evolve(90, [0, 0, 0, 1, 0, 0, 0], 7)
+    assert not rows.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0, 0] = 1
 
 
 def test_evolve_requires_a_transition():
@@ -128,19 +148,19 @@ def test_evolve_requires_a_transition():
 
 
 def test_identity_rule_freezes():
-    evo = evolve(rule_from_number(204), row("011010"), 5)
-    assert np.array_equal(evo.rows, np.tile(evo.rows[0], (6, 1)))
+    rows = evolve(rule_from_number(204), row("011010"), 5)
+    assert np.array_equal(rows, np.tile(rows[0], (6, 1)))
 
 
 def test_complement_rule_alternates():
-    evo = evolve(rule_from_number(51), row("011010"), 4)
-    assert np.array_equal(evo.rows[1], 1 - evo.rows[0])
-    assert np.array_equal(evo.rows[2], evo.rows[0])
+    rows = evolve(rule_from_number(51), row("011010"), 4)
+    assert np.array_equal(rows[1], 1 - rows[0])
+    assert np.array_equal(rows[2], rows[0])
 
 
 def test_clear_rule_blanks():
-    evo = evolve(rule_from_number(0), row("111"), 3)
-    assert evo.rows[1:].sum() == 0
+    rows = evolve(rule_from_number(0), row("111"), 3)
+    assert rows[1:].sum() == 0
 
 
 def test_isolated_bit_filter():
@@ -180,10 +200,10 @@ def glider(side: int) -> np.ndarray:
 
 
 def test_life_glider_translates():
-    evo = evolve(GAME_OF_LIFE, Configuration(glider(8)), 4)
-    assert evo.rows.shape == (5, 8, 8) and evo.width == 8
-    assert np.array_equal(evo.rows[4], np.roll(np.roll(evo.rows[0], 1, 0), 1, 1))
-    assert evo.rows.tolist() == ref_life_evolve(glider(8).tolist(), 4, born={3}, survives={2, 3})
+    rows = evolve(GAME_OF_LIFE, Configuration(glider(8)), 4)
+    assert rows.shape == (5, 8, 8) and rows.shape[-1] == 8
+    assert np.array_equal(rows[4], np.roll(np.roll(rows[0], 1, 0), 1, 1))
+    assert rows.tolist() == ref_life_evolve(glider(8).tolist(), 4, born={3}, survives={2, 3})
 
 
 def test_life_rule_validation():
@@ -207,12 +227,12 @@ def test_life_lookup_table():
 
 
 def test_evolve_accepts_both_system_types():
-    evo = evolve(rule_from_number(110), row("010"), 2)
-    assert evo.rows.shape == (3, 3)
+    rows = evolve(rule_from_number(110), row("010"), 2)
+    assert rows.shape == (3, 3)
     grid = Configuration(np.zeros((4, 4), dtype=np.uint8))
-    levo = evolve(GAME_OF_LIFE, grid, 2)
-    assert levo.rows.shape == (3, 4, 4)
-    assert levo.k == 2
+    grids = evolve(GAME_OF_LIFE, grid, 2)
+    assert grids.shape == (3, 4, 4)
+    assert grids.dtype == np.uint8 and GAME_OF_LIFE.k == 2
     with pytest.raises(TypeError):
         evolve(42, grid, 2)
 
@@ -243,23 +263,23 @@ def test_life_matches_naive_reference_on_random_grids():
         # Sides from 1 up, so degenerate tori (a cell its own neighbour) count too.
         height, width = (int(x) for x in rng.integers(1, 14, size=2))
         cells = (rng.random((height, width)) < 0.4).astype(np.uint8)
-        evo = evolve(GAME_OF_LIFE, Configuration(cells), 15)
+        rows = evolve(GAME_OF_LIFE, Configuration(cells), 15)
         ref = ref_life_evolve(cells.tolist(), 15, born={3}, survives={2, 3})
-        assert evo.rows.tolist() == ref
+        assert rows.tolist() == ref
 
 
 def test_life_matches_naive_reference_on_the_glider():
-    evo = evolve(GAME_OF_LIFE, Configuration(glider(7)), 40)
-    assert evo.rows.tolist() == ref_life_evolve(glider(7).tolist(), 40, born={3}, survives={2, 3})
+    rows = evolve(GAME_OF_LIFE, Configuration(glider(7)), 40)
+    assert rows.tolist() == ref_life_evolve(glider(7).tolist(), 40, born={3}, survives={2, 3})
 
 
 def test_inert_life_rules_match_naive_reference():
     rng = np.random.default_rng(5)
     cells = rng.integers(0, 2, size=(8, 11), dtype=np.uint8)
     for rule in INERT_LIFE:
-        evo = evolve(rule, Configuration(cells), 6)
+        rows = evolve(rule, Configuration(cells), 6)
         ref = ref_life_evolve(cells.tolist(), 6, born=rule.born, survives=rule.survives)
-        assert evo.rows.tolist() == ref
+        assert rows.tolist() == ref
 
 
 def test_fixed_boundary_matches_naive_reference():
@@ -267,8 +287,8 @@ def test_fixed_boundary_matches_naive_reference():
     for _ in range(40):
         number = int(rng.integers(256))
         cells = rng.integers(0, 2, size=int(rng.integers(1, 30)), dtype=np.uint8)
-        evo = evolve(rule_from_number(number), Configuration(cells, boundary=FIXED), 20)
-        assert evo.rows.tolist() == ref_evolve(number, cells.tolist(), 20, boundary="fixed")
+        rows = evolve(rule_from_number(number), Configuration(cells, boundary=FIXED), 20)
+        assert rows.tolist() == ref_evolve(number, cells.tolist(), 20, boundary="fixed")
 
 
 def test_batch_rows_are_the_members_runs():
@@ -278,7 +298,7 @@ def test_batch_rows_are_the_members_runs():
     batch = evolve_batch(rules, cells, CYCLIC, 12)
     assert batch.rows.shape == (5, 13, 23)
     for rule, init, rows in zip(rules, cells, batch.rows):
-        assert rows.tolist() == evolve(rule, Configuration(init), 12).rows.tolist()
+        assert rows.tolist() == evolve(rule, Configuration(init), 12).tolist()
 
 
 def test_batch_rejects_mixed_kinds_and_shapes():

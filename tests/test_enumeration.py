@@ -129,6 +129,10 @@ def test_custom_family_validation():
         InputFamily(members=(a, a), scheme=CUSTOM)
     with pytest.raises(ValueError, match="shape"):
         InputFamily(members=(a, Configuration([0, 1])), scheme=CUSTOM)
+    # A member whose cells do not fit a byte is refused for that, before
+    # the cast could wrap it into a duplicate of another member.
+    with pytest.raises(ValueError, match="0..255"):
+        InputFamily(members=(a, Configuration(np.array([0, 257, 0]))), scheme=CUSTOM)
     # A family has one boundary, so every measurement of it runs under it.
     with pytest.raises(ValueError, match="boundary"):
         InputFamily(members=(a, Configuration([0, 1, 1], boundary=FIXED)), scheme=CUSTOM)
