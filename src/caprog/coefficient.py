@@ -39,7 +39,7 @@ from .enumeration import InputFamily
 # (t+1, *shape) space-time tensor, one step's temporaries and its packed
 # payload. A chunk holds as many runs as fit, and at least one: enough to
 # amortise numpy's per-call cost, few enough that memory stays bounded at
-# any sweep size. The family's stacked cells, n x cells bytes, come on top.
+# any sweep size. The family's cells, InputFamily.cells, come on top.
 MEMORY_BUDGET = 2 * 1024 * 1024
 
 # Payloads of at least this many bytes have their prefix sizes taken from
@@ -273,10 +273,10 @@ def measure_all(
     threads compress distinct runs. Systems not of one kind (Life, or 1-D
     with one k and r), or unable to act on the family, are refused before
     anything evolves."""
-    cells = np.stack([member.cells for member in family.members])
-    check_batch(systems, cells, family.boundary)
+    check_batch(systems, family.cells, family.boundary)
     t_min, stride, times = runtime_grid(family, t_max, t_min, stride)
-    matrices = _complexity_matrix(systems, cells, family.boundary, times, include_input, workers)
+    matrices = _complexity_matrix(systems, family.cells, family.boundary, times, include_input,
+                                  workers)
     measured = []
     for system, matrix in zip(systems, matrices):
         curve = VariabilityCurve(

@@ -194,7 +194,7 @@ def _step_cells(cells: np.ndarray, tables: np.ndarray, system: System, boundary:
 def check_batch(systems, cells, boundary: str) -> None:
     """Raise unless every one of ``systems``, all Life or all 1-D with one
     k and r, can act on every initial state stacked in ``cells`` under
-    ``boundary``: Life on cyclic grids, a 1-D rule on rows, colours < k."""
+    ``boundary``: Life on cyclic grids, a 1-D rule on rows, integer colours < k."""
     if not len(systems) or np.size(cells) == 0:
         raise ValueError("a batch needs >= 1 system and >= 1 non-empty initial state")
     for system in systems:
@@ -211,8 +211,8 @@ def check_batch(systems, cells, boundary: str) -> None:
             raise ValueError(f"{first.rule_id} acts on cyclic 2-D grids only")
     elif np.ndim(cells) != 2:
         raise ValueError(f"{first.rule_id} acts on 1-D rows only")
-    if np.min(cells) < 0 or np.max(cells) >= first.k:
-        raise ValueError(f"initial states use colours outside 0..{first.k - 1}")
+    if np.asarray(cells).dtype.kind not in "biu" or np.min(cells) < 0 or np.max(cells) >= first.k:
+        raise ValueError(f"initial states must be integer colours in 0..{first.k - 1}")
 
 
 def evolve_batch(systems, cells, boundary: str, t: int) -> EvolutionBatch:

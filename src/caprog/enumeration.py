@@ -8,7 +8,7 @@ figure-style runs from random inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,33 +31,33 @@ class InputFamily:
 
     ``scheme`` records how the family was built: ``"gray"`` families
     additionally guarantee Hamming distance exactly 1 between consecutive
-    members.
+    members. ``cells`` is the read-only uint8 ``(n, *shape)`` stack of the
+    members, built once: each member's cells are a view of its row.
     """
 
     members: tuple
     scheme: str
     seed: int | None = None
     density: float | None = None
+    cells: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.members) < 1:
-            raise ValueError("a family needs at least one member")
         if len({(m.cells.shape, m.boundary) for m in self.members}) != 1:
-            raise ValueError("family members must share one shape and boundary")
-        seen = set()
-        for m in self.members:
-            key = m.cells.tobytes()
-            if key in seen:
-                raise ValueError("family members must be pairwise distinct")
-            seen.add(key)
-        if self.scheme == GRAY:
-            for a, b in zip(self.members, self.members[1:]):
-                if int(np.count_nonzero(a.cells != b.cells)) != 1:
-                    raise ValueError("consecutive gray members must differ in exactly one cell")
+            raise ValueError("a family needs members, all of one shape and boundary")
+        cells = np.stack([m.cells for m in self.members])
+        cells.setflags(write=False)
+        flat = cells.reshape(len(cells), -1)
+        if len({row.tobytes() for row in flat}) != len(flat):
+            raise ValueError("family members must be pairwise distinct")
+        if self.scheme == GRAY and (np.count_nonzero(flat[1:] != flat[:-1], axis=1) != 1).any():
+            raise ValueError("consecutive gray members must differ in exactly one cell")
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "members", tuple(Configuration(cells=row, boundary=self.boundary)
+                                                  for row in cells))
 
     @property
     def n(self) -> int:
-        return len(self.members)
+        return self.cells.shape[0]
 
     @property
     def boundary(self) -> str:
@@ -65,13 +65,12 @@ class InputFamily:
 
     @property
     def width(self) -> int:
-        return int(self.members[0].cells.shape[-1])
+        return self.cells.shape[-1]
 
     @property
     def height(self) -> int | None:
         """Grid height for 2-D members, None for 1-D rows."""
-        shape = self.members[0].cells.shape
-        return int(shape[0]) if len(shape) == 2 else None
+        return self.cells.shape[1] if self.cells.ndim == 3 else None
 
     @property
     def descriptor(self) -> str:
@@ -130,9 +129,7 @@ def random_initials(
     """n independent Bernoulli(density) rows from a seeded PCG64 stream."""
     if not 0.0 < density < 1.0:
         raise ValueError(f"density must lie strictly between 0 and 1, got {density}")
-    rng = np.random.default_rng(seed)
-    members = tuple(
-        Configuration(cells=(rng.random(width) < density).astype(np.uint8), boundary=boundary)
-        for _ in range(n)
-    )
+    # One (n, width) draw takes the same values as n draws of one row each.
+    rows = (np.random.default_rng(seed).random((n, width)) < density).astype(np.uint8)
+    members = tuple(Configuration(cells=row, boundary=boundary) for row in rows)
     return InputFamily(members=members, scheme=RANDOM, seed=seed, density=density)

@@ -494,13 +494,18 @@ class TestRerun:
         out = capsys.readouterr().out
         assert json.loads(out[out.index("{"):])["match"] is True
 
-    def test_checked_in_manifest_replays_to_a_match(self, tmp_path, capsys):
-        # written by an earlier caprog for `coeff` with the TINY flags
-        manifest_path = FIXTURES / "coeff_110_tiny_manifest.json"
+    @pytest.mark.parametrize("fixture, flags", [
+        ("coeff_110_tiny_manifest.json", TINY),
+        ("coeff_30_random_manifest.json", ["--rule", "30", "--random-inputs", "6", "--seed", "3",
+                                           "--width", "33", "--t", "40", "--no-calibrate"]),
+    ], ids=["gray", "random"])
+    def test_checked_in_manifest_replays_to_a_match(self, tmp_path, capsys, fixture, flags):
+        # written by an earlier caprog for `coeff` with these flags
+        manifest_path = FIXTURES / fixture
         obj = read_json(manifest_path)
         if obj["params"]["compressor_id"] != COMPRESSOR_ID:
             pytest.skip(f"the fixture was written under {obj['params']['compressor_id']}")
-        assert obj["argv"][1:-2] == TINY
+        assert obj["argv"][1:-2] == flags
         code = main(["rerun", "--manifest", str(manifest_path),
                      "--out", str(tmp_path / "replay")])
         assert code == 0

@@ -46,21 +46,15 @@ def no_evolution(*args):
 def payload_bytes(family: InputFamily, t: int, k: int = 2, include_input: bool = True) -> int:
     """Size of one run's packed payload at runtime ``t``."""
     start = 0 if include_input else 1
-    cells = (t + 1 - start) * family.members[0].cells.size
+    cells = (t + 1 - start) * family.cells[0].size
     return -(-cells // 8) if k == 2 else cells
 
 
 def run_bytes(family: InputFamily, t: int, k: int = 2, include_input: bool = True) -> int:
     """What one run to runtime ``t`` counts against the memory budget:
     its tensor, one step's temporaries and its payload."""
-    return ((t + 1 + STEP_BYTES) * family.members[0].cells.size
+    return ((t + 1 + STEP_BYTES) * family.cells[0].size
             + payload_bytes(family, t, k, include_input))
-
-
-def stacked(family: InputFamily) -> tuple:
-    """The family's initial states stacked into one array, and its
-    boundary: what a measurement passes to the complexity matrix."""
-    return np.stack([member.cells for member in family.members]), family.boundary
 
 
 def curve_from(points) -> VariabilityCurve:
@@ -400,7 +394,8 @@ def test_batched_matrix_is_bit_exact(monkeypatch, case):
         monkeypatch.setattr(coefficient, "MEMORY_BUDGET", budget)
         for workers in (1, 2):
             batches.clear()
-            matrices.append(coefficient._complexity_matrix(systems, *stacked(family), times,
+            matrices.append(coefficient._complexity_matrix(systems, family.cells,
+                                                           family.boundary, times,
                                                            include_input, workers))
             assert batches == chunks
     matrix = matrices[0]
@@ -447,7 +442,8 @@ def test_matrix_is_the_same_at_any_budget(case, workers, data):
     budget = data.draw(st.integers(0, len(systems) * family.n * run_bytes(family, times[-1])))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(coefficient, "MEMORY_BUDGET", budget)
-        matrix = coefficient._complexity_matrix(systems, *stacked(family), times, True, workers)
+        matrix = coefficient._complexity_matrix(systems, family.cells, family.boundary, times,
+                                                True, workers)
     for j, member in enumerate(family.members):
         for system, sizes in zip(systems, matrix[:, j]):
             rows = evolve(system, member, times[-1])
@@ -455,21 +451,27 @@ def test_matrix_is_the_same_at_any_budget(case, workers, data):
                                       for t in times]
 
 
-def traced_matrix(systems, family, times):
-    """The matrix, and the peak of its traced allocations in bytes."""
+def traced(measurement):
+    """What ``measurement()`` returns, and the peak of its traced
+    allocations in bytes."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        matrix = coefficient._complexity_matrix(systems, *stacked(family), times, True, 1)
-        return matrix, tracemalloc.get_traced_memory()[1] - before
+        result = measurement()
+        return result, tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
 
 
+def traced_matrix(systems, family, times):
+    """The matrix, and the peak of its traced allocations in bytes."""
+    return traced(lambda: coefficient._complexity_matrix(systems, family.cells, family.boundary,
+                                                         times, True, 1))
+
+
 def test_one_chunk_tensor_is_alive_at_a_time():
-    """The peak of the traced allocations stays within the budget plus the
-    stacked family: the tensor of a chunk is freed before the next chunk
-    evolves."""
+    """The peak of the traced allocations stays within the budget: the
+    tensor of a chunk is freed before the next chunk evolves."""
     systems, family = (*INERT_LIFE, GAME_OF_LIFE), gray_patches(20, 32, 32)
     times = runtime_grid(family, 120)[2]
     per_chunk = coefficient.MEMORY_BUDGET // run_bytes(family, times[-1])
@@ -477,8 +479,9 @@ def test_one_chunk_tensor_is_alive_at_a_time():
     # The budget holds one chunk's tensor and payloads; the memo carries
     # only digests to the next chunk; 64 KiB cover the small arrays and
     # lists of the loop.
-    bound = coefficient.MEMORY_BUDGET + stacked(family)[0].nbytes + 64 * 1024
-    expected = coefficient._complexity_matrix(systems, *stacked(family), times, True, 1)
+    bound = coefficient.MEMORY_BUDGET + 64 * 1024
+    expected = coefficient._complexity_matrix(systems, family.cells, family.boundary, times,
+                                              True, 1)
     matrix, peak = traced_matrix(systems, family, times)
     assert matrix.tolist() == expected.tolist()
     assert peak <= bound, f"peak {peak} B above {bound} B"
@@ -498,6 +501,18 @@ def test_payloads_count_against_the_budget(monkeypatch):
                     for _ in range(8))
     family = InputFamily(members=members, scheme=CUSTOM)
     times = runtime_grid(family, 300)[2]
-    bound = coefficient.MEMORY_BUDGET + stacked(family)[0].nbytes + 64 * 1024
+    bound = coefficient.MEMORY_BUDGET + 64 * 1024
     peak = traced_matrix(systems, family, times)[1]
     assert peak <= bound, f"peak {peak} B above {bound} B"
+
+
+def test_a_measurement_holds_the_family_once():
+    """A measurement evolves from ``family.cells`` as it is: no second copy
+    of the family's cells, 512 KiB here, comes on top of the budget."""
+    systems, family = (*INERT_LIFE, GAME_OF_LIFE), gray_patches(512, 32, 32)
+    assert family.cells.nbytes == 512 * 1024
+    measured, peak = traced(lambda: coefficient.measure_all(systems, family, 8))
+    bound = coefficient.MEMORY_BUDGET + 64 * 1024
+    assert peak <= bound, f"peak {peak} B above {bound} B"
+    expected = [coefficient.measure(system, family, 8)[0].c_value for system in systems]
+    assert [result.c_value for result, _ in measured] == expected

@@ -323,6 +323,21 @@ def test_batch_rejects_mixed_kinds_and_shapes():
         evolve_batch([rule_from_number(30)] * 2, coloured, CYCLIC, 2)
 
 
+@pytest.mark.parametrize("dtype", [np.float16, np.float64, object])
+def test_batch_refuses_cells_that_are_not_integers(dtype):
+    # The cast to uint8 would truncate 0.5 to 0 and 1.7 to 1. Whole
+    # values are refused too: the dtype decides, not the values.
+    for values in ([[0.5, 1.7, 1.0]], [[0.0, 1.0, 1.0]]):
+        with pytest.raises(ValueError, match="integer colours"):
+            evolve_batch([rule_from_number(204)], np.array(values).astype(dtype), CYCLIC, 1)
+
+
+def test_batch_takes_bool_cells():
+    cells = np.array([[False, True, True]])
+    rows = evolve_batch([rule_from_number(204)], cells, CYCLIC, 1).rows[0]
+    assert rows.tolist() == [[0, 1, 1], [0, 1, 1]]
+
+
 def ref_run(system, config: Configuration, t: int) -> list:
     """The naive reference's space-time array of one Life or ECA run."""
     cells = config.cells.tolist()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caprog.engine import FIXED, Configuration
 from caprog.enumeration import (
@@ -44,8 +46,7 @@ def test_first_member_blank_and_all_distinct():
 def test_consecutive_hamming_distance_is_one():
     for n in (2, 3, 17, 64):
         fam = gray_initials(n, 11)
-        stacked = np.stack([m.cells for m in fam.members])
-        assert (np.abs(np.diff(stacked.astype(int), axis=0)).sum(axis=1) == 1).all()
+        assert (np.abs(np.diff(fam.cells.astype(int), axis=0)).sum(axis=1) == 1).all()
 
 
 def test_width_validation():
@@ -61,6 +62,22 @@ def test_random_families_are_seed_deterministic():
     assert patterns(a) == patterns(b)
     assert patterns(a) != patterns(random_initials(12, 40, seed=6))
     assert a.width == 40
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), width=st.integers(1, 300),
+       density=st.floats(0.01, 0.99))
+def test_random_family_is_n_sequential_row_draws(seed, n, width, density):
+    # One (n, width) draw from the stream equals n draws of one row each,
+    # so a seed names one family however its rows are drawn.
+    rng = np.random.default_rng(seed)
+    rows = [(rng.random(width) < density).astype(np.uint8) for _ in range(n)]
+    if len({row.tobytes() for row in rows}) < n:
+        with pytest.raises(ValueError, match="distinct"):
+            random_initials(n, width, seed=seed, density=density)
+        return
+    family = random_initials(n, width, seed=seed, density=density)
+    assert np.array_equal(family.cells, np.stack(rows))
 
 
 def test_random_density_band():
@@ -90,11 +107,18 @@ def test_family_shape_properties():
     assert (fam2.n, fam2.width, fam2.height) == (8, 24, 20)
     # patches are 2-D configurations on the torus
     assert all(isinstance(m, Configuration) and m.boundary == "cyclic" for m in fam2.members)
+    # The family holds its cells once: one read-only stack, of which each
+    # member's cells are a row.
+    for family in (fam, fam2, random_initials(5, 12, seed=2)):
+        assert family.cells.shape == (family.n, *family.members[0].cells.shape)
+        assert family.cells.dtype == np.uint8 and not family.cells.flags.writeable
+        assert all(np.shares_memory(m.cells, family.cells) for m in family.members)
+        assert [m.cells.tolist() for m in family.members] == family.cells.tolist()
 
 
 def test_patches_are_centred_and_minimal_change():
     fam = gray_patches(16, 32, 32)
-    stacked = np.stack([m.cells for m in fam.members]).astype(int)
+    stacked = fam.cells.astype(int)
     assert (np.abs(np.diff(stacked, axis=0)).sum(axis=(1, 2)) == 1).all()
     # 4 pattern bits fill a 2x2 patch at the centre of the grid
     outside = stacked.copy()
@@ -127,6 +151,8 @@ def test_custom_family_validation():
     assert InputFamily(members=(a, b), scheme=CUSTOM).boundary == "cyclic"
     with pytest.raises(ValueError, match="distinct"):
         InputFamily(members=(a, a), scheme=CUSTOM)
+    with pytest.raises(ValueError, match="needs members"):
+        InputFamily(members=(), scheme=CUSTOM)
     with pytest.raises(ValueError, match="shape"):
         InputFamily(members=(a, Configuration([0, 1])), scheme=CUSTOM)
     # A member whose cells do not fit a byte is refused for that, before

@@ -15,6 +15,6 @@ def test_readme_examples_run(capsys):
         namespace = {}  # each example stands alone
         exec(compile(block, f"README.md python example {index + 1}", "exec"), namespace)
         if "grids" in namespace:
-            shapes.append(namespace["grids"].shape)
-    # The Life example's comment states the shape of its run.
-    assert shapes == [(101, 32, 32)]
+            shapes.append((namespace["family"].cells.shape, namespace["grids"].shape))
+    # The Life example's comments state the shapes of its family and run.
+    assert shapes == [((512, 32, 32), (101, 32, 32))]
