@@ -198,18 +198,21 @@ class SweepReport:
         """Zero band calibrated from the inert elementary rules' own entries."""
         return _zero_band(self.entry(f"eca:{number}") for number in INERT_ECA)
 
+    @cached_property
+    def _by_rule(self) -> dict[str, tuple[CoefficientResult, int]]:
+        """Rule id -> its entry and its rank."""
+        ranks = {rule_id: rank for rank, rule_id in enumerate(self.ranking)}
+        return {e.params.rule_id: (e, ranks[e.params.rule_id]) for e in self.entries}
+
     def entry(self, rule_id: str) -> CoefficientResult:
-        for e in self.entries:
-            if e.params.rule_id == rule_id:
-                return e
-        raise KeyError(rule_id)
+        return self._by_rule[rule_id][0]
 
     def c_value(self, rule_id: str) -> float:
         return self.entry(rule_id).c_value
 
     def rank(self, rule_id: str) -> int:
         """0-based rank; rank 0 has the largest coefficient."""
-        return self.ranking.index(rule_id)
+        return self._by_rule[rule_id][1]
 
 
 def resolve_workers(workers: int | None) -> int:

@@ -18,7 +18,6 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
-from functools import partial
 
 import numpy as np
 
@@ -27,19 +26,22 @@ from .complexity import (
     compressed_size,
     pack_cells,
     packed_size,
+    payload_cells,
     payload_prefix,
     streamed_prefix_sizes,
 )
-# Bound under the name run_system because the benchmark's tracer
-# (perfbench/tracer.py) times the engine by wrapping that module attribute.
-from .engine import STEP_BYTES, System, check_batch, evolve_batch as run_system
+# The engine is bound under the name run_system, and pack_cells stays
+# importable here, because the benchmark's tracer (perfbench/tracer.py)
+# times those layers by wrapping these module attributes.
+from .engine import SLAB_ROWS, STEP_BYTES, System, check_batch, evolve_batch as run_system
 from .enumeration import InputFamily
 
-# Bytes a chunk of runs evolved as one tensor may hold: per run, its uint8
-# (t+1, *shape) space-time tensor, one step's temporaries and its packed
-# payload. A chunk holds as many runs as fit, and at least one: enough to
-# amortise numpy's per-call cost, few enough that memory stays bounded at
-# any sweep size. The family's cells, InputFamily.cells, come on top.
+# Bytes a chunk of runs evolved together may hold: per run, its packed
+# payload (1 bit per cell for k = 2, 1 byte for k > 2), one slab of
+# engine.SLAB_ROWS unpacked rows and one step's temporaries. A chunk holds
+# as many runs as fit, and at least one: enough to amortise numpy's
+# per-call cost, few enough that memory stays bounded at any sweep size.
+# The family's cells, InputFamily.cells, come on top.
 MEMORY_BUDGET = 2 * 1024 * 1024
 
 # Payloads of at least this many bytes have their prefix sizes taken from
@@ -178,24 +180,31 @@ def _complexity_matrix(
     from the n initial states stacked in ``cells``.
 
     The (member, system) runs are evolved in chunks that fit
-    MEMORY_BUDGET, one chunk at a time and each as one tensor, and each run
-    once to the largest runtime: shorter runtimes compress prefixes of
-    the same run. On each member, the sizes are computed once per
-    distinct payload at the largest runtime, which determines every
+    MEMORY_BUDGET, one chunk at a time and each into one packed array, and
+    each run once to the largest runtime: shorter runtimes compress
+    prefixes of the same run. On each member, the sizes are computed once
+    per distinct payload at the largest runtime, which determines every
     prefix; systems whose runs coincide share them. With ``workers`` > 1
     a thread pool compresses distinct runs side by side. None of this
     shows in the result: a from-scratch recomputation per member yields
     identical numbers.
     """
     t_top = times[-1]
-    start = 0 if include_input else 1
     k = systems[0].k
     size = cells[0].size
+    start = 0 if include_input else 1
     counts = tuple((t + 1 - start) * size for t in times)
     total = len(cells) * len(systems)
-    run_bytes = (t_top + 1 + STEP_BYTES) * size + packed_size(counts[-1], k)
+    run_bytes = packed_size((t_top + 1) * size, k) + (SLAB_ROWS + STEP_BYTES) * size
     per_chunk = max(1, MEMORY_BUDGET // run_bytes)
-    sizes_of = partial(_prefix_sizes, counts=counts, k=k)
+
+    def sizes_of(payload) -> tuple[int, ...]:
+        # The input row leaves a payload in the worker that compresses it,
+        # so at most one payload per worker exists twice.
+        if start:
+            payload = payload_cells(payload, start * size, counts[-1], k)
+        return _prefix_sizes(payload, counts, k)
+
     # (member index, payload digest) -> sizes, for a member whose runs
     # continue into the next chunk.
     carried: dict[tuple[int, bytes], tuple[int, ...]] = {}
@@ -203,22 +212,20 @@ def _complexity_matrix(
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         mapper = pool.map if pool else map
         for first in range(0, total, per_chunk):
-            # Run i is systems[i % S] from member i // S. The chunk's runs
-            # evolve as one tensor, which is freed once they are packed.
+            # Run i is systems[i % S] from member i // S. The chunk's
+            # payloads are views of one packed array, freed with them.
             stop = min(first + per_chunk, total)
             members = [i // len(systems) for i in range(first, stop)]
-            batch = run_system([systems[i % len(systems)] for i in range(first, stop)],
-                               cells[members], boundary, t_top)
-            payloads = [pack_cells(rows[start:].ravel(), k) for rows in batch.rows]
-            del batch
-            # A member whose runs span two chunks is keyed by the digest of
-            # each payload, so what the next chunk inherits holds none.
-            head = members[0] if first % len(systems) else None
+            payloads = [memoryview(row) for row in run_system(
+                [systems[i % len(systems)] for i in range(first, stop)], cells[members],
+                boundary, t_top).packed]
+            # Runs are keyed by member and payload digest, so what the
+            # next chunk inherits holds no payload. Runs are shared on one
+            # member only: their first rows are the member's cells, so
+            # runs of distinct members always differ.
+            keys = [(member, hashlib.sha256(payload).digest())
+                    for member, payload in zip(members, payloads)]
             tail = members[-1] if stop % len(systems) else None
-            keys = [(member, hashlib.sha256(payload).digest() if member in (head, tail)
-                     else payload) for member, payload in zip(members, payloads)]
-            # Runs are shared on one member only: with the input row in
-            # the payload, runs of distinct members always differ.
             memo = dict(carried)
             new = {key: payload for key, payload in zip(keys, payloads) if key not in memo}
             memo.update(zip(new, mapper(sizes_of, new.values())))

@@ -25,9 +25,22 @@ def pack_cells(flat: np.ndarray, k: int) -> bytes:
     k=2: 8 cells per byte, MSB first, final partial byte zero-padded.
     k>2: one byte per cell.
     """
+    return pack_rows(flat, k).tobytes()
+
+
+def pack_rows(cells: np.ndarray, k: int) -> np.ndarray:
+    """The bytes of :func:`pack_cells` of each row (last axis) of
+    ``cells``, as a uint8 array of shape (..., packed_size(row length, k))."""
     if k == 2:
-        return np.packbits(flat).tobytes()
-    return np.ascontiguousarray(flat, dtype=np.uint8).tobytes()
+        return np.packbits(cells, axis=-1)
+    return np.asarray(cells, dtype=np.uint8)
+
+
+def unpack_rows(packed: np.ndarray, count: int, k: int) -> np.ndarray:
+    """The rows of ``count`` cells that :func:`pack_rows` packed into ``packed``."""
+    if k == 2:
+        return np.unpackbits(packed, axis=-1, count=count)
+    return packed
 
 
 def packed_size(cell_count: int, k: int) -> int:
@@ -48,7 +61,26 @@ def payload_prefix(payload: bytes, cell_count: int, k: int) -> bytes:
         return payload[:size]
     # Zero the cells past cell_count in the final partial byte.
     last = payload[size] & (0xFF << (8 - tail)) & 0xFF
-    return payload[:size] + bytes((last,))
+    return b"".join((payload[:size], bytes((last,))))
+
+
+def payload_cells(payload: bytes, start: int, cell_count: int, k: int) -> bytes:
+    """The packed form of the ``cell_count`` cells of ``payload`` from cell
+    ``start`` on.
+
+    Equal to ``pack_cells(flat[start : start + cell_count], k)`` when
+    ``payload`` is ``pack_cells(flat, k)``, without unpacking: a byte
+    slice when ``start`` falls on a byte, a bit shift otherwise.
+    """
+    if k == 2 and start % 8:
+        whole, shift = divmod(start, 8)
+        end = whole + packed_size(shift + cell_count, 2)
+        # Cell `start`, bit `shift` (MSB first) of byte `whole`, becomes
+        # the first bit.
+        value = int.from_bytes(payload[whole:end], "big") << shift
+        payload = (value & ((1 << 8 * (end - whole)) - 1)).to_bytes(end - whole, "big")
+        start = 0
+    return payload_prefix(payload[packed_size(start, k):], cell_count, k)
 
 
 def compressed_size(payload: bytes) -> int:

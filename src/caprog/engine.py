@@ -11,10 +11,13 @@ function of its inputs, so results can be shared freely between workers.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from .complexity import pack_rows, packed_size, unpack_rows
 
 CYCLIC = "cyclic"
 FIXED = "fixed"
@@ -56,11 +59,27 @@ class RuleTable:
     @cached_property
     def outputs(self) -> np.ndarray:
         """Read-only lookup table: ``outputs[v]`` is digit ``v`` of ``number``."""
-        digits = np.empty(self.k ** (2 * self.r + 1), dtype=np.uint8)
-        v = self.number
-        for i in range(digits.size):
-            digits[i] = v % self.k
-            v //= self.k
+        # One big-int division per digit would take quadratic time. Words
+        # of c digits, k**c < 2**63, are split off by halving the number
+        # (divmod by a power of k), and numpy splits the words into digits.
+        k, c = self.k, 1
+        while k ** (c + 1) < 1 << 63:
+            c += 1
+        size = k ** (2 * self.r + 1)
+        words = np.zeros(-(-size // c), dtype=np.uint64)
+
+        def split(value: int, first: int, count: int) -> None:
+            # words[first : first + count] are the base-k**c digits of value.
+            if count == 1:
+                words[first] = value
+            elif value:
+                high, low = divmod(value, k ** (c * (count // 2)))
+                split(low, first, count // 2)
+                split(high, first + count // 2, count - count // 2)
+
+        split(self.number, 0, words.size)
+        powers = np.uint64(k) ** np.arange(c, dtype=np.uint64)
+        digits = (words[:, None] // powers % np.uint64(k)).astype(np.uint8).ravel()[:size]
         digits.setflags(write=False)
         return digits
 
@@ -134,11 +153,22 @@ class Configuration:
 
 @dataclass(frozen=True, eq=False)
 class EvolutionBatch:
-    """Runs evolved together as one read-only tensor: ``rows[b]`` is the
-    space-time array of batch entry b, shaped like what :func:`evolve`
-    returns."""
+    """Runs evolved together, held packed: ``packed[b]`` is the read-only
+    uint8 array of ``pack_cells(rows[b].ravel(), k)`` (see
+    :mod:`caprog.complexity`), and ``shape`` is one run's (t+1, *cells)."""
 
-    rows: np.ndarray
+    packed: np.ndarray
+    k: int
+    shape: tuple[int, ...]
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The read-only uint8 space-time arrays, unpacked on each access:
+        ``rows[b]`` is shaped like what :func:`evolve` returns."""
+        rows = unpack_rows(self.packed, math.prod(self.shape), self.k)
+        rows = rows.reshape(len(self.packed), *self.shape)
+        rows.setflags(write=False)
+        return rows
 
 
 def _wrap(cells: np.ndarray, r: int, axis: int) -> np.ndarray:
@@ -154,18 +184,50 @@ def _wrap(cells: np.ndarray, r: int, axis: int) -> np.ndarray:
 
 
 # Bytes per cell that one _step_cells call holds besides its input and
-# output: chiefly the int64 gather index (8), next to the cyclic halo's
-# three copies of the cells and a uint8 temporary or two. tracemalloc
-# counts 10 to 15 for either kind on batches of 40 Ki cells and more, and
-# 22 to 27 on batches of 10 Ki cells, where a fixed cost of about 90 KiB
-# per call still shows.
+# output: the cyclic halo's copies of the cells, the table index, and the
+# lookup's temporaries, which are the shifted masks (1 to 8 bytes) for a
+# bitmask and an int64 gather index (8) for a gather. tracemalloc counts 5
+# for ECA, 8 for binary r = 2, 9 for Life and 12 to 13 for k = 3 on
+# batches of 40 Ki cells and more, and 6 to 23 on batches of 10 Ki cells,
+# where a fixed cost per call still shows.
 STEP_BYTES = 24
 
+# Space-time rows that evolve_batch collects before packing them into the
+# runs' payloads: a multiple of 8, so that every slab but the last packs
+# to whole bytes at one bit per cell.
+SLAB_ROWS = 16
 
-def _step_cells(cells: np.ndarray, tables: np.ndarray, system: System, boundary: str) -> np.ndarray:
+
+def _lookup(systems, ndim: int):
+    """The map from a batch's table indices, shaped (B, *cells), to its
+    next cells, built once per batch. A binary system with at most 64
+    table entries holds its table as the bits of one integer, bit v being
+    ``outputs[v]``, and looks up by shift and mask; the others gather
+    from their stacked tables."""
+    tables = np.stack([system.outputs for system in systems])
+    shape = (-1, *(1,) * (ndim - 1))
+    entries = tables.shape[1]
+    if systems[0].k == 2 and entries <= 64:
+        bits = tables.astype(np.uint64) << np.arange(entries, dtype=np.uint64)
+        masks = bits.sum(axis=1, dtype=np.uint64).astype(np.min_scalar_type((1 << entries) - 1))
+        masks = masks.reshape(shape)
+
+        def bitmask(idx: np.ndarray) -> np.ndarray:
+            bits = masks >> idx
+            bits &= 1
+            return bits.astype(np.uint8, copy=False)
+
+        return bitmask
+    # Entry b reads row b of the tables, flattened.
+    flat = tables.ravel()
+    offsets = np.arange(0, tables.size, entries).reshape(shape)
+    return lambda idx: flat[idx + offsets]
+
+
+def _step_cells(cells: np.ndarray, lookup, system: System, boundary: str) -> np.ndarray:
     """One synchronous update of a batch of rows (B, W) or grids (B, H, W).
 
-    ``tables`` holds the lookup table of each batch entry's system, all of
+    ``lookup`` is the batch's :func:`_lookup`; every entry's system is of
     ``system``'s kind and size.
     """
     if isinstance(system, LifeRule):
@@ -183,12 +245,10 @@ def _step_cells(cells: np.ndarray, tables: np.ndarray, system: System, boundary:
             ext = np.pad(cells, [(0, 0)] * (cells.ndim - 1) + [(r, r)])
         # Base-k neighbourhood values, leftmost cell most significant, in
         # the narrowest integer type that holds every table index.
-        idx = ext[..., :w].astype(np.min_scalar_type(tables.shape[1] - 1))
+        idx = ext[..., :w].astype(np.min_scalar_type(system.outputs.size - 1))
         for d in range(1, 2 * r + 1):
             idx = idx * k + ext[..., d : d + w]
-    # Entry b reads row b of the tables, flattened.
-    offsets = np.arange(0, tables.size, tables.shape[1]).reshape(-1, *(1,) * (cells.ndim - 1))
-    return tables.ravel()[idx + offsets]
+    return lookup(idx)
 
 
 def check_batch(systems, cells, boundary: str) -> None:
@@ -220,35 +280,56 @@ def evolve_batch(systems, cells, boundary: str, t: int) -> EvolutionBatch:
     b at once.
 
     ``cells`` stacks one initial row or grid per system, all under
-    ``boundary`` (see :func:`check_batch`). Stepping stops once every run
-    of the batch repeats with period 1 or 2; the rest of the rows are
-    copies.
+    ``boundary`` (see :func:`check_batch`). The space-time rows go into
+    the runs' packed payloads SLAB_ROWS at a time, so no run is ever held
+    as a whole unpacked array. Stepping stops once every run of the batch repeats with
+    period 1 or 2; the rest of the rows cycle the last two states.
     """
     if t < 1:
         raise ValueError("an evolution must contain at least one transition (t >= 1)")
     if len(systems) != len(cells):
         raise ValueError("a batch pairs one system with each initial state")
     check_batch(systems, cells, boundary)
-    tables = np.stack([system.outputs for system in systems])
     current = np.ascontiguousarray(cells, dtype=np.uint8)
-    rows = np.empty((len(systems), t + 1, *current.shape[1:]), dtype=np.uint8)
-    rows[:, 0] = current
+    lookup = _lookup(systems, current.ndim)
+    runs, k, size = len(systems), systems[0].k, current[0].size
+    packed = np.empty((runs, packed_size((t + 1) * size, k)), dtype=np.uint8)
+    slab = np.empty((runs, SLAB_ROWS, *current.shape[1:]), dtype=np.uint8)
+
+    def pack(first: int, count: int) -> None:
+        # Rows first .. first + count - 1 are slab[:, :count]; first is a
+        # multiple of SLAB_ROWS, so they start on a byte.
+        start = packed_size(first * size, k)
+        rows = slab[:, :count].reshape(runs, -1)
+        packed[:, start : start + packed_size(count * size, k)] = pack_rows(rows, k)
+
+    slab[:, 0] = current
     before = current
     for s in range(1, t + 1):
-        older, before, current = before, current, _step_cells(current, tables, systems[0], boundary)
-        rows[:, s] = current
+        if s % SLAB_ROWS == 0:
+            pack(s - SLAB_ROWS, SLAB_ROWS)
+        older, before, current = before, current, _step_cells(current, lookup, systems[0],
+                                                              boundary)
+        slab[:, s % SLAB_ROWS] = current
         # A step is a pure function of the state: once every run is back
-        # at its state of two steps before (older), the remaining rows
-        # repeat the last two. At the first step older is the initial
-        # state, so the check finds a fixed point. The copies come from
-        # the step's own arrays: a source in rows would overlap its
-        # target, and numpy would buffer the whole target.
+        # at its state of two steps before (older), the rest of the run
+        # cycles the last two. At the first step older is the initial
+        # state, so the check finds a fixed point.
         if current.tobytes() == older.tobytes():
-            rows[:, s + 1 :: 2] = before[:, None]
-            rows[:, s + 2 :: 2] = current[:, None]
             break
-    rows.setflags(write=False)
-    return EvolutionBatch(rows=rows)
+    # Row s + d is current for even d and before for odd d (when the loop
+    # ran to s = t, no such row is packed). Slabs start on even rows, so
+    # every slab after the one holding row s holds the same two states.
+    i = s % SLAB_ROWS
+    slab[:, i + 1 :: 2] = before[:, None]
+    slab[:, i + 2 :: 2] = current[:, None]
+    pack(s - i, min(SLAB_ROWS, t + 1 - s + i))
+    slab[:, i % 2 : i : 2] = current[:, None]
+    slab[:, 1 - i % 2 : i : 2] = before[:, None]
+    for first in range(s - i + SLAB_ROWS, t + 1, SLAB_ROWS):
+        pack(first, min(SLAB_ROWS, t + 1 - first))
+    packed.setflags(write=False)
+    return EvolutionBatch(packed=packed, k=k, shape=(t + 1, *current.shape[1:]))
 
 
 def evolve(system: System, init: Configuration, t: int) -> np.ndarray:

@@ -217,6 +217,13 @@ class TestSweep:
         assert small_sweep.entry("eca:110").params.rule_id == "eca:110"
         with pytest.raises(KeyError):
             small_sweep.entry("eca:256")
+        with pytest.raises(KeyError):
+            small_sweep.rank("eca:256")
+        # The rule-id index agrees with a scan of the entries and the ranking.
+        for e in small_sweep.entries:
+            rid = e.params.rule_id
+            assert small_sweep.entry(rid) is e
+            assert small_sweep.rank(rid) == small_sweep.ranking.index(rid)
 
     def test_report_validation(self, small_sweep):
         with pytest.raises(ValueError, match="exactly once"):

@@ -27,13 +27,14 @@ from caprog.engine import (
     CYCLIC,
     FIXED,
     GAME_OF_LIFE,
+    SLAB_ROWS,
     STEP_BYTES,
     Configuration,
     evolve,
     evolve_batch,
     rule_from_number,
 )
-from caprog.enumeration import CUSTOM, InputFamily, gray_initials, gray_patches
+from caprog.enumeration import CUSTOM, InputFamily, gray_initials, gray_patches, random_initials
 from caprog.reportio import coefficient_from_obj, coefficient_json_obj
 
 from reference import ref_coefficient, ref_complexity, ref_evolve, ref_ols
@@ -43,18 +44,12 @@ def no_evolution(*args):
     raise AssertionError("a refused request must not evolve anything")
 
 
-def payload_bytes(family: InputFamily, t: int, k: int = 2, include_input: bool = True) -> int:
-    """Size of one run's packed payload at runtime ``t``."""
-    start = 0 if include_input else 1
-    cells = (t + 1 - start) * family.cells[0].size
-    return -(-cells // 8) if k == 2 else cells
-
-
-def run_bytes(family: InputFamily, t: int, k: int = 2, include_input: bool = True) -> int:
-    """What one run to runtime ``t`` counts against the memory budget:
-    its tensor, one step's temporaries and its payload."""
-    return ((t + 1 + STEP_BYTES) * family.cells[0].size
-            + payload_bytes(family, t, k, include_input))
+def run_bytes(family: InputFamily, t: int, k: int = 2) -> int:
+    """What one run to runtime ``t`` counts against the memory budget: its
+    packed payload of every row, one slab and one step's temporaries."""
+    size = family.cells[0].size
+    cells = (t + 1) * size
+    return (-(-cells // 8) if k == 2 else cells) + (SLAB_ROWS + STEP_BYTES) * size
 
 
 def curve_from(points) -> VariabilityCurve:
@@ -385,7 +380,7 @@ def test_batched_matrix_is_bit_exact(monkeypatch, case):
     monkeypatch.setattr(coefficient, "run_system", recording)
     # One run per chunk; a first chunk that ends inside member 1's
     # systems; the whole case in one chunk.
-    run = run_bytes(family, times[-1], systems[0].k, include_input)
+    run = run_bytes(family, times[-1], systems[0].k)
     split = len(systems) + 1
     full, rest = divmod(runs, split)
     chunkings = {1: [1] * runs, split * run: [split] * full + [rest] * (rest > 0), runs * run: [runs]}
@@ -471,20 +466,36 @@ def traced_matrix(systems, family, times):
 
 def test_one_chunk_tensor_is_alive_at_a_time():
     """The peak of the traced allocations stays within the budget: the
-    tensor of a chunk is freed before the next chunk evolves."""
-    systems, family = (*INERT_LIFE, GAME_OF_LIFE), gray_patches(20, 32, 32)
+    packed runs of a chunk are freed before the next chunk evolves."""
+    systems, family = (*INERT_LIFE, GAME_OF_LIFE), gray_patches(64, 32, 32)
     times = runtime_grid(family, 120)[2]
     per_chunk = coefficient.MEMORY_BUDGET // run_bytes(family, times[-1])
     assert len(systems) * family.n > 3 * per_chunk, "the case must take many chunks"
-    # The budget holds one chunk's tensor and payloads; the memo carries
-    # only digests to the next chunk; 64 KiB cover the small arrays and
-    # lists of the loop.
+    # The budget holds one chunk's packed runs, slab and step; the memo
+    # carries only digests to the next chunk; 64 KiB cover the small
+    # arrays and lists of the loop.
     bound = coefficient.MEMORY_BUDGET + 64 * 1024
     expected = coefficient._complexity_matrix(systems, family.cells, family.boundary, times,
                                               True, 1)
     matrix, peak = traced_matrix(systems, family, times)
     assert matrix.tolist() == expected.tolist()
     assert peak <= bound, f"peak {peak} B above {bound} B"
+
+
+def test_a_run_beyond_the_budget_is_held_packed():
+    """A run whose space-time array alone would be over the budget (2.3 MiB
+    here) costs its packed payload, a slab and a step: all three runs fit
+    in the budget at once, and each size is that of its run's prefix."""
+    rule, family = rule_from_number(110), random_initials(3, 4096, seed=0)
+    times = runtime_grid(family, 600)[2]
+    assert (times[-1] + 1) * 4096 > coefficient.MEMORY_BUDGET
+    matrix, peak = traced_matrix([rule], family, times)
+    bound = coefficient.MEMORY_BUDGET + 64 * 1024
+    assert peak <= bound, f"peak {peak} B above {bound} B"
+    for member, sizes in zip(family.members, matrix[0]):
+        rows = evolve(rule, member, times[-1])
+        assert sizes.tolist() == [compressed_size(pack_cells(rows[: t + 1].ravel(), 2))
+                                  for t in times]
 
 
 def test_payloads_count_against_the_budget(monkeypatch):

@@ -13,6 +13,7 @@ from caprog.complexity import (
     compressed_size,
     pack_cells,
     packed_size,
+    payload_cells,
     payload_prefix,
     streamed_prefix_sizes,
 )
@@ -85,6 +86,27 @@ class TestPacking:
         payload = pack_cells(flat, k)
         for count in range(size + 1):
             assert payload_prefix(payload, count, k) == pack_cells(flat[:count], k)
+
+    @given(
+        row=st.one_of(st.integers(1, 5).map(lambda m: 8 * m), st.integers(1, 40)),
+        rows=st.integers(1, 6),
+        k=st.sampled_from([2, 3]),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_cells_of_a_payload_pack_those_cells(self, row, rows, k, seed):
+        # Dropping the first row of a run is a byte slice when the row is
+        # whole bytes and a bit shift otherwise; any cells past the first
+        # row too. A payload may also be a view of a packed array.
+        rng = np.random.default_rng(seed)
+        flat = rng.integers(0, k, size=row * rows, dtype=np.uint8)
+        payload = pack_cells(flat, k)
+        for given in (payload, memoryview(np.frombuffer(payload, dtype=np.uint8))):
+            assert payload_cells(given, row, flat.size - row, k) == pack_cells(flat[row:], k)
+            for start in range(flat.size + 1):
+                count = (start * 7 + seed) % (flat.size - start + 1)
+                assert payload_cells(given, start, count, k) == pack_cells(
+                    flat[start : start + count], k)
 
     def test_bits_per_cell(self):
         # One bit per cell for k=2, one byte per cell for any k > 2.

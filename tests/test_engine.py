@@ -61,6 +61,21 @@ def test_rule_decoding_three_colours():
     assert rule.rule_id == "ca:k3:r1:123456789"
 
 
+@pytest.mark.parametrize("k, r", [(2, 1), (2, 3), (2, 6), (3, 1), (3, 3), (4, 2), (5, 2), (7, 1)])
+def test_rule_decoding_matches_digit_by_digit(k, r):
+    # The table is decoded many digits per division; the definition takes
+    # one digit per division.
+    size = k ** (2 * r + 1)
+    rng = np.random.default_rng(k * 10 + r)
+    draws = [int.from_bytes(rng.bytes(size), "big") % k ** part for part in (size, size // 2)]
+    for number in (0, 1, k ** size - 1, *draws):
+        value, digits = number, []
+        for _ in range(size):
+            digits.append(value % k)
+            value //= k
+        assert rule_from_number(number, k=k, r=r).outputs.tolist() == digits
+
+
 def test_rule_number_bounds():
     with pytest.raises(ValueError, match=r"\[0, 256\)"):
         rule_from_number(256)
@@ -424,6 +439,22 @@ def test_settled_batch_stops_stepping_and_stays_exact(step_calls, case):
         assert rows.tolist() == ref_run(system, init, t)
 
 
+def test_a_run_settles_at_every_row_of_a_slab(step_calls):
+    # Rule 128 keeps only the middle cells of 111, so a block of L ones
+    # dies after ceil(L / 2) steps and the run settles two steps later:
+    # as L grows, at every row of a slab.
+    t = 3 * engine.SLAB_ROWS
+    ends = set()
+    for length in range(1, 2 * engine.SLAB_ROWS + 4):
+        step_calls.clear()
+        cells = [1] * length + [0] * 3
+        rows = evolve(rule_from_number(128), Configuration(cells), t)
+        assert rows.tolist() == ref_evolve(128, cells, t)
+        assert len(step_calls) == -(-length // 2) + 2
+        ends.add(len(step_calls) % engine.SLAB_ROWS)
+    assert ends == set(range(engine.SLAB_ROWS))
+
+
 # Rules whose runs settle, after a transient or at once, next to rules
 # whose runs mostly never do.
 SETTLING_ECA = (*INERT_ECA, 4, 8, 128, 136, 160, 232)
@@ -526,3 +557,32 @@ def test_a_run_continues_from_its_last_state(data, kind, settles, t):
         assert first[:, 3].tolist() == first[:, 1].tolist()
     rest = evolve_batch(systems, first[:, -1], boundary, t - t1).rows
     assert np.concatenate([first, rest[:, 1:]], axis=1).tolist() == whole.tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(["r1", "r2", "k3", "life"]), t=st.integers(1, 40),
+       boundary=st.sampled_from([CYCLIC, FIXED]))
+def test_table_lookup_matches_reference(data, kind, t, boundary):
+    """Binary rules and Life look their tables up by bitmask, k = 3 by
+    gather; either way the runs equal the naive reference, across slabs."""
+    count = data.draw(st.integers(1, 4))
+    if kind == "life":
+        counts = st.frozensets(st.integers(0, 8))
+        systems = [LifeRule(born=data.draw(counts), survives=data.draw(counts))
+                   for _ in range(count)]
+        shape, boundary = (data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))), CYCLIC
+    else:
+        k, r = (3, 1) if kind == "k3" else (2, int(kind[1]))
+        numbers = st.integers(0, k ** k ** (2 * r + 1) - 1)
+        systems = [rule_from_number(data.draw(numbers), k=k, r=r) for _ in range(count)]
+        shape = (data.draw(st.integers(1, 16)),)
+    size = count * int(np.prod(shape))
+    digits = data.draw(st.lists(st.integers(0, systems[0].k - 1), min_size=size, max_size=size))
+    cells = np.array(digits, dtype=np.uint8).reshape(count, *shape)
+    for system, init, rows in zip(systems, cells, evolve_batch(systems, cells, boundary, t).rows):
+        if kind == "life":
+            ref = ref_life_evolve(init.tolist(), t, born=system.born, survives=system.survives)
+        else:
+            ref = ref_ca_evolve(system.number, system.k, system.r, init.tolist(), t,
+                                boundary=boundary)
+        assert rows.tolist() == ref
