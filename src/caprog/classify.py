@@ -57,10 +57,10 @@ def calibrate_epsilon(
 ) -> float:
     """Zero band: twice the worst |coefficient| among inert systems."""
     measured = measure_all(tuple(systems), family, t_max, t_min, stride, include_input)
-    return _zero_band(res for res, _ in measured)
+    return zero_band(res for res, _ in measured)
 
 
-def _zero_band(inert) -> float:
+def zero_band(inert) -> float:
     """Twice the worst |coefficient| among the ``inert`` results, floored."""
     worst = max((abs(res.c_value) for res in inert), default=0.0)
     return max(2.0 * worst, EPSILON_FLOOR)
@@ -196,7 +196,7 @@ class SweepReport:
     @cached_property
     def epsilon(self) -> float:
         """Zero band calibrated from the inert elementary rules' own entries."""
-        return _zero_band(self.entry(f"eca:{number}") for number in INERT_ECA)
+        return zero_band(self.entry(f"eca:{number}") for number in INERT_ECA)
 
     @cached_property
     def _by_rule(self) -> dict[str, tuple[CoefficientResult, int]]:

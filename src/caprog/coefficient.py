@@ -182,12 +182,15 @@ def _complexity_matrix(
     The (member, system) runs are evolved in chunks that fit
     MEMORY_BUDGET, one chunk at a time and each into one packed array, and
     each run once to the largest runtime: shorter runtimes compress
-    prefixes of the same run. On each member, the sizes are computed once
-    per distinct payload at the largest runtime, which determines every
-    prefix; systems whose runs coincide share them. With ``workers`` > 1
-    a thread pool compresses distinct runs side by side. None of this
-    shows in the result: a from-scratch recomputation per member yields
-    identical numbers.
+    prefixes of the same run. In a chunk, a run that settles into period
+    1 or 2 stops stepping at the next slab boundary while the others step
+    on (see :func:`caprog.engine.evolve_batch`), so inert systems measured
+    beside moving ones cost little. On each member, the sizes are computed
+    once per distinct payload at the largest runtime, which determines
+    every prefix; systems whose runs coincide share them. With
+    ``workers`` > 1 a thread pool compresses distinct runs side by side.
+    None of this shows in the result: a from-scratch recomputation per
+    member yields identical numbers.
     """
     t_top = times[-1]
     k = systems[0].k

@@ -94,19 +94,20 @@ def streamed_prefix_sizes(payload: bytes, counts: tuple[int, ...], k: int) -> tu
 
     The whole bytes of each prefix go through one stream, with the level
     and zlib defaults of :func:`compressed_size`, which emits the same
-    bytes however its input is split; at each prefix a copy of the stream
-    takes the final partial byte and finishes. Each copy moves the
-    stream's whole state (about 256 KiB at this level), so this only beats
-    one-shot compression of every prefix on payloads of a few KiB and up.
+    bytes however its input is split. At each prefix but the last, a copy
+    of the stream takes the final partial byte and finishes; the stream
+    itself finishes the last. Each copy moves the stream's whole state
+    (about 256 KiB at this level), so this only beats one-shot compression
+    of every prefix on payloads of a few KiB and up.
     """
     stream = zlib.compressobj(_LEVEL)
     emitted = fed = 0
     sizes = []
-    for count in counts:
+    for i, count in enumerate(counts):
         whole, loose = divmod(count, 8) if k == 2 else (count, 0)
         emitted += len(stream.compress(payload[fed:whole]))
         fed = whole
-        finish = stream.copy()
+        finish = stream.copy() if i + 1 < len(counts) else stream
         tail = payload_prefix(payload[whole : whole + 1], loose, k)
         sizes.append((emitted + len(finish.compress(tail)) + len(finish.flush())) * 8)
     return tuple(sizes)

@@ -59,13 +59,21 @@ class RuleTable:
     @cached_property
     def outputs(self) -> np.ndarray:
         """Read-only lookup table: ``outputs[v]`` is digit ``v`` of ``number``."""
+        k, size = self.k, self.k ** (2 * self.r + 1)
+        if k & (k - 1) == 0:
+            # For k = 2**b, digit v is bits b*v .. b*v + b - 1 of the number.
+            b = k.bit_length() - 1
+            data = np.frombuffer(self.number.to_bytes(-(-size * b // 8), "little"), np.uint8)
+            bits = np.unpackbits(data, bitorder="little")[: size * b].reshape(size, b)
+            digits = np.packbits(bits, axis=1, bitorder="little").ravel()
+            digits.setflags(write=False)
+            return digits
         # One big-int division per digit would take quadratic time. Words
         # of c digits, k**c < 2**63, are split off by halving the number
         # (divmod by a power of k), and numpy splits the words into digits.
-        k, c = self.k, 1
+        c = 1
         while k ** (c + 1) < 1 << 63:
             c += 1
-        size = k ** (2 * self.r + 1)
         words = np.zeros(-(-size // c), dtype=np.uint64)
 
         def split(value: int, first: int, count: int) -> None:
@@ -198,16 +206,16 @@ STEP_BYTES = 24
 SLAB_ROWS = 16
 
 
-def _lookup(systems, ndim: int):
+def _lookup(tables: np.ndarray, k: int, ndim: int):
     """The map from a batch's table indices, shaped (B, *cells), to its
-    next cells, built once per batch. A binary system with at most 64
-    table entries holds its table as the bits of one integer, bit v being
-    ``outputs[v]``, and looks up by shift and mask; the others gather
-    from their stacked tables."""
-    tables = np.stack([system.outputs for system in systems])
+    next cells, built from the systems' stacked ``outputs`` tables once
+    per batch, and again whenever runs leave it. A binary system with at
+    most 64 table entries holds its table as the bits of one integer, bit
+    v being ``outputs[v]``, and looks up by shift and mask; the others
+    gather from their tables."""
     shape = (-1, *(1,) * (ndim - 1))
     entries = tables.shape[1]
-    if systems[0].k == 2 and entries <= 64:
+    if k == 2 and entries <= 64:
         bits = tables.astype(np.uint64) << np.arange(entries, dtype=np.uint64)
         masks = bits.sum(axis=1, dtype=np.uint64).astype(np.min_scalar_type((1 << entries) - 1))
         masks = masks.reshape(shape)
@@ -282,8 +290,11 @@ def evolve_batch(systems, cells, boundary: str, t: int) -> EvolutionBatch:
     ``cells`` stacks one initial row or grid per system, all under
     ``boundary`` (see :func:`check_batch`). The space-time rows go into
     the runs' packed payloads SLAB_ROWS at a time, so no run is ever held
-    as a whole unpacked array. Stepping stops once every run of the batch repeats with
-    period 1 or 2; the rest of the rows cycle the last two states.
+    as a whole unpacked array. A run that repeats with period 1 or 2 stops
+    stepping at the next slab boundary (it is retired): its remaining
+    slabs are one packed slab of its last two states, copied. Stepping
+    stops as soon as every run still stepping repeats, and the rest of
+    their rows cycle the same way.
     """
     if t < 1:
         raise ValueError("an evolution must contain at least one transition (t >= 1)")
@@ -291,26 +302,53 @@ def evolve_batch(systems, cells, boundary: str, t: int) -> EvolutionBatch:
         raise ValueError("a batch pairs one system with each initial state")
     check_batch(systems, cells, boundary)
     current = np.ascontiguousarray(cells, dtype=np.uint8)
-    lookup = _lookup(systems, current.ndim)
     runs, k, size = len(systems), systems[0].k, current[0].size
+    tables = np.stack([system.outputs for system in systems])
+    lookup = _lookup(tables, k, current.ndim)
     packed = np.empty((runs, packed_size((t + 1) * size, k)), dtype=np.uint8)
+    slab_bytes = packed_size(SLAB_ROWS * size, k)
+    # slab[j] holds the rows of run live[j], whose state is current[j].
     slab = np.empty((runs, SLAB_ROWS, *current.shape[1:]), dtype=np.uint8)
+    live = np.arange(runs)
 
-    def pack(first: int, count: int) -> None:
-        # Rows first .. first + count - 1 are slab[:, :count]; first is a
-        # multiple of SLAB_ROWS, so they start on a byte.
+    def pack(ids: np.ndarray, first: int, count: int) -> None:
+        # Rows first .. first + count - 1 of runs ids are slab[:len(ids), :count];
+        # first is a multiple of SLAB_ROWS, so they start on a byte.
         start = packed_size(first * size, k)
-        rows = slab[:, :count].reshape(runs, -1)
-        packed[:, start : start + packed_size(count * size, k)] = pack_rows(rows, k)
+        rows = slab[: len(ids), :count].reshape(len(ids), -1)
+        packed[ids, start : start + packed_size(count * size, k)] = pack_rows(rows, k)
+
+    def repeat(ids: np.ndarray, first: int) -> None:
+        # slab[:len(ids)] is every slab of runs ids from row first on (a
+        # multiple of SLAB_ROWS): it is packed once, and each whole slab
+        # is written through a (runs, slabs, slab_bytes) view of packed.
+        whole = max(0, (t + 1 - first) // SLAB_ROWS)
+        if whole:
+            start = packed_size(first * size, k)
+            slabs = packed[:, start : start + whole * slab_bytes].reshape(runs, whole, slab_bytes)
+            slabs[ids] = pack_rows(slab[: len(ids)].reshape(len(ids), 1, -1), k)
+        if first + whole * SLAB_ROWS <= t:
+            pack(ids, first + whole * SLAB_ROWS, t + 1 - first - whole * SLAB_ROWS)
 
     slab[:, 0] = current
     before = current
     for s in range(1, t + 1):
         if s % SLAB_ROWS == 0:
-            pack(s - SLAB_ROWS, SLAB_ROWS)
+            pack(live, s - SLAB_ROWS, SLAB_ROWS)
+            # A run back at its state of two steps before (older) repeats
+            # from here: row s is before, row s + 1 current, and so on.
+            # Not every run is, or the last step would have stopped.
+            settled = (current == older).reshape(len(live), -1).all(axis=1)
+            if settled.any():
+                count = np.count_nonzero(settled)
+                slab[:count, 0::2] = before[settled][:, None]
+                slab[:count, 1::2] = current[settled][:, None]
+                repeat(live[settled], s)
+                live, before, current = live[~settled], before[~settled], current[~settled]
+                lookup = _lookup(tables[live], k, current.ndim)
         older, before, current = before, current, _step_cells(current, lookup, systems[0],
                                                               boundary)
-        slab[:, s % SLAB_ROWS] = current
+        slab[: len(live), s % SLAB_ROWS] = current
         # A step is a pure function of the state: once every run is back
         # at its state of two steps before (older), the rest of the run
         # cycles the last two. At the first step older is the initial
@@ -320,14 +358,13 @@ def evolve_batch(systems, cells, boundary: str, t: int) -> EvolutionBatch:
     # Row s + d is current for even d and before for odd d (when the loop
     # ran to s = t, no such row is packed). Slabs start on even rows, so
     # every slab after the one holding row s holds the same two states.
-    i = s % SLAB_ROWS
-    slab[:, i + 1 :: 2] = before[:, None]
-    slab[:, i + 2 :: 2] = current[:, None]
-    pack(s - i, min(SLAB_ROWS, t + 1 - s + i))
-    slab[:, i % 2 : i : 2] = current[:, None]
-    slab[:, 1 - i % 2 : i : 2] = before[:, None]
-    for first in range(s - i + SLAB_ROWS, t + 1, SLAB_ROWS):
-        pack(first, min(SLAB_ROWS, t + 1 - first))
+    i, rows = s % SLAB_ROWS, slab[: len(live)]
+    rows[:, i + 1 :: 2] = before[:, None]
+    rows[:, i + 2 :: 2] = current[:, None]
+    pack(live, s - i, min(SLAB_ROWS, t + 1 - s + i))
+    rows[:, i % 2 : i : 2] = current[:, None]
+    rows[:, 1 - i % 2 : i : 2] = before[:, None]
+    repeat(live, s - i + SLAB_ROWS)
     packed.setflags(write=False)
     return EvolutionBatch(packed=packed, k=k, shape=(t + 1, *current.shape[1:]))
 

@@ -11,16 +11,18 @@ import numpy as np
 import pytest
 
 import caprog
-from caprog.classify import calibrate_epsilon
+from caprog import coefficient
+from caprog.classify import INERT_ECA, INERT_LIFE, calibrate_epsilon, computes, is_zero_computer
 from caprog.cli import DEFAULT_T, LIFE_T, build_parser, main
 from caprog.coefficient import measure
-from caprog.complexity import COMPRESSOR_ID
-from caprog.engine import rule_from_number
-from caprog.enumeration import gray_initials
+from caprog.complexity import COMPRESSOR_ID, pack_cells
+from caprog.engine import FIXED, GAME_OF_LIFE, evolve, rule_from_number
+from caprog.enumeration import gray_initials, gray_patches
 from caprog.reportio import (
     MANIFEST_NAME,
     SCHEMA_MANIFEST,
     coefficient_json_obj,
+    curve_csv_bytes,
     json_bytes,
     load_manifest,
     verify_outputs,
@@ -30,6 +32,11 @@ from reference import ref_read_pbm, ref_unpack
 
 # Small measurement grid reused across tests to keep runs quick.
 SMALL = ["--gray-inputs", "6", "--width", "15", "--t", "24"]
+# A small Life family: 2x2 seeds, each of which dies, stands still or
+# becomes a block.
+LIFE_SMALL = ["--model", "life", "--gray-inputs", "12", "--height", "6", "--width", "7",
+              "--t", "20"]
+INERT_RULES = tuple(rule_from_number(number) for number in INERT_ECA)
 # The smallest `coeff` run a manifest is kept of.
 TINY = ["--rule", "110", "--gray-inputs", "4", "--width", "9", "--t", "8", "--no-calibrate"]
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -288,6 +295,53 @@ class TestCoeff:
         out = tmp_path / "nb"
         main(["coeff", "--rule", "110", *SMALL, "--no-calibrate", "--out", str(out)])
         assert "zero_band" not in read_json(out / "coefficient.json")
+
+    @pytest.mark.parametrize("flags, system, family, inert", [
+        (["--rule", "110", *SMALL], rule_from_number(110), gray_initials(6, 15), INERT_RULES),
+        (["--rule", "54", *SMALL, "--boundary", "fixed"], rule_from_number(54),
+         gray_initials(6, 15, FIXED), INERT_RULES),
+        (["--rule", "30", *SMALL, "--skip-input-row"], rule_from_number(30),
+         gray_initials(6, 15), INERT_RULES),
+        (["--rule", "204", *SMALL, "--boundary", "fixed", "--skip-input-row"],
+         rule_from_number(204), gray_initials(6, 15, FIXED), INERT_RULES),
+        (LIFE_SMALL, GAME_OF_LIFE, gray_patches(12, 6, 7), INERT_LIFE),
+        (["--rule", "110", *SMALL, "--no-calibrate"], rule_from_number(110),
+         gray_initials(6, 15), ()),
+        ([*LIFE_SMALL, "--no-calibrate"], GAME_OF_LIFE, gray_patches(12, 6, 7), ()),
+    ])
+    def test_one_pass_writes_what_two_passes_wrote(self, tmp_path, flags, system, family,
+                                                    inert):
+        # coeff measures the rule and the inert rules in one pass; its files
+        # are those of measuring the rule, then calibrating the band apart.
+        assert main(["coeff", *flags, "--out", str(tmp_path)]) == 0
+        t, include_input = int(flags[flags.index("--t") + 1]), "--skip-input-row" not in flags
+        res, curve = measure(system, family, t, include_input=include_input)
+        obj = coefficient_json_obj(res, curve)
+        if inert:
+            epsilon = calibrate_epsilon(inert, family, t, include_input=include_input)
+            obj["zero_band"] = {"epsilon": epsilon, "is_zero_computer": is_zero_computer(
+                res, epsilon), "computes": computes(res, epsilon)}
+        assert (tmp_path / "coefficient.json").read_bytes() == json_bytes(obj)
+        assert (tmp_path / "curve.csv").read_bytes() == curve_csv_bytes(curve)
+
+    def test_one_pass_compresses_each_distinct_run_once(self, tmp_path, monkeypatch):
+        # Life runs that die or stand still are the inert rules' runs on the
+        # same member; the pass compresses every distinct run once.
+        compressed = []
+        prefix_sizes = coefficient._prefix_sizes
+
+        def recording(payload, *args):
+            compressed.append(bytes(payload))
+            return prefix_sizes(payload, *args)
+
+        monkeypatch.setattr(coefficient, "_prefix_sizes", recording)
+        assert main(["coeff", *LIFE_SMALL, "--out", str(tmp_path)]) == 0
+        family = gray_patches(12, 6, 7)
+        # The first row is the member, so runs of two members never coincide.
+        runs = {pack_cells(evolve(system, member, 20).ravel(), 2)
+                for member in family.members for system in (GAME_OF_LIFE, *INERT_LIFE)}
+        assert sorted(compressed) == sorted(runs)
+        assert len(runs) < 3 * family.n
 
     def test_two_dimensional_model(self, tmp_path):
         out = tmp_path / "life"

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from caprog import engine
 from caprog.classify import INERT_ECA, INERT_LIFE
+from caprog.complexity import packed_size
 from caprog.engine import (
     CYCLIC,
     FIXED,
@@ -73,6 +75,27 @@ def test_rule_decoding_matches_digit_by_digit(k, r):
         for _ in range(size):
             digits.append(value % k)
             value //= k
+        assert rule_from_number(number, k=k, r=r).outputs.tolist() == digits
+
+
+@pytest.mark.parametrize("k, r", [(2, 1), (2, 6), (4, 1), (4, 2), (8, 1), (16, 1), (32, 1)])
+def test_power_of_two_tables_read_bit_fields(k, r):
+    # For k = 2**b the table is read from the number's bytes, b bits a
+    # digit: 3- and 5-bit digits straddle bytes, and the numbers' bit
+    # lengths end anywhere in a byte.
+    size = k ** (2 * r + 1)
+    bits = size * (k.bit_length() - 1)
+    assert rule_from_number(k ** size - 1, k=k, r=r).outputs.tolist() == [k - 1] * size
+    rng = np.random.default_rng(k * 10 + r)
+    for length in sorted({min(bits, n) for n in (1, 5, 7, 13, 4099, bits - 3, bits)
+                          if n <= 20000}):
+        number = int.from_bytes(rng.bytes(-(-length // 8)), "big") >> (-length % 8)
+        number |= 1 << (length - 1)
+        value, digits = number, []
+        while value:
+            digits.append(value % k)
+            value //= k
+        digits += [0] * (size - len(digits))
         assert rule_from_number(number, k=k, r=r).outputs.tolist() == digits
 
 
@@ -363,12 +386,13 @@ def ref_run(system, config: Configuration, t: int) -> list:
 
 @pytest.fixture
 def step_calls(monkeypatch) -> list:
-    """One entry per engine step made while the test runs."""
+    """One entry per engine step made while the test runs: the number of
+    runs that step stepped."""
     calls = []
     step_cells = engine._step_cells
 
     def counting(*args):
-        calls.append(1)
+        calls.append(len(args[0]))
         return step_cells(*args)
 
     monkeypatch.setattr(engine, "_step_cells", counting)
@@ -455,13 +479,48 @@ def test_a_run_settles_at_every_row_of_a_slab(step_calls):
     assert ends == set(range(engine.SLAB_ROWS))
 
 
+def test_a_settled_run_stops_stepping_at_the_next_slab_boundary(step_calls):
+    # 0 and 204 repeat from step 3 on, 110 never does on this row: the two
+    # are retired once the first slab is packed, so they step through it
+    # (steps 1 to SLAB_ROWS - 1) and 110 steps all the way.
+    systems, inits, t = eca(110, 0, 204), random_rows(3, 31, 4), 64
+    batch = evolve_batch(systems, *stacked(inits), t)
+    assert step_calls == [3] * (engine.SLAB_ROWS - 1) + [1] * (t - engine.SLAB_ROWS + 1)
+    for system, init, rows in zip(systems, inits, batch.rows):
+        assert rows.tolist() == ref_run(system, init, t)
+
+
+def test_retired_runs_are_written_without_a_second_slab(step_calls):
+    # Three of four runs are retired after the first slab. Their remaining
+    # 61 slabs each are packed from one slab and copied into the packed
+    # array: no second slab (64 KiB here) and no tiled copy of the slabs
+    # (366 KiB) is allocated on the way.
+    runs, width, t = 4, 1024, 1000
+    systems = eca(110, 0, 204, 51)
+    cells = np.random.default_rng(0).integers(0, 2, size=(runs, width), dtype=np.uint8)
+    evolve_batch(systems, cells, CYCLIC, 2)
+    tracemalloc.start()
+    try:
+        batch = evolve_batch(systems, cells, CYCLIC, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert step_calls[-1] == 1
+    packed = runs * packed_size((t + 1) * width, 2)
+    # The states, the settle check and one step's temporaries take about
+    # 11 bytes per cell of a batch state.
+    assert peak < packed + runs * engine.SLAB_ROWS * width + 16 * runs * width
+    for system, init, rows in zip(systems, cells, batch.rows):
+        assert rows.tolist() == ref_run(system, Configuration(init), t)
+
+
 # Rules whose runs settle, after a transient or at once, next to rules
 # whose runs mostly never do.
 SETTLING_ECA = (*INERT_ECA, 4, 8, 128, 136, 160, 232)
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), life=st.booleans(), t=st.integers(1, 24),
+@given(data=st.data(), life=st.booleans(), t=st.integers(1, 3 * engine.SLAB_ROWS + 5),
        boundary=st.sampled_from([CYCLIC, FIXED]))
 def test_batch_matches_reference_whether_or_not_it_settles(data, life, t, boundary):
     if life:
