@@ -39,15 +39,15 @@ from .classify import (
     sweep_eca,
     zero_band,
 )
-from .coefficient import measure, measure_all, runtime_grid
-from .complexity import COMPRESSOR_ID, pack_cells
+from .coefficient import measure, measure_all, run_chunks, runtime_grid
+from .complexity import COMPRESSOR_ID, unpack_rows
 from .engine import (
     CYCLIC,
     FIXED,
     GAME_OF_LIFE,
     Configuration,
     default_width,
-    evolve,
+    evolve_batch,
     rule_from_number,
 )
 from .enumeration import CUSTOM, InputFamily, gray_initials, gray_patches, random_initials
@@ -189,12 +189,14 @@ def cmd_evolve(args, argv) -> int:
         parser.error("choose --input BITS, --gray-inputs N, or --random-inputs N")
     family = _family(args, parser, lambda core: default_width(core, system.r, t))
     files = {}
-    for j, member in enumerate(family.members):
-        rows = evolve(system, member, t)
-        # A 2-D run renders as its grids stacked top to bottom.
-        files[f"evolution_{j:03d}.pbm"] = reportio.pbm_bytes(rows.reshape(-1, rows.shape[-1]))
-        if args.raw:
-            files[f"evolution_{j:03d}.bin"] = pack_cells(rows.ravel(), system.k)
+    for chunk in run_chunks(family.n, t, family.cells[0].size, system.k):
+        batch = evolve_batch([system] * len(chunk), family.cells[chunk], family.boundary, t)
+        for j, payload in zip(chunk, batch.packed):
+            rows = unpack_rows(payload, math.prod(batch.shape), system.k)
+            # A 2-D run renders as its grids stacked top to bottom.
+            files[f"evolution_{j:03d}.pbm"] = reportio.pbm_bytes(rows.reshape(-1, batch.shape[-1]))
+            if args.raw:
+                files[f"evolution_{j:03d}.bin"] = payload.tobytes()
     described = {"scheme": family.scheme, "n": family.n, "width": family.width,
                  "height": family.height, "seed": family.seed, "density": family.density}
     params = {"system": system.rule_id, "t": t, "raw": bool(args.raw),

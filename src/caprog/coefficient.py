@@ -173,6 +173,13 @@ def _prefix_sizes(payload: bytes, counts: tuple[int, ...], k: int) -> tuple[int,
     return tuple(compressed_size(payload_prefix(payload, count, k)) for count in counts)
 
 
+def run_chunks(runs: int, t: int, size: int, k: int) -> list[range]:
+    """Runs 0 .. runs - 1 (t steps on size cells in k colours) in chunks within MEMORY_BUDGET."""
+    run_bytes = packed_size((t + 1) * size, k) + (SLAB_ROWS + STEP_BYTES) * size
+    step = max(1, MEMORY_BUDGET // run_bytes)
+    return [range(first, min(first + step, runs)) for first in range(0, runs, step)]
+
+
 def _complexity_matrix(
     systems, cells, boundary: str, times: tuple[int, ...], include_input: bool, workers: int
 ) -> np.ndarray:
@@ -183,8 +190,8 @@ def _complexity_matrix(
     MEMORY_BUDGET, one chunk at a time and each into one packed array, and
     each run once to the largest runtime: shorter runtimes compress
     prefixes of the same run. In a chunk, a run that settles into period
-    1 or 2 stops stepping at the next slab boundary while the others step
-    on (see :func:`caprog.engine.evolve_batch`), so inert systems measured
+    1 or 2 stops stepping at that step while the others step on (see
+    :func:`caprog.engine.evolve_batch`), so inert systems measured
     beside moving ones cost little. On each member, the sizes are computed
     once per distinct payload at the largest runtime, which determines
     every prefix; systems whose runs coincide share them. With
@@ -198,8 +205,6 @@ def _complexity_matrix(
     start = 0 if include_input else 1
     counts = tuple((t + 1 - start) * size for t in times)
     total = len(cells) * len(systems)
-    run_bytes = packed_size((t_top + 1) * size, k) + (SLAB_ROWS + STEP_BYTES) * size
-    per_chunk = max(1, MEMORY_BUDGET // run_bytes)
 
     def sizes_of(payload) -> tuple[int, ...]:
         # The input row leaves a payload in the worker that compresses it,
@@ -214,25 +219,24 @@ def _complexity_matrix(
     out = np.empty((total, len(times)), dtype=np.int64)
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         mapper = pool.map if pool else map
-        for first in range(0, total, per_chunk):
+        for chunk in run_chunks(total, t_top, size, k):
             # Run i is systems[i % S] from member i // S. The chunk's
             # payloads are views of one packed array, freed with them.
-            stop = min(first + per_chunk, total)
-            members = [i // len(systems) for i in range(first, stop)]
+            members = [i // len(systems) for i in chunk]
             payloads = [memoryview(row) for row in run_system(
-                [systems[i % len(systems)] for i in range(first, stop)], cells[members],
-                boundary, t_top).packed]
+                [systems[i % len(systems)] for i in chunk], cells[members], boundary,
+                t_top).packed]
             # Runs are keyed by member and payload digest, so what the
             # next chunk inherits holds no payload. Runs are shared on one
             # member only: their first rows are the member's cells, so
             # runs of distinct members always differ.
             keys = [(member, hashlib.sha256(payload).digest())
                     for member, payload in zip(members, payloads)]
-            tail = members[-1] if stop % len(systems) else None
+            tail = members[-1] if chunk.stop % len(systems) else None
             memo = dict(carried)
             new = {key: payload for key, payload in zip(keys, payloads) if key not in memo}
             memo.update(zip(new, mapper(sizes_of, new.values())))
-            out[first:stop] = [memo[key] for key in keys]
+            out[chunk.start : chunk.stop] = [memo[key] for key in keys]
             carried = {key: sizes for key, sizes in memo.items() if key[0] == tail}
             # The next chunk evolves with no payload of this one alive.
             del payloads, keys, memo, new

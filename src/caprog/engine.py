@@ -290,81 +290,75 @@ def evolve_batch(systems, cells, boundary: str, t: int) -> EvolutionBatch:
     ``cells`` stacks one initial row or grid per system, all under
     ``boundary`` (see :func:`check_batch`). The space-time rows go into
     the runs' packed payloads SLAB_ROWS at a time, so no run is ever held
-    as a whole unpacked array. A run that repeats with period 1 or 2 stops
-    stepping at the next slab boundary (it is retired): its remaining
-    slabs are one packed slab of its last two states, copied. Stepping
-    stops as soon as every run still stepping repeats, and the rest of
-    their rows cycle the same way.
+    as a whole unpacked array. A step is a pure function of the state, so
+    a run back at its state of two steps before (at step 1, its initial
+    state) cycles its last two states: it retires at that step, as every
+    run still stepping does at step t, and its remaining rows are written
+    from one packed slab of the cycle.
     """
     if t < 1:
         raise ValueError("an evolution must contain at least one transition (t >= 1)")
     if len(systems) != len(cells):
         raise ValueError("a batch pairs one system with each initial state")
     check_batch(systems, cells, boundary)
-    current = np.ascontiguousarray(cells, dtype=np.uint8)
+    current = np.array(cells, dtype=np.uint8, order="C")  # a copy: states move in place
     runs, k, size = len(systems), systems[0].k, current[0].size
     tables = np.stack([system.outputs for system in systems])
     lookup = _lookup(tables, k, current.ndim)
     packed = np.empty((runs, packed_size((t + 1) * size, k)), dtype=np.uint8)
-    slab_bytes = packed_size(SLAB_ROWS * size, k)
     # slab[j] holds the rows of run live[j], whose state is current[j].
     slab = np.empty((runs, SLAB_ROWS, *current.shape[1:]), dtype=np.uint8)
     live = np.arange(runs)
 
-    def pack(ids: np.ndarray, first: int, count: int) -> None:
-        # Rows first .. first + count - 1 of runs ids are slab[:len(ids), :count];
+    def pack(ids: np.ndarray, rows: np.ndarray, first: int, count: int) -> None:
+        # rows[:, :count] are rows first .. first + count - 1 of runs ids;
         # first is a multiple of SLAB_ROWS, so they start on a byte.
         start = packed_size(first * size, k)
-        rows = slab[: len(ids), :count].reshape(len(ids), -1)
-        packed[ids, start : start + packed_size(count * size, k)] = pack_rows(rows, k)
+        packed[ids, start : start + packed_size(count * size, k)] = pack_rows(
+            rows[:, :count].reshape(len(ids), -1), k)
 
-    def repeat(ids: np.ndarray, first: int) -> None:
-        # slab[:len(ids)] is every slab of runs ids from row first on (a
-        # multiple of SLAB_ROWS): it is packed once, and each whole slab
-        # is written through a (runs, slabs, slab_bytes) view of packed.
-        whole = max(0, (t + 1 - first) // SLAB_ROWS)
+    def retire(gone, s: int) -> None:
+        # Row s + d of runs live[gone] is current for even d and before for
+        # odd d: the rest of their slab is filled so and packed. gone is a
+        # slice when every run retires, so their rows are not copied.
+        ids, rows, i = live[gone], slab[gone], s % SLAB_ROWS
+        cycle = before[gone][:, None], current[gone][:, None]
+        rows[:, i + 1 :: 2], rows[:, i + 2 :: 2] = cycle
+        pack(ids, rows, s - i, min(SLAB_ROWS, t + 1 - s + i))
+        # Every later slab starts on an even row, so it holds this cycle: it
+        # is packed once and written through a (runs, slabs, bytes) view of
+        # packed, and a shorter last slab takes its first rows.
+        rows[:, 1 - i % 2 : i : 2], rows[:, i % 2 : i : 2] = cycle
+        first = s - i + SLAB_ROWS
+        whole, part = divmod(max(0, t + 1 - first), SLAB_ROWS)
         if whole:
             start = packed_size(first * size, k)
-            slabs = packed[:, start : start + whole * slab_bytes].reshape(runs, whole, slab_bytes)
-            slabs[ids] = pack_rows(slab[: len(ids)].reshape(len(ids), 1, -1), k)
-        if first + whole * SLAB_ROWS <= t:
-            pack(ids, first + whole * SLAB_ROWS, t + 1 - first - whole * SLAB_ROWS)
+            slabs = packed[:, start : start + packed_size(whole * SLAB_ROWS * size, k)]
+            slabs.reshape(runs, whole, -1)[ids] = pack_rows(rows.reshape(len(ids), 1, -1), k)
+        if part:
+            pack(ids, rows, first + whole * SLAB_ROWS, part)
 
     slab[:, 0] = current
     before = current
     for s in range(1, t + 1):
-        if s % SLAB_ROWS == 0:
-            pack(live, s - SLAB_ROWS, SLAB_ROWS)
-            # A run back at its state of two steps before (older) repeats
-            # from here: row s is before, row s + 1 current, and so on.
-            # Not every run is, or the last step would have stopped.
-            settled = (current == older).reshape(len(live), -1).all(axis=1)
-            if settled.any():
-                count = np.count_nonzero(settled)
-                slab[:count, 0::2] = before[settled][:, None]
-                slab[:count, 1::2] = current[settled][:, None]
-                repeat(live[settled], s)
-                live, before, current = live[~settled], before[~settled], current[~settled]
-                lookup = _lookup(tables[live], k, current.ndim)
         older, before, current = before, current, _step_cells(current, lookup, systems[0],
                                                               boundary)
         slab[: len(live), s % SLAB_ROWS] = current
-        # A step is a pure function of the state: once every run is back
-        # at its state of two steps before (older), the rest of the run
-        # cycles the last two. At the first step older is the initial
-        # state, so the check finds a fixed point.
-        if current.tobytes() == older.tobytes():
-            break
-    # Row s + d is current for even d and before for odd d (when the loop
-    # ran to s = t, no such row is packed). Slabs start on even rows, so
-    # every slab after the one holding row s holds the same two states.
-    i, rows = s % SLAB_ROWS, slab[: len(live)]
-    rows[:, i + 1 :: 2] = before[:, None]
-    rows[:, i + 2 :: 2] = current[:, None]
-    pack(live, s - i, min(SLAB_ROWS, t + 1 - s + i))
-    rows[:, i % 2 : i : 2] = current[:, None]
-    rows[:, 1 - i % 2 : i : 2] = before[:, None]
-    repeat(live, s - i + SLAB_ROWS)
+        settled = (current == older).reshape(len(live), -1).all(axis=1) | (s == t)
+        gone = settled.nonzero()[0]
+        if len(gone):
+            keep = len(live) - len(gone)
+            retire(gone if keep else slice(len(live)), s)
+            if not keep:
+                break
+            # The last runs that step on move into the retiring runs' places.
+            holes, movers = gone[gone < keep], keep + np.flatnonzero(~settled[keep:])
+            for state in (slab, live, before, current):
+                state[holes] = state[movers]
+            live, before, current = live[:keep], before[:keep], current[:keep]
+            lookup = _lookup(tables[live], k, current.ndim)
+        if s % SLAB_ROWS == SLAB_ROWS - 1:
+            pack(live, slab[: len(live)], s + 1 - SLAB_ROWS, SLAB_ROWS)
     packed.setflags(write=False)
     return EvolutionBatch(packed=packed, k=k, shape=(t + 1, *current.shape[1:]))
 

@@ -17,7 +17,7 @@ from caprog.cli import DEFAULT_T, LIFE_T, build_parser, main
 from caprog.coefficient import measure
 from caprog.complexity import COMPRESSOR_ID, pack_cells
 from caprog.engine import FIXED, GAME_OF_LIFE, evolve, rule_from_number
-from caprog.enumeration import gray_initials, gray_patches
+from caprog.enumeration import gray_initials, gray_patches, random_initials
 from caprog.reportio import (
     MANIFEST_NAME,
     SCHEMA_MANIFEST,
@@ -107,6 +107,31 @@ class TestEvolve:
                      "--width", "7", "--t", "6", "--raw", "--out", str(out)])
         assert code == 0
         self.assert_raw_matches_images(out, 5)
+
+    @pytest.mark.parametrize("argv, system, family", [
+        (["--rule", "110", "--random-inputs", "7", "--width", "29", "--seed", "3"],
+         rule_from_number(110), random_initials(7, 29, seed=3)),
+        (["--model", "life", "--gray-inputs", "9", "--height", "5", "--width", "13"],
+         GAME_OF_LIFE, gray_patches(9, 5, 13)),
+    ], ids=["eca", "life"])
+    def test_members_evolve_in_chunks_and_are_written_one_run_each(self, tmp_path, monkeypatch,
+                                                                   argv, system, family):
+        # The members evolve in chunks that fit MEMORY_BUDGET. Chunks of one
+        # run and a single chunk write the same files, and each run's files
+        # are those of evolving its member alone.
+        t = 37
+        written = []
+        for budget in (1, coefficient.MEMORY_BUDGET):
+            monkeypatch.setattr(coefficient, "MEMORY_BUDGET", budget)
+            out = tmp_path / str(budget)
+            assert main(["evolve", *argv, "--t", str(t), "--raw", "--out", str(out)]) == 0
+            written.append({path.name: path.read_bytes() for path in out.glob("evolution_*")})
+        assert written[0] == written[1]
+        for j, member in enumerate(family.members):
+            rows = evolve(system, member, t)
+            assert written[0][f"evolution_{j:03d}.bin"] == pack_cells(rows.ravel(), 2)
+            assert ref_read_pbm(written[0][f"evolution_{j:03d}.pbm"]) == rows.reshape(
+                -1, rows.shape[-1]).tolist()
 
     def test_manifest_lists_every_artifact(self, tmp_path):
         out = tmp_path / "mani"

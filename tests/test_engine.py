@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from caprog import engine
@@ -479,13 +479,14 @@ def test_a_run_settles_at_every_row_of_a_slab(step_calls):
     assert ends == set(range(engine.SLAB_ROWS))
 
 
-def test_a_settled_run_stops_stepping_at_the_next_slab_boundary(step_calls):
-    # 0 and 204 repeat from step 3 on, 110 never does on this row: the two
-    # are retired once the first slab is packed, so they step through it
-    # (steps 1 to SLAB_ROWS - 1) and 110 steps all the way.
+def test_a_settled_run_stops_stepping_at_its_settle_step(step_calls):
+    # 204 is still from step 1 on and 0 is back at its state of two steps
+    # before at step 3; 110 never repeats on this row. Each of the two
+    # retires at the step it settles, whatever the slab, and 110 steps
+    # all the way.
     systems, inits, t = eca(110, 0, 204), random_rows(3, 31, 4), 64
     batch = evolve_batch(systems, *stacked(inits), t)
-    assert step_calls == [3] * (engine.SLAB_ROWS - 1) + [1] * (t - engine.SLAB_ROWS + 1)
+    assert step_calls == [3, 2, 2] + [1] * (t - 3)
     for system, init, rows in zip(systems, inits, batch.rows):
         assert rows.tolist() == ref_run(system, init, t)
 
@@ -514,15 +515,39 @@ def test_retired_runs_are_written_without_a_second_slab(step_calls):
         assert rows.tolist() == ref_run(system, Configuration(init), t)
 
 
+def test_runs_that_retire_together_are_written_in_place(step_calls):
+    # No run settles, so all four retire at step t together: their last
+    # slab and their rows are written from the slab itself, with no copy of
+    # it (16 KiB per run here).
+    runs, width, t = 4, 1024, 1000
+    systems = eca(110, 30, 45, 110)
+    cells = np.random.default_rng(0).integers(0, 2, size=(runs, width), dtype=np.uint8)
+    evolve_batch(systems, cells, CYCLIC, 2)
+    step_calls.clear()
+    tracemalloc.start()
+    try:
+        batch = evolve_batch(systems, cells, CYCLIC, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert step_calls == [runs] * t
+    packed = runs * packed_size((t + 1) * width, 2)
+    assert peak < packed + runs * engine.SLAB_ROWS * width + 16 * runs * width
+    for system, init, rows in zip(systems, cells, batch.rows):
+        assert rows.tolist() == ref_run(system, Configuration(init), t)
+
+
 # Rules whose runs settle, after a transient or at once, next to rules
 # whose runs mostly never do.
 SETTLING_ECA = (*INERT_ECA, 4, 8, 128, 136, 160, 232)
 
 
-@settings(max_examples=60, deadline=None)
+# step_calls is cleared at the start of every example.
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data(), life=st.booleans(), t=st.integers(1, 3 * engine.SLAB_ROWS + 5),
        boundary=st.sampled_from([CYCLIC, FIXED]))
-def test_batch_matches_reference_whether_or_not_it_settles(data, life, t, boundary):
+def test_batch_matches_reference_whether_or_not_it_settles(step_calls, data, life, t, boundary):
     if life:
         systems = data.draw(st.lists(st.sampled_from((GAME_OF_LIFE, *INERT_LIFE)),
                                      min_size=1, max_size=4))
@@ -537,9 +562,18 @@ def test_batch_matches_reference_whether_or_not_it_settles(data, life, t, bounda
     for _ in systems:
         bits = data.draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
         inits.append(Configuration(np.array(bits, dtype=np.uint8).reshape(shape), boundary=boundary))
+    step_calls.clear()
     batch = evolve_batch(systems, *stacked(inits), t)
+    # Run b steps until the first s >= 1 whose state equals its state of
+    # two steps before (at s = 1, the initial state), and at most t times:
+    # step s steps every run whose count is at least s.
+    settle_steps = []
     for system, init, rows in zip(systems, inits, batch.rows):
-        assert rows.tolist() == ref_run(system, init, t)
+        ref = ref_run(system, init, t)
+        assert rows.tolist() == ref
+        settle_steps.append(next((s for s in range(1, t + 1) if ref[s] == ref[max(s - 2, 0)]), t))
+    assert step_calls == [sum(s <= steps for steps in settle_steps)
+                          for s in range(1, max(settle_steps) + 1)]
 
 
 @pytest.mark.parametrize("boundary", [CYCLIC, FIXED])
