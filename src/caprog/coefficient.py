@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 
@@ -217,6 +216,8 @@ def _complexity_matrix(
     # continue into the next chunk.
     carried: dict[tuple[int, bytes], tuple[int, ...]] = {}
     out = np.empty((total, len(times)), dtype=np.int64)
+    if workers > 1:  # imported here, so that one worker loads no thread pool
+        from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         mapper = pool.map if pool else map
         for chunk in run_chunks(total, t_top, size, k):

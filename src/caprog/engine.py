@@ -293,8 +293,9 @@ def evolve_batch(systems, cells, boundary: str, t: int) -> EvolutionBatch:
     as a whole unpacked array. A step is a pure function of the state, so
     a run back at its state of two steps before (at step 1, its initial
     state) cycles its last two states: it retires at that step, as every
-    run still stepping does at step t, and its remaining rows are written
-    from one packed slab of the cycle.
+    run still stepping does at step t. Its slab is filled with the cycle
+    and, once packed, holds only the cycle; when the last run retires,
+    that slab is packed once and written into every later slab.
     """
     if t < 1:
         raise ValueError("an evolution must contain at least one transition (t >= 1)")
@@ -306,59 +307,56 @@ def evolve_batch(systems, cells, boundary: str, t: int) -> EvolutionBatch:
     tables = np.stack([system.outputs for system in systems])
     lookup = _lookup(tables, k, current.ndim)
     packed = np.empty((runs, packed_size((t + 1) * size, k)), dtype=np.uint8)
-    # slab[j] holds the rows of run live[j], whose state is current[j].
+    # slab[b] holds run b's rows of the slab of step s. The runs live[j]
+    # step on, and current[j] is the state of run live[j].
     slab = np.empty((runs, SLAB_ROWS, *current.shape[1:]), dtype=np.uint8)
     live = np.arange(runs)
 
-    def pack(ids: np.ndarray, rows: np.ndarray, first: int, count: int) -> None:
-        # rows[:, :count] are rows first .. first + count - 1 of runs ids;
+    def pack(first: int, count: int) -> None:
+        # slab[:, :count] are rows first .. first + count - 1 of every run;
         # first is a multiple of SLAB_ROWS, so they start on a byte.
         start = packed_size(first * size, k)
-        packed[ids, start : start + packed_size(count * size, k)] = pack_rows(
-            rows[:, :count].reshape(len(ids), -1), k)
+        packed[:, start : start + packed_size(count * size, k)] = pack_rows(
+            slab[:, :count].reshape(runs, -1), k)
 
-    def retire(gone, s: int) -> None:
-        # Row s + d of runs live[gone] is current for even d and before for
-        # odd d: the rest of their slab is filled so and packed. gone is a
-        # slice when every run retires, so their rows are not copied.
-        ids, rows, i = live[gone], slab[gone], s % SLAB_ROWS
-        cycle = before[gone][:, None], current[gone][:, None]
-        rows[:, i + 1 :: 2], rows[:, i + 2 :: 2] = cycle
-        pack(ids, rows, s - i, min(SLAB_ROWS, t + 1 - s + i))
-        # Every later slab starts on an even row, so it holds this cycle: it
-        # is packed once and written through a (runs, slabs, bytes) view of
-        # packed, and a shorter last slab takes its first rows.
-        rows[:, 1 - i % 2 : i : 2], rows[:, i % 2 : i : 2] = cycle
-        first = s - i + SLAB_ROWS
-        whole, part = divmod(max(0, t + 1 - first), SLAB_ROWS)
-        if whole:
-            start = packed_size(first * size, k)
-            slabs = packed[:, start : start + packed_size(whole * SLAB_ROWS * size, k)]
-            slabs.reshape(runs, whole, -1)[ids] = pack_rows(rows.reshape(len(ids), 1, -1), k)
-        if part:
-            pack(ids, rows, first + whole * SLAB_ROWS, part)
-
+    # (runs, parity of s, their cycle) of the runs retired at a step s of this slab
+    retired = []
     slab[:, 0] = current
     before = current
     for s in range(1, t + 1):
+        i = s % SLAB_ROWS
         older, before, current = before, current, _step_cells(current, lookup, systems[0],
                                                               boundary)
-        slab[: len(live), s % SLAB_ROWS] = current
+        slab[live, i] = current
         settled = (current == older).reshape(len(live), -1).all(axis=1) | (s == t)
-        gone = settled.nonzero()[0]
-        if len(gone):
-            keep = len(live) - len(gone)
-            retire(gone if keep else slice(len(live)), s)
-            if not keep:
-                break
-            # The last runs that step on move into the retiring runs' places.
-            holes, movers = gone[gone < keep], keep + np.flatnonzero(~settled[keep:])
-            for state in (slab, live, before, current):
-                state[holes] = state[movers]
-            live, before, current = live[:keep], before[:keep], current[:keep]
+        if settled.any():
+            # Row s + d of a retired run is current for even d and before
+            # for odd d: the rest of its slab is filled so.
+            ids, odd, even = live[settled], before[settled][:, None], current[settled][:, None]
+            slab[ids, i + 1 :: 2], slab[ids, i + 2 :: 2] = odd, even
+            retired.append((ids, i % 2, odd, even))
+            live, before, current = live[~settled], before[~settled], current[~settled]
             lookup = _lookup(tables[live], k, current.ndim)
-        if s % SLAB_ROWS == SLAB_ROWS - 1:
-            pack(live, slab[: len(live)], s + 1 - SLAB_ROWS, SLAB_ROWS)
+        if i == SLAB_ROWS - 1 or not len(live):
+            pack(s - i, min(SLAB_ROWS, t + 1 - s + i))
+            # Every slab starts on an even row, so from here on a retired
+            # run's slab holds its cycle in every row.
+            for ids, parity, odd, even in retired:
+                slab[ids, parity::2], slab[ids, 1 - parity :: 2] = even, odd
+            retired = []
+        if not len(live):
+            break
+    # Every later slab is the one slab every run now holds: packed once,
+    # it is written through a (runs, slabs, bytes) view of packed, and a
+    # shorter last slab takes its first rows.
+    first = s - i + SLAB_ROWS
+    whole, part = divmod(max(0, t + 1 - first), SLAB_ROWS)
+    if whole:
+        start = packed_size(first * size, k)
+        slabs = packed[:, start : start + packed_size(whole * SLAB_ROWS * size, k)]
+        slabs.reshape(runs, whole, -1)[:] = pack_rows(slab.reshape(runs, 1, -1), k)
+    if part:
+        pack(first + whole * SLAB_ROWS, part)
     packed.setflags(write=False)
     return EvolutionBatch(packed=packed, k=k, shape=(t + 1, *current.shape[1:]))
 

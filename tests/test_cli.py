@@ -398,6 +398,14 @@ class TestCoeff:
         assert "caprog.cli" in added
         assert "importlib.metadata" not in added
 
+    def test_commands_leave_the_thread_pool_unloaded(self):
+        # only --workers > 1 compresses in a thread pool, so the CLI loads
+        # neither concurrent.futures nor the logging it imports
+        done = run_from_checkout("-c", "import sys, caprog.cli; "
+                                 "print('concurrent.futures' in sys.modules)")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False"]
+
 
 class TestSweepCommand:
     def test_tiny_sweep_outputs(self, tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caprog import coefficient, engine
+from caprog import cli, coefficient
 from caprog.classify import INERT_LIFE
 from caprog.coefficient import (
     CoefficientResult,
@@ -529,21 +529,22 @@ def test_a_measurement_holds_the_family_once():
     assert [result.c_value for result, _ in measured] == expected
 
 
-def test_each_run_of_a_merged_chunk_stops_at_its_own_settle_step(monkeypatch):
+def test_each_run_of_a_merged_chunk_stops_at_its_own_settle_step(step_calls):
     """On the Life `coeff` shape of the benchmark, B3/S23 measured beside
     the inert rules, every run stops stepping at the step it settles: the
     engine steps 315,648 cells (it stepped 525,312 when runs retired only
     at slab boundaries), and the c-values stay those written before."""
-    stepped = []
-    step_cells = engine._step_cells
-
-    def counting(cells, *args):
-        stepped.append(cells.size)
-        return step_cells(cells, *args)
-
-    monkeypatch.setattr(engine, "_step_cells", counting)
     measured = coefficient.measure_all((GAME_OF_LIFE, *INERT_LIFE), gray_patches(20, 48, 48), 120)
-    assert sum(stepped) == 315_648
+    assert step_calls.cells == 315_648
     if COMPRESSOR_ID == "deflate/zlib-1.2.13/level9":
         assert [result.c_value for result, _ in measured] == [
             -0.015663157900667607, -0.005302768468592468, -0.006649486263797172]
+
+
+def test_the_default_life_measurement_stops_each_run_at_its_settle_step(step_calls):
+    """`caprog coeff --model life` at its defaults, B3/S23 beside the inert
+    rules, steps 10,978,304 cells (25,636,864 when runs retired only at
+    slab boundaries)."""
+    family = gray_patches(cli.LIFE_N, cli.LIFE_SIDE, cli.LIFE_SIDE)
+    coefficient.measure_all((GAME_OF_LIFE, *INERT_LIFE), family, cli.LIFE_T)
+    assert step_calls.cells == 10_978_304

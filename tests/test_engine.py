@@ -384,21 +384,6 @@ def ref_run(system, config: Configuration, t: int) -> list:
     return ref_evolve(system.number, cells, t, boundary=config.boundary)
 
 
-@pytest.fixture
-def step_calls(monkeypatch) -> list:
-    """One entry per engine step made while the test runs: the number of
-    runs that step stepped."""
-    calls = []
-    step_cells = engine._step_cells
-
-    def counting(*args):
-        calls.append(len(args[0]))
-        return step_cells(*args)
-
-    monkeypatch.setattr(engine, "_step_cells", counting)
-    return calls
-
-
 def random_rows(count: int, width: int, seed: int, boundary: str = CYCLIC) -> list:
     rng = np.random.default_rng(seed)
     return [Configuration(rng.integers(0, 2, size=width, dtype=np.uint8), boundary=boundary)
@@ -491,10 +476,42 @@ def test_a_settled_run_stops_stepping_at_its_settle_step(step_calls):
         assert rows.tolist() == ref_run(system, init, t)
 
 
+def test_packing_does_not_grow_with_retirements(step_calls, monkeypatch):
+    # Rule 128 kills a block of L ones in ceil(L / 2) steps and the run
+    # settles two steps later: here at steps 3, 17 and 33, in three slabs,
+    # while 110 steps to t. Every slab is packed once, for every run.
+    packs = []
+    pack_rows = engine.pack_rows
+
+    def counting(*args):
+        packs.append(len(args[0]))
+        return pack_rows(*args)
+
+    monkeypatch.setattr(engine, "pack_rows", counting)
+    width, t = 70, 4 * engine.SLAB_ROWS + 6
+    inits = [Configuration([1] * length + [0] * (width - length)) for length in (2, 30, 62)]
+    inits += random_rows(1, width, 4)
+    systems = eca(128, 128, 128, 110)
+    batch = evolve_batch(systems, *stacked(inits), t)
+    assert step_calls == [4] * 3 + [3] * 14 + [2] * 16 + [1] * (t - 33)
+    assert packs == [len(systems)] * -(-(t + 1) // engine.SLAB_ROWS)
+    for system, init, rows in zip(systems, inits, batch.rows):
+        assert rows.tolist() == ref_run(system, init, t)
+    # Without 110 the last run retires at step 33, in the third slab: the
+    # 9 whole slabs after it take one pack of the cycles, and the short
+    # last slab one more.
+    packs.clear()
+    batch = evolve_batch(systems[:3], *stacked(inits[:3]), 12 * engine.SLAB_ROWS)
+    assert packs == [3] * 5
+    for system, init, rows in zip(systems, inits, batch.rows):
+        assert rows.tolist() == ref_run(system, init, 12 * engine.SLAB_ROWS)
+
+
 def test_retired_runs_are_written_without_a_second_slab(step_calls):
-    # Three of four runs are retired after the first slab. Their remaining
-    # 61 slabs each are packed from one slab and copied into the packed
-    # array: no second slab (64 KiB here) and no tiled copy of the slabs
+    # 204, 51 and 0 retire at steps 1, 2 and 3, and 110 steps to t. The
+    # retired runs' rows of the slab stay in place, filled with their
+    # cycle, and each of the 63 slabs is packed once for all four runs:
+    # no second slab (64 KiB here) and no tiled copy of the later slabs
     # (366 KiB) is allocated on the way.
     runs, width, t = 4, 1024, 1000
     systems = eca(110, 0, 204, 51)
