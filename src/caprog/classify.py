@@ -13,7 +13,6 @@ magnitude they produce, with a tiny floor so the band is never empty.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -215,17 +214,6 @@ class SweepReport:
         return self._by_rule[rule_id][1]
 
 
-def resolve_workers(workers: int | None) -> int:
-    """``workers``, or by default the CPUs this process may run on."""
-    if workers is None:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    if workers < 1:
-        raise ValueError("worker count must be >= 1")
-    return workers
-
-
 def sweep_eca(
     t_max: int = DEFAULT_T,
     n: int = DEFAULT_N,
@@ -242,7 +230,6 @@ def sweep_eca(
     needed. Worker count never affects the report: workers only compress
     distinct runs, whose sizes are gathered in rule and member order.
     """
-    workers = resolve_workers(workers)
     rules = [rule_from_number(number) for number in range(256)]
     measured = measure_all(
         rules, gray_initials(n, width), t_max, t_min, stride, include_input, workers

@@ -109,7 +109,10 @@ def _add_family_args(p: argparse.ArgumentParser, with_model: bool,
 
 
 def _add_grid_args(p: argparse.ArgumentParser, t_default: str) -> list[argparse.Action]:
-    """Declare the runtime-grid flags; returns their actions."""
+    """Declare the runtime-grid flags and --workers; returns the grid flags' actions."""
+    p.add_argument("--workers", type=_size,
+                   help="threads compressing distinct runs "
+                        "(default: every CPU this process may run on)")
     return [
         p.add_argument("--t", type=_size, help=f"deepest runtime (default {t_default})"),
         p.add_argument("--t-min", type=_size, help="shallowest sampled runtime"),
@@ -219,7 +222,7 @@ def cmd_coeff(args, argv) -> int:
     # One pass measures the rule and its zero band's inert rules, so a run
     # the rule shares with an inert rule on a member is compressed once.
     (res, curve), *calibration = measure_all((system, *inert), family, t_max, t_min, stride,
-                                             include_input=not args.skip_input_row)
+                                             not args.skip_input_row, args.workers)
     obj = reportio.coefficient_json_obj(res, curve)
     verdict = ""
     if calibration:
@@ -288,7 +291,7 @@ def cmd_compare(args, argv) -> int:
         family = _family(args, parser, lambda core: DEFAULT_W)
         t_max, t_min, stride = _grid(args, parser, family, DEFAULT_T)
         (res_a, _), (res_b, _) = measure_all(rules, family, t_max, t_min, stride,
-                                             not args.skip_input_row)
+                                             not args.skip_input_row, args.workers)
 
     obj = {
         "schema": reportio.SCHEMA_COMPARE,
@@ -364,9 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_args(p, str(DEFAULT_T))
     p.add_argument("--n", type=_size, default=DEFAULT_N, help="Gray family size")
     p.add_argument("--width", type=_size, default=DEFAULT_W, help="row width")
-    p.add_argument("--workers", type=_size,
-                   help="threads compressing distinct runs "
-                        "(default: every CPU this process may run on)")
     p.add_argument("--out", default="caprog-sweep", help="output directory")
     p.set_defaults(func=cmd_sweep, parser=p)
 

@@ -14,8 +14,10 @@ sensitivity grows (or decays) with runtime.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
-from contextlib import nullcontext
+import os
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -172,6 +174,16 @@ def _prefix_sizes(payload: bytes, counts: tuple[int, ...], k: int) -> tuple[int,
     return tuple(compressed_size(payload_prefix(payload, count, k)) for count in counts)
 
 
+def resolve_workers(workers: int | None) -> int:
+    """``workers``, or by default the CPUs this process may run on."""
+    if workers is None:
+        affinity = getattr(os, "sched_getaffinity", None)
+        return len(affinity(0)) if affinity else os.cpu_count() or 1
+    if workers < 1:
+        raise ValueError("worker count must be >= 1")
+    return workers
+
+
 def run_chunks(runs: int, t: int, size: int, k: int) -> list[range]:
     """Runs 0 .. runs - 1 (t steps on size cells in k colours) in chunks within MEMORY_BUDGET."""
     run_bytes = packed_size((t + 1) * size, k) + (SLAB_ROWS + STEP_BYTES) * size
@@ -193,10 +205,11 @@ def _complexity_matrix(
     :func:`caprog.engine.evolve_batch`), so inert systems measured
     beside moving ones cost little. On each member, the sizes are computed
     once per distinct payload at the largest runtime, which determines
-    every prefix; systems whose runs coincide share them. With
-    ``workers`` > 1 a thread pool compresses distinct runs side by side.
-    None of this shows in the result: a from-scratch recomputation per
-    member yields identical numbers.
+    every prefix; systems whose runs coincide share them. The calling
+    thread compresses a chunk's settled runs and shares those that stepped
+    to the largest runtime with up to ``workers`` - 1 helper threads, whose
+    errors it raises. None of this shows in the result: a from-scratch
+    recomputation per member yields identical numbers.
     """
     t_top = times[-1]
     k = systems[0].k
@@ -205,42 +218,61 @@ def _complexity_matrix(
     counts = tuple((t + 1 - start) * size for t in times)
     total = len(cells) * len(systems)
 
-    def sizes_of(payload) -> tuple[int, ...]:
-        # The input row leaves a payload in the worker that compresses it,
-        # so at most one payload per worker exists twice.
-        if start:
-            payload = payload_cells(payload, start * size, counts[-1], k)
-        return _prefix_sizes(payload, counts, k)
-
     # (member index, payload digest) -> sizes, for a member whose runs
     # continue into the next chunk.
     carried: dict[tuple[int, bytes], tuple[int, ...]] = {}
     out = np.empty((total, len(times)), dtype=np.int64)
-    if workers > 1:  # imported here, so that one worker loads no thread pool
-        from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        mapper = pool.map if pool else map
-        for chunk in run_chunks(total, t_top, size, k):
-            # Run i is systems[i % S] from member i // S. The chunk's
-            # payloads are views of one packed array, freed with them.
-            members = [i // len(systems) for i in chunk]
-            payloads = [memoryview(row) for row in run_system(
-                [systems[i % len(systems)] for i in chunk], cells[members], boundary,
-                t_top).packed]
-            # Runs are keyed by member and payload digest, so what the
-            # next chunk inherits holds no payload. Runs are shared on one
-            # member only: their first rows are the member's cells, so
-            # runs of distinct members always differ.
-            keys = [(member, hashlib.sha256(payload).digest())
-                    for member, payload in zip(members, payloads)]
-            tail = members[-1] if chunk.stop % len(systems) else None
-            memo = dict(carried)
-            new = {key: payload for key, payload in zip(keys, payloads) if key not in memo}
-            memo.update(zip(new, mapper(sizes_of, new.values())))
-            out[chunk.start : chunk.stop] = [memo[key] for key in keys]
-            carried = {key: sizes for key, sizes in memo.items() if key[0] == tail}
-            # The next chunk evolves with no payload of this one alive.
-            del payloads, keys, memo, new
+    errors = []
+
+    def compress(runs) -> None:
+        # Takes (key, payload) runs until none is left. On an error it takes
+        # the rest uncompressed, so that every thread sharing ``runs`` stops
+        # after its current run, and the calling thread raises the error.
+        try:
+            for key, payload in runs:
+                # Without the input row, each thread holds one payload twice.
+                if start:
+                    payload = payload_cells(payload, start * size, counts[-1], k)
+                memo[key] = _prefix_sizes(payload, counts, k)
+        except BaseException as err:  # noqa: BLE001 - raised by the calling thread
+            errors.append(err)
+            for _ in runs:
+                pass
+
+    for chunk in run_chunks(total, t_top, size, k):
+        # Run i is systems[i % S] from member i // S. The chunk's
+        # payloads are views of one packed array, freed with them.
+        members = [i // len(systems) for i in chunk]
+        batch = run_system([systems[i % len(systems)] for i in chunk], cells[members], boundary,
+                           t_top)
+        payloads = [memoryview(row) for row in batch.packed]
+        # Runs are keyed by member and payload digest, so what the
+        # next chunk inherits holds no payload. Runs are shared on one
+        # member only: their first rows are the member's cells, so
+        # runs of distinct members always differ.
+        keys = [(member, hashlib.sha256(payload).digest())
+                for member, payload in zip(members, payloads)]
+        tail = members[-1] if chunk.stop % len(systems) else None
+        memo = dict(carried)
+        new = {key: (payload, step == t_top)
+               for key, payload, step in zip(keys, payloads, batch.steps) if key not in memo}
+        # Helpers take only runs that stepped to t: a settled run is a cycle
+        # from an early row on, and its stream spends its time holding the GIL.
+        settled = [(key, payload) for key, (payload, top) in new.items() if not top]
+        moving = iter([(key, payload) for key, (payload, top) in new.items() if top])
+        helpers = [threading.Thread(target=compress, args=(moving,))
+                   for _ in range(min(workers - 1, len(new) - len(settled)))]
+        for helper in helpers:
+            helper.start()
+        compress(itertools.chain(settled, moving))
+        for helper in helpers:
+            helper.join()
+        if errors:
+            raise errors[0]
+        out[chunk.start : chunk.stop] = [memo[key] for key in keys]
+        carried = {key: sizes for key, sizes in memo.items() if key[0] == tail}
+        # The next chunk evolves with no payload of this one alive.
+        del batch, payloads, keys, memo, new, settled, moving, helpers
     return out.reshape(len(cells), len(systems), len(times)).transpose(1, 0, 2)
 
 
@@ -281,13 +313,14 @@ def measure_all(
     t_min: int | None = None,
     stride: int | None = None,
     include_input: bool = True,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> list[tuple[CoefficientResult, VariabilityCurve]]:
     """:func:`measure` for each of ``systems`` on one shared family, with
     every run evolved and compressed in one batched pass; ``workers``
-    threads compress distinct runs. Systems not of one kind (Life, or 1-D
-    with one k and r), or unable to act on the family, are refused before
-    anything evolves."""
+    threads (default: one per CPU) compress distinct runs. Systems not of
+    one kind (Life, or 1-D with one k and r), or unable to act on the
+    family, are refused before anything evolves."""
+    workers = resolve_workers(workers)
     check_batch(systems, family.cells, family.boundary)
     t_min, stride, times = runtime_grid(family, t_max, t_min, stride)
     matrices = _complexity_matrix(systems, family.cells, family.boundary, times, include_input,
@@ -323,6 +356,7 @@ def measure(
     t_min: int | None = None,
     stride: int | None = None,
     include_input: bool = True,
+    workers: int | None = None,
 ) -> tuple[CoefficientResult, VariabilityCurve]:
     """Variability curve plus its fitted coefficient, with full parameters."""
-    return measure_all([system], family, t_max, t_min, stride, include_input)[0]
+    return measure_all([system], family, t_max, t_min, stride, include_input, workers)[0]

@@ -18,10 +18,9 @@ from caprog.classify import (
     is_zero_computer,
     kmeans_clusters,
     r30_grouping,
-    resolve_workers,
     sweep_eca,
 )
-from caprog.coefficient import measure
+from caprog.coefficient import measure, resolve_workers
 from caprog.engine import rule_from_number
 from caprog.enumeration import gray_initials
 

@@ -216,8 +216,9 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         *(["coeff", "--rule", "30", "--no-calibrate", flag] for flag in (
             "--t", "--t-min", "--stride", "--gray-inputs", "--random-inputs",
-            "--width", "--height")),
+            "--width", "--height", "--workers")),
         *(["sweep", flag] for flag in ("--t", "--n", "--width", "--workers")),
+        ["compare", "--a", "30", "--b", "90", "--workers"],
         ["evolve", "--rule", "30", "--gray-inputs", "4", "--t"],
     ], ids=" ".join)
     def test_sizes_must_be_positive_integers(self, tmp_path, argv, value, capsys):
@@ -534,6 +535,20 @@ class TestRerun:
         assert all(verdict["files"].values())
         # the replay wrote to --out of rerun, not to the recorded directory
         assert (first / MANIFEST_NAME).read_bytes() == recorded
+
+    def test_helper_threads_write_what_one_thread_writes_and_replay(self, tmp_path, capsys):
+        # rule 110 never settles on these rows, so --workers 2 starts a helper
+        argv = ["coeff", "--rule", "110", "--random-inputs", "4", "--width", "300", "--t", "60"]
+        for workers in ("1", "2"):
+            assert main([*argv, "--workers", workers, "--out", str(tmp_path / workers)]) == 0
+        for name in ("coefficient.json", "curve.csv"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+        capsys.readouterr()
+        code = main(["rerun", "--manifest", str(tmp_path / "2" / MANIFEST_NAME),
+                     "--out", str(tmp_path / "replay")])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert json.loads(out[out.index("{"):])["match"] is True
 
     def test_doctored_manifest_fails_verification(self, tmp_path, capsys):
         first = tmp_path / "first"

@@ -2,6 +2,7 @@
 
 import math
 import random
+import threading
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from caprog.coefficient import (
     VariabilityCurve,
     fit_line,
     measure,
+    resolve_workers,
     runtime_grid,
     sample_times,
 )
@@ -548,3 +550,93 @@ def test_the_default_life_measurement_stops_each_run_at_its_settle_step(step_cal
     family = gray_patches(cli.LIFE_N, cli.LIFE_SIDE, cli.LIFE_SIDE)
     coefficient.measure_all((GAME_OF_LIFE, *INERT_LIFE), family, cli.LIFE_T)
     assert step_calls.cells == 10_978_304
+
+
+@pytest.fixture
+def events(monkeypatch):
+    """What _complexity_matrix does, in order: "evolve" for each chunk it
+    evolves and "helper" for each thread it starts."""
+    log = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            log.append("helper")
+            super().start()
+
+    def recording(*args):
+        log.append("evolve")
+        return evolve_batch(*args)
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    monkeypatch.setattr(coefficient, "run_system", recording)
+    return log
+
+
+def test_runs_that_all_settle_start_no_helper(events):
+    """On the Life `coeff` shape of the benchmark every run settles by step
+    4, and settled runs stay on the calling thread: two workers start no
+    thread."""
+    systems, family = (GAME_OF_LIFE, *INERT_LIFE), gray_patches(20, 48, 48)
+    times = runtime_grid(family, 120)[2]
+    coefficient._complexity_matrix(systems, family.cells, family.boundary, times, True, 2)
+    assert events and set(events) == {"evolve"}
+
+
+@pytest.mark.parametrize("per_chunk", [6, 2])
+def test_runs_that_never_settle_start_one_helper_per_chunk(events, monkeypatch, per_chunk):
+    """Rule 110 never settles on wide random rows: with two workers, each
+    chunk starts one helper, which shares the chunk's runs with the
+    calling thread."""
+    rule, family = rule_from_number(110), random_initials(6, 4096, seed=0)
+    times = runtime_grid(family, 300)[2]
+    monkeypatch.setattr(coefficient, "MEMORY_BUDGET", per_chunk * run_bytes(family, times[-1]))
+    coefficient._complexity_matrix([rule], family.cells, family.boundary, times, True, 2)
+    assert events == ["evolve", "helper"] * (6 // per_chunk)
+
+
+def test_matrix_is_the_same_for_any_worker_count(monkeypatch):
+    """Chunks that mix settled runs, which the calling thread compresses,
+    with runs that step to t, which helpers share, give the matrix of one
+    thread for 2 and 3 workers and by default."""
+    systems = [rule_from_number(number) for number in (0, 30, 128, 110, 204, 4)]
+    family = random_initials(5, 600, seed=1)
+    times = runtime_grid(family, 80)[2]
+    steps = []
+
+    def recording(*args):
+        batch = evolve_batch(*args)
+        steps.append(batch.steps.tolist())
+        return batch
+
+    monkeypatch.setattr(coefficient, "run_system", recording)
+    # Four runs a chunk, so chunks end inside a member's systems.
+    monkeypatch.setattr(coefficient, "MEMORY_BUDGET", 4 * run_bytes(family, times[-1]))
+    matrices = [coefficient._complexity_matrix(systems, family.cells, family.boundary, times,
+                                               True, resolve_workers(workers))
+                for workers in (1, 2, 3, None)]
+    assert any(min(chunk) < times[-1] == max(chunk) for chunk in steps), "no chunk mixes"
+    assert all(matrix.tolist() == matrices[0].tolist() for matrix in matrices[1:])
+
+
+@pytest.mark.parametrize("system, member", [(0, 0), (0, 5), (1, 2)], ids=str)
+def test_an_error_in_any_thread_comes_out_of_the_measurement(monkeypatch, system, member):
+    """A run that fails to compress, whether a helper or the calling thread
+    took it, fails the measurement with its own error, and every helper has
+    stopped when it does. Rule 110's runs go to helpers, rule 204's settle
+    at step 1 and stay on the calling thread."""
+    systems, family = [rule_from_number(110), rule_from_number(204)], random_initials(6, 1024, seed=0)
+    failing = pack_cells(evolve(systems[system], family.members[member], 100).ravel(), 2)
+    error = RuntimeError("the compressor failed")
+    prefix_sizes = coefficient._prefix_sizes
+
+    def sizes(payload, counts, k):
+        if bytes(payload) == failing:
+            raise error
+        return prefix_sizes(payload, counts, k)
+
+    monkeypatch.setattr(coefficient, "_prefix_sizes", sizes)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError) as raised:
+        coefficient.measure_all(systems, family, 100, workers=2)
+    assert raised.value is error
+    assert threading.active_count() == threads

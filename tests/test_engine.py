@@ -583,7 +583,8 @@ def test_batch_matches_reference_whether_or_not_it_settles(step_calls, data, lif
     batch = evolve_batch(systems, *stacked(inits), t)
     # Run b steps until the first s >= 1 whose state equals its state of
     # two steps before (at s = 1, the initial state), and at most t times:
-    # step s steps every run whose count is at least s.
+    # step s steps every run whose count is at least s, and the batch
+    # reports that count as the run's step.
     settle_steps = []
     for system, init, rows in zip(systems, inits, batch.rows):
         ref = ref_run(system, init, t)
@@ -591,6 +592,7 @@ def test_batch_matches_reference_whether_or_not_it_settles(step_calls, data, lif
         settle_steps.append(next((s for s in range(1, t + 1) if ref[s] == ref[max(s - 2, 0)]), t))
     assert step_calls == [sum(s <= steps for steps in settle_steps)
                           for s in range(1, max(settle_steps) + 1)]
+    assert batch.steps.tolist() == settle_steps
 
 
 @pytest.mark.parametrize("boundary", [CYCLIC, FIXED])
