@@ -46,9 +46,12 @@ from .enumeration import InputFamily
 MEMORY_BUDGET = 2 * 1024 * 1024
 
 # Payloads of at least this many bytes have their prefix sizes taken from
-# one compression stream, smaller ones by compressing each prefix afresh:
-# below it, copying the stream's state at every prefix costs more than
-# recompressing the prefix.
+# one compression stream, smaller ones by compressing each prefix afresh.
+# On one thread the stream wins from about 1.2 KiB (stream / one-shot time
+# on 61-cell ECA runs: 1.05 at 1,152 B, 0.96 at 1,228 B, 0.86 at 1,533 B),
+# but a stream's copy() holds the GIL while one-shot zlib releases it: on
+# 2 CPUs the default sweep took a median 3.80 s at 1,280 B against 3.35 s
+# at 4 KiB with 2 threads, and 4.50 s against 4.91 s with one.
 STREAM_BYTES = 4 * 1024
 
 
@@ -203,12 +206,15 @@ def _complexity_matrix(
     prefixes of the same run. In a chunk, a run that settles into period
     1 or 2 stops stepping at that step while the others step on (see
     :func:`caprog.engine.evolve_batch`), so inert systems measured
-    beside moving ones cost little. On each member, the sizes are computed
-    once per distinct payload at the largest runtime, which determines
-    every prefix; systems whose runs coincide share them. The calling
-    thread compresses a chunk's settled runs and shares those that stepped
-    to the largest runtime with up to ``workers`` - 1 helper threads, whose
-    errors it raises. None of this shows in the result: a from-scratch
+    beside moving ones cost little. The memo covers one member, whose runs
+    may span chunks: it maps a payload's digest to the member's first run
+    with that payload. Runs of distinct members never coincide, since their
+    first rows are the members' cells. Each distinct run's sizes, taken at
+    the largest runtime, which determines every prefix, go straight into
+    its row, and a repeated run copies that row. The calling thread
+    compresses a chunk's settled runs and shares those that stepped to the
+    largest runtime with up to ``workers`` - 1 helper threads, whose errors
+    it raises. None of this shows in the result: a from-scratch
     recomputation per member yields identical numbers.
     """
     t_top = times[-1]
@@ -218,50 +224,43 @@ def _complexity_matrix(
     counts = tuple((t + 1 - start) * size for t in times)
     total = len(cells) * len(systems)
 
-    # (member index, payload digest) -> sizes, for a member whose runs
-    # continue into the next chunk.
-    carried: dict[tuple[int, bytes], tuple[int, ...]] = {}
+    # Run i is systems[i % S] from member i // S.
     out = np.empty((total, len(times)), dtype=np.int64)
+    first_run: dict[bytes, int] = {}
     errors = []
 
     def compress(runs) -> None:
-        # Takes (key, payload) runs until none is left. On an error it takes
+        # Takes (run, payload) pairs until none is left. On an error it takes
         # the rest uncompressed, so that every thread sharing ``runs`` stops
         # after its current run, and the calling thread raises the error.
         try:
-            for key, payload in runs:
+            for i, payload in runs:
                 # Without the input row, each thread holds one payload twice.
                 if start:
                     payload = payload_cells(payload, start * size, counts[-1], k)
-                memo[key] = _prefix_sizes(payload, counts, k)
+                out[i] = _prefix_sizes(payload, counts, k)
         except BaseException as err:  # noqa: BLE001 - raised by the calling thread
             errors.append(err)
             for _ in runs:
                 pass
 
     for chunk in run_chunks(total, t_top, size, k):
-        # Run i is systems[i % S] from member i // S. The chunk's
-        # payloads are views of one packed array, freed with them.
-        members = [i // len(systems) for i in chunk]
-        batch = run_system([systems[i % len(systems)] for i in chunk], cells[members], boundary,
-                           t_top)
-        payloads = [memoryview(row) for row in batch.packed]
-        # Runs are keyed by member and payload digest, so what the
-        # next chunk inherits holds no payload. Runs are shared on one
-        # member only: their first rows are the member's cells, so
-        # runs of distinct members always differ.
-        keys = [(member, hashlib.sha256(payload).digest())
-                for member, payload in zip(members, payloads)]
-        tail = members[-1] if chunk.stop % len(systems) else None
-        memo = dict(carried)
-        new = {key: (payload, step == t_top)
-               for key, payload, step in zip(keys, payloads, batch.steps) if key not in memo}
+        batch = run_system([systems[i % len(systems)] for i in chunk],
+                           cells[[i // len(systems) for i in chunk]], boundary, t_top)
         # Helpers take only runs that stepped to t: a settled run is a cycle
         # from an early row on, and its stream spends its time holding the GIL.
-        settled = [(key, payload) for key, (payload, top) in new.items() if not top]
-        moving = iter([(key, payload) for key, (payload, top) in new.items() if top])
-        helpers = [threading.Thread(target=compress, args=(moving,))
-                   for _ in range(min(workers - 1, len(new) - len(settled)))]
+        settled, moving, repeats = [], [], []
+        for i, payload, step in zip(chunk, map(memoryview, batch.packed), batch.steps):
+            if i % len(systems) == 0:
+                first_run.clear()
+            first = first_run.setdefault(hashlib.sha256(payload).digest(), i)
+            if first != i:
+                repeats.append((i, first))
+            else:
+                (moving if step == t_top else settled).append((i, payload))
+        threads = min(workers - 1, len(moving))
+        moving = iter(moving)
+        helpers = [threading.Thread(target=compress, args=(moving,)) for _ in range(threads)]
         for helper in helpers:
             helper.start()
         compress(itertools.chain(settled, moving))
@@ -269,18 +268,11 @@ def _complexity_matrix(
             helper.join()
         if errors:
             raise errors[0]
-        out[chunk.start : chunk.stop] = [memo[key] for key in keys]
-        carried = {key: sizes for key, sizes in memo.items() if key[0] == tail}
+        for i, first in repeats:
+            out[i] = out[first]
         # The next chunk evolves with no payload of this one alive.
-        del batch, payloads, keys, memo, new, settled, moving, helpers
+        del batch, payload, settled, moving, helpers
     return out.reshape(len(cells), len(systems), len(times)).transpose(1, 0, 2)
-
-
-def _gap_sums(matrix: np.ndarray, times: tuple[int, ...], n: int) -> list[float]:
-    # Pair terms run over consecutive members j and j+1, so there are n-1
-    # of them; the divisor matches.
-    gaps = np.abs(np.diff(matrix, axis=0)).sum(axis=0)
-    return [int(total) / (t_prime * (n - 1)) for total, t_prime in zip(gaps, times)]
 
 
 def fit_line(curve: VariabilityCurve) -> FitResult:
@@ -325,10 +317,13 @@ def measure_all(
     t_min, stride, times = runtime_grid(family, t_max, t_min, stride)
     matrices = _complexity_matrix(systems, family.cells, family.boundary, times, include_input,
                                   workers)
+    # Pair terms run over consecutive members j and j+1, so there are n-1
+    # of them; the divisor matches.
+    gaps = np.abs(np.diff(matrices, axis=1)).sum(axis=1)
     measured = []
-    for system, matrix in zip(systems, matrices):
+    for system, totals in zip(systems, gaps):
         curve = VariabilityCurve(
-            points=tuple(zip(times, _gap_sums(matrix, times, family.n))),
+            points=tuple((t, int(total) / (t * (family.n - 1))) for t, total in zip(times, totals)),
             family_descriptor=family.descriptor,
         )
         fit = fit_line(curve)

@@ -422,6 +422,36 @@ def test_batched_matrix_is_bit_exact(monkeypatch, case):
         assert repeats > 0, "no two systems share a run on a member, so the memo is not hit"
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_memo_reaches_across_chunks(monkeypatch, workers):
+    """With one run per chunk, each member's six runs span six chunks, and
+    a run that repeats an earlier chunk's run on its member is still not
+    compressed again: one compression per distinct (member, payload)."""
+    systems = [rule_from_number(number) for number in (0, 8, 32, 128, 204, 110)]
+    family = gray_initials(5, 13)
+    times = runtime_grid(family, 20)[2]
+    distinct = [{pack_cells(evolve(system, member, times[-1]).ravel(), 2) for system in systems}
+                for member in family.members]
+    assert [len(payloads) for payloads in distinct[1:]] == [3, 4, 3, 4]
+    compressed = []
+    prefix_sizes = coefficient._prefix_sizes
+
+    def recording(payload, *args):
+        compressed.append(bytes(payload))
+        return prefix_sizes(payload, *args)
+
+    expected = coefficient._complexity_matrix(systems, family.cells, family.boundary, times,
+                                              True, workers)
+    monkeypatch.setattr(coefficient, "_prefix_sizes", recording)
+    monkeypatch.setattr(coefficient, "MEMORY_BUDGET", 1)
+    assert len(coefficient.run_chunks(len(systems) * family.n, times[-1], family.width, 2)) == 30
+    matrix = coefficient._complexity_matrix(systems, family.cells, family.boundary, times,
+                                            True, workers)
+    assert len(compressed) == sum(map(len, distinct))
+    assert sorted(compressed) == sorted(payload for payloads in distinct for payload in payloads)
+    assert matrix.tolist() == expected.tolist()
+
+
 SMALL_CASES = {
     "eca": lambda: ([rule_from_number(number) for number in (0, 2, 30, 110)],
                     gray_initials(5, 13)),
@@ -474,7 +504,8 @@ def test_one_chunk_tensor_is_alive_at_a_time():
     per_chunk = coefficient.MEMORY_BUDGET // run_bytes(family, times[-1])
     assert len(systems) * family.n > 3 * per_chunk, "the case must take many chunks"
     # The budget holds one chunk's packed runs, slab and step; the memo
-    # carries only digests to the next chunk; 64 KiB cover the small
+    # holds one digest per distinct run of the current member, and no
+    # view of a chunk's payloads outlives it; 64 KiB cover the small
     # arrays and lists of the loop.
     bound = coefficient.MEMORY_BUDGET + 64 * 1024
     expected = coefficient._complexity_matrix(systems, family.cells, family.boundary, times,
