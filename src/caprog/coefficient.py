@@ -22,18 +22,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .complexity import (
-    COMPRESSOR_ID,
-    compressed_size,
-    pack_cells,
-    packed_size,
-    payload_cells,
-    payload_prefix,
-    streamed_prefix_sizes,
-)
-# The engine is bound under the name run_system, and pack_cells stays
-# importable here, because the benchmark's tracer (perfbench/tracer.py)
-# times those layers by wrapping these module attributes.
+# The engine is bound under the name run_system, and compressed_size and
+# pack_cells, which nothing here calls, stay importable, only because the
+# benchmark's tracer (perfbench/tracer.py) wraps these module attributes.
+from .complexity import COMPRESSOR_ID, compressed_size, pack_cells, packed_size, prefix_sizes
 from .engine import SLAB_ROWS, STEP_BYTES, System, check_batch, evolve_batch as run_system
 from .enumeration import InputFamily
 
@@ -44,15 +36,6 @@ from .enumeration import InputFamily
 # per-call cost, few enough that memory stays bounded at any sweep size.
 # The family's cells, InputFamily.cells, come on top.
 MEMORY_BUDGET = 2 * 1024 * 1024
-
-# Payloads of at least this many bytes have their prefix sizes taken from
-# one compression stream, smaller ones by compressing each prefix afresh.
-# On one thread the stream wins from about 1.2 KiB (stream / one-shot time
-# on 61-cell ECA runs: 1.05 at 1,152 B, 0.96 at 1,228 B, 0.86 at 1,533 B),
-# but a stream's copy() holds the GIL while one-shot zlib releases it: on
-# 2 CPUs the default sweep took a median 3.80 s at 1,280 B against 3.35 s
-# at 4 KiB with 2 threads, and 4.50 s against 4.91 s with one.
-STREAM_BYTES = 4 * 1024
 
 
 class DegenerateFitError(ValueError):
@@ -171,12 +154,6 @@ def runtime_grid(
     return t_min, stride, sample_times(t_min, t_max, stride)
 
 
-def _prefix_sizes(payload: bytes, counts: tuple[int, ...], k: int) -> tuple[int, ...]:
-    if len(payload) >= STREAM_BYTES:
-        return streamed_prefix_sizes(payload, counts, k)
-    return tuple(compressed_size(payload_prefix(payload, count, k)) for count in counts)
-
-
 def resolve_workers(workers: int | None) -> int:
     """``workers``, or by default the CPUs this process may run on."""
     if workers is None:
@@ -209,9 +186,11 @@ def _complexity_matrix(
     beside moving ones cost little. The memo covers one member, whose runs
     may span chunks: it maps a payload's digest to the member's first run
     with that payload. Runs of distinct members never coincide, since their
-    first rows are the members' cells. Each distinct run's sizes, taken at
-    the largest runtime, which determines every prefix, go straight into
-    its row, and a repeated run copies that row. The calling thread
+    first rows are the members' cells. Each distinct run's payload, taken
+    at the largest runtime, which determines every prefix, goes once to
+    :func:`caprog.complexity.prefix_sizes`, which alone drops the input
+    row when it is left out and compresses. The sizes go straight into the
+    run's row, and a repeated run copies that row. The calling thread
     compresses a chunk's settled runs and shares those that stepped to the
     largest runtime with up to ``workers`` - 1 helper threads, whose errors
     it raises. None of this shows in the result: a from-scratch
@@ -235,10 +214,7 @@ def _complexity_matrix(
         # after its current run, and the calling thread raises the error.
         try:
             for i, payload in runs:
-                # Without the input row, each thread holds one payload twice.
-                if start:
-                    payload = payload_cells(payload, start * size, counts[-1], k)
-                out[i] = _prefix_sizes(payload, counts, k)
+                out[i] = prefix_sizes(payload, start * size, counts, k)
         except BaseException as err:  # noqa: BLE001 - raised by the calling thread
             errors.append(err)
             for _ in runs:

@@ -4,7 +4,9 @@ The payload is the space-time array's cells, row-major, packed by
 :func:`pack_cells` with no header; its compressed size under a pinned
 DEFLATE stream stands in for the (uncomputable) shortest-description
 length. Sizes are reported in bits to soften quantisation plateaus in
-downstream difference terms.
+downstream difference terms. :func:`prefix_sizes` alone turns a run's
+payload into its runtime prefixes' sizes: it drops any leading cells (an
+input row left out) and picks one-shot or streamed compression.
 """
 from __future__ import annotations
 
@@ -17,6 +19,15 @@ import numpy as np
 # part of the identifier.
 _LEVEL = 9
 COMPRESSOR_ID = f"deflate/zlib-{zlib.ZLIB_RUNTIME_VERSION}/level{_LEVEL}"
+
+# Payloads of at least this many bytes have their prefix sizes taken from
+# one compression stream, smaller ones by compressing each prefix afresh.
+# On one thread the stream wins from about 1.2 KiB (stream / one-shot time
+# on 61-cell ECA runs: 1.05 at 1,152 B, 0.96 at 1,228 B, 0.86 at 1,533 B),
+# but a stream's copy() holds the GIL while one-shot zlib releases it: on
+# 2 CPUs the default sweep took a median 3.80 s at 1,280 B against 3.35 s
+# at 4 KiB with 2 threads, and 4.50 s against 4.91 s with one.
+STREAM_BYTES = 4 * 1024
 
 
 def pack_cells(flat: np.ndarray, k: int) -> bytes:
@@ -48,22 +59,6 @@ def packed_size(cell_count: int, k: int) -> int:
     return -(-cell_count // 8) if k == 2 else cell_count
 
 
-def payload_prefix(payload: bytes, cell_count: int, k: int) -> bytes:
-    """The packed form of the first ``cell_count`` cells of ``payload``.
-
-    Equal to ``pack_cells(flat[:cell_count], k)`` when ``payload`` is
-    ``pack_cells(flat, k)``, without unpacking.
-    """
-    if k != 2:
-        return payload[:cell_count]
-    size, tail = divmod(cell_count, 8)
-    if not tail:
-        return payload[:size]
-    # Zero the cells past cell_count in the final partial byte.
-    last = payload[size] & (0xFF << (8 - tail)) & 0xFF
-    return b"".join((payload[:size], bytes((last,))))
-
-
 def payload_cells(payload: bytes, start: int, cell_count: int, k: int) -> bytes:
     """The packed form of the ``cell_count`` cells of ``payload`` from cell
     ``start`` on.
@@ -72,15 +67,22 @@ def payload_cells(payload: bytes, start: int, cell_count: int, k: int) -> bytes:
     ``payload`` is ``pack_cells(flat, k)``, without unpacking: a byte
     slice when ``start`` falls on a byte, a bit shift otherwise.
     """
-    if k == 2 and start % 8:
-        whole, shift = divmod(start, 8)
-        end = whole + packed_size(shift + cell_count, 2)
-        # Cell `start`, bit `shift` (MSB first) of byte `whole`, becomes
+    if k != 2:
+        return payload[start : start + cell_count]
+    first, shift = divmod(start, 8)
+    if shift:
+        end = first + packed_size(shift + cell_count, 2)
+        # Cell `start`, bit `shift` (MSB first) of byte `first`, becomes
         # the first bit.
-        value = int.from_bytes(payload[whole:end], "big") << shift
-        payload = (value & ((1 << 8 * (end - whole)) - 1)).to_bytes(end - whole, "big")
-        start = 0
-    return payload_prefix(payload[packed_size(start, k):], cell_count, k)
+        value = int.from_bytes(payload[first:end], "big") << shift
+        payload = (value & ((1 << 8 * (end - first)) - 1)).to_bytes(end - first, "big")
+        first = 0
+    size, tail = divmod(cell_count, 8)
+    if not tail:
+        return payload[first : first + size]
+    # Zero the cells past cell_count in the final partial byte.
+    last = payload[first + size] & (0xFF << (8 - tail)) & 0xFF
+    return b"".join((payload[first : first + size], bytes((last,))))
 
 
 def compressed_size(payload: bytes) -> int:
@@ -88,9 +90,21 @@ def compressed_size(payload: bytes) -> int:
     return len(zlib.compress(payload, _LEVEL)) * 8
 
 
-def streamed_prefix_sizes(payload: bytes, counts: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """``compressed_size(payload_prefix(payload, count, k))`` for each of
-    the increasing ``counts``, from one compression of ``payload``.
+def prefix_sizes(payload: bytes, start: int, counts: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """``compressed_size(payload_cells(payload, start, count, k))`` for each
+    of the increasing ``counts``, the cells before ``start`` dropped once.
+    What is left goes through one compression stream from STREAM_BYTES
+    on, and is compressed afresh per prefix below: the sizes are the same.
+    """
+    if start:
+        payload = payload_cells(payload, start, counts[-1], k)
+    if len(payload) < STREAM_BYTES:
+        return tuple(compressed_size(payload_cells(payload, 0, count, k)) for count in counts)
+    return _streamed_prefix_sizes(payload, counts, k)
+
+
+def _streamed_prefix_sizes(payload: bytes, counts: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """:func:`prefix_sizes` from cell 0, from one compression of ``payload``.
 
     The whole bytes of each prefix go through one stream, with the level
     and zlib defaults of :func:`compressed_size`, which emits the same
@@ -108,6 +122,6 @@ def streamed_prefix_sizes(payload: bytes, counts: tuple[int, ...], k: int) -> tu
         emitted += len(stream.compress(payload[fed:whole]))
         fed = whole
         finish = stream.copy() if i + 1 < len(counts) else stream
-        tail = payload_prefix(payload[whole : whole + 1], loose, k)
+        tail = payload_cells(payload, count - loose, loose, k)
         sizes.append((emitted + len(finish.compress(tail)) + len(finish.flush())) * 8)
     return tuple(sizes)

@@ -26,6 +26,20 @@ def ref_conjugate(number: int) -> int:
     return sum((1 - ((number >> (7 - v)) & 1)) << v for v in range(8))
 
 
+def ref_mirror(number: int, k: int, r: int) -> int:
+    """Number of the left-right mirror image of the 1-D rule ``number`` in
+    ``k`` colours and radius ``r`` (numbered as in :func:`ref_ca_evolve`):
+    its output for a neighbourhood is the output for that neighbourhood
+    read right to left."""
+    width = 2 * r + 1
+    mirrored = 0
+    for v in range(k ** width):
+        digits = [v // k ** i % k for i in range(width)]  # rightmost cell first
+        reverse = sum(d * k ** (width - 1 - i) for i, d in enumerate(digits))
+        mirrored += number // k ** reverse % k * k ** v
+    return mirrored
+
+
 def ref_step(cells: list[int], table, boundary: str = "cyclic") -> list[int]:
     w = len(cells)
     out = []

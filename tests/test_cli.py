@@ -354,13 +354,13 @@ class TestCoeff:
         # Life runs that die or stand still are the inert rules' runs on the
         # same member; the pass compresses every distinct run once.
         compressed = []
-        prefix_sizes = coefficient._prefix_sizes
+        prefix_sizes = coefficient.prefix_sizes
 
         def recording(payload, *args):
             compressed.append(bytes(payload))
             return prefix_sizes(payload, *args)
 
-        monkeypatch.setattr(coefficient, "_prefix_sizes", recording)
+        monkeypatch.setattr(coefficient, "prefix_sizes", recording)
         assert main(["coeff", *LIFE_SMALL, "--out", str(tmp_path)]) == 0
         family = gray_patches(12, 6, 7)
         # The first row is the member, so runs of two members never coincide.

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caprog import cli, coefficient
+from caprog import cli, coefficient, complexity
 from caprog.classify import INERT_LIFE
 from caprog.coefficient import (
     CoefficientResult,
@@ -417,7 +417,7 @@ def test_batched_matrix_is_bit_exact(monkeypatch, case):
                 assert sizes.tolist() == [ref_complexity(ref[start : t + 1]) for t in times]
         repeats += len(systems) - len(payloads)
     # Which cases take their sizes from one compression stream per run.
-    assert (longest >= coefficient.STREAM_BYTES) == (case in ("eca-wide-no-input", "k3-r2"))
+    assert (longest >= complexity.STREAM_BYTES) == (case in ("eca-wide-no-input", "k3-r2"))
     if case != "k3-r2":
         assert repeats > 0, "no two systems share a run on a member, so the memo is not hit"
 
@@ -434,7 +434,7 @@ def test_the_memo_reaches_across_chunks(monkeypatch, workers):
                 for member in family.members]
     assert [len(payloads) for payloads in distinct[1:]] == [3, 4, 3, 4]
     compressed = []
-    prefix_sizes = coefficient._prefix_sizes
+    prefix_sizes = coefficient.prefix_sizes
 
     def recording(payload, *args):
         compressed.append(bytes(payload))
@@ -442,7 +442,7 @@ def test_the_memo_reaches_across_chunks(monkeypatch, workers):
 
     expected = coefficient._complexity_matrix(systems, family.cells, family.boundary, times,
                                               True, workers)
-    monkeypatch.setattr(coefficient, "_prefix_sizes", recording)
+    monkeypatch.setattr(coefficient, "prefix_sizes", recording)
     monkeypatch.setattr(coefficient, "MEMORY_BUDGET", 1)
     assert len(coefficient.run_chunks(len(systems) * family.n, times[-1], family.width, 2)) == 30
     matrix = coefficient._complexity_matrix(systems, family.cells, family.boundary, times,
@@ -537,7 +537,7 @@ def test_payloads_count_against_the_budget(monkeypatch):
     about twice the budget."""
     # These payloads hardly compress, and compressing their prefixes takes
     # about 20 s; the sizes play no part in the peak, so a stand-in gives them.
-    monkeypatch.setattr(coefficient, "_prefix_sizes", lambda payload, counts, k: counts)
+    monkeypatch.setattr(coefficient, "prefix_sizes", lambda payload, start, counts, k: counts)
     rng = np.random.default_rng(5)
     digits = random.Random(5)
     systems = [rule_from_number(digits.randrange(3 ** 27), k=3) for _ in range(4)]
@@ -658,14 +658,14 @@ def test_an_error_in_any_thread_comes_out_of_the_measurement(monkeypatch, system
     systems, family = [rule_from_number(110), rule_from_number(204)], random_initials(6, 1024, seed=0)
     failing = pack_cells(evolve(systems[system], family.members[member], 100).ravel(), 2)
     error = RuntimeError("the compressor failed")
-    prefix_sizes = coefficient._prefix_sizes
+    prefix_sizes = coefficient.prefix_sizes
 
-    def sizes(payload, counts, k):
+    def sizes(payload, start, counts, k):
         if bytes(payload) == failing:
             raise error
-        return prefix_sizes(payload, counts, k)
+        return prefix_sizes(payload, start, counts, k)
 
-    monkeypatch.setattr(coefficient, "_prefix_sizes", sizes)
+    monkeypatch.setattr(coefficient, "prefix_sizes", sizes)
     threads = threading.active_count()
     with pytest.raises(RuntimeError) as raised:
         coefficient.measure_all(systems, family, 100, workers=2)

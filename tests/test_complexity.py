@@ -4,18 +4,17 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from caprog.coefficient import STREAM_BYTES
 from caprog.complexity import (
     COMPRESSOR_ID,
+    STREAM_BYTES,
     compressed_size,
     pack_cells,
     packed_size,
     payload_cells,
-    payload_prefix,
-    streamed_prefix_sizes,
+    prefix_sizes,
 )
 from caprog.engine import Configuration, evolve, rule_from_number
 from caprog.enumeration import gray_initials
@@ -85,7 +84,7 @@ class TestPacking:
         flat = rng.integers(0, k, size=size, dtype=np.uint8)
         payload = pack_cells(flat, k)
         for count in range(size + 1):
-            assert payload_prefix(payload, count, k) == pack_cells(flat[:count], k)
+            assert payload_cells(payload, 0, count, k) == pack_cells(flat[:count], k)
 
     @given(
         row=st.one_of(st.integers(1, 5).map(lambda m: 8 * m), st.integers(1, 40)),
@@ -147,23 +146,33 @@ class TestCompressedSize:
         size=st.integers(min_value=1, max_value=3 * STREAM_BYTES),
         loose=st.integers(min_value=0, max_value=7),
         k=st.sampled_from([2, 3]),
+        start=st.one_of(st.just(0), st.integers(1, 40).map(lambda m: 8 * m),
+                        st.integers(1, 320).filter(lambda s: s % 8)),
         density=st.sampled_from([0.02, 0.5]),
         seed=st.integers(min_value=0, max_value=2**31),
         picks=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=16),
     )
+    # Payloads left with one byte short of STREAM_BYTES compress each
+    # prefix afresh, and those left with STREAM_BYTES stream.
+    @example(size=STREAM_BYTES - 1, loose=3, k=2, start=61, density=0.5, seed=1, picks=[0.5])
+    @example(size=STREAM_BYTES, loose=3, k=2, start=61, density=0.5, seed=1, picks=[0.5])
+    @example(size=STREAM_BYTES - 1, loose=0, k=3, start=0, density=0.02, seed=2, picks=[0.3])
+    @example(size=STREAM_BYTES, loose=0, k=3, start=0, density=0.02, seed=2, picks=[0.3])
     @settings(max_examples=60, deadline=None)
-    def test_streamed_prefix_sizes_match_one_shot(self, size, loose, k, density, seed, picks):
-        # Payloads of up to 3 * STREAM_BYTES bytes, so on both sides of the
-        # size at which coefficient switches to streaming; sparse cells
-        # give long matches, dense ones few.
+    def test_streamed_prefix_sizes_match_one_shot(self, size, loose, k, start, density, seed,
+                                                  picks):
+        # Payloads of up to 3 * STREAM_BYTES bytes once the cells before
+        # start are dropped, so on both sides of the size at which
+        # prefix_sizes switches to streaming; sparse cells give long
+        # matches, dense ones few. Each size is checked against its
+        # definition: the prefix's cells packed afresh and compressed.
         rng = np.random.default_rng(seed)
         cells = max(1, 8 * size - loose) if k == 2 else size
-        live = rng.random(cells) < density
-        flat = live * rng.integers(1, k, size=cells, dtype=np.uint8)
-        payload = pack_cells(flat, k)
-        counts = tuple(sorted({max(1, round(p * cells)) for p in picks}))
-        assert streamed_prefix_sizes(payload, counts, k) == tuple(
-            compressed_size(payload_prefix(payload, count, k)) for count in counts
+        live = rng.random(start + cells) < density
+        flat = live * rng.integers(1, k, size=start + cells, dtype=np.uint8)
+        counts = tuple(sorted({max(1, round(p * cells)) for p in picks} | {cells}))
+        assert prefix_sizes(pack_cells(flat, k), start, counts, k) == tuple(
+            compressed_size(pack_cells(flat[start : start + count], k)) for count in counts
         )
 
     @pytest.mark.parametrize("counts", [
@@ -173,18 +182,20 @@ class TestCompressedSize:
         (5, 13, 8 * STREAM_BYTES + 1, 16 * STREAM_BYTES - 1),
     ])
     def test_streamed_prefix_sizes_end_mid_byte(self, counts):
+        # A payload of 2 * STREAM_BYTES streams, however short its prefixes.
         rng = np.random.default_rng(11)
         payload = rng.integers(0, 256, size=2 * STREAM_BYTES, dtype=np.uint8).tobytes()
-        assert streamed_prefix_sizes(payload, counts, 2) == tuple(
-            compressed_size(payload_prefix(payload, count, 2)) for count in counts
+        assert prefix_sizes(payload, 0, counts, 2) == tuple(
+            compressed_size(payload_cells(payload, 0, count, 2)) for count in counts
         )
 
     def test_streamed_prefix_masks_cells_past_the_prefix(self):
         # The prefix ends one cell short of the single 0xAB byte. Masked,
         # that byte continues the run of 0xAA; unmasked, it would be a new
-        # literal and compress larger.
+        # literal and compress larger. The payload is above STREAM_BYTES,
+        # so it streams.
         payload = b"\xaa" * 9000 + b"\xab" + b"\xaa" * 50
-        (size,) = streamed_prefix_sizes(payload, (8 * 9001 - 1,), 2)
+        (size,) = prefix_sizes(payload, 0, (8 * 9001 - 1,), 2)
         assert size == compressed_size(b"\xaa" * 9001) < compressed_size(payload[:9001])
 
     def test_zero_grid_strictly_below_random_grid(self):

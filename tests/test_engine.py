@@ -1,4 +1,5 @@
 import itertools
+import random
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,14 @@ from caprog.engine import (
     rule_from_number,
 )
 
-from reference import ref_ca_evolve, ref_conjugate, ref_evolve, ref_life_evolve, ref_rule_table
+from reference import (
+    ref_ca_evolve,
+    ref_conjugate,
+    ref_evolve,
+    ref_life_evolve,
+    ref_mirror,
+    ref_rule_table,
+)
 
 
 def row(bits: str) -> Configuration:
@@ -133,6 +141,33 @@ def test_conjugate_semantics():
         direct = evolve(rule_from_number(number), Configuration(cells), 9)
         flipped = evolve(rule_from_number(ref_conjugate(number)), Configuration(1 - cells), 9)
         assert np.array_equal(flipped, 1 - direct)
+
+
+def test_mirror_numbers():
+    # Rule 110 mirrored is 124, 30 is 86 and 89 is 75; 122 is its own
+    # mirror image, and mirroring twice gives the rule back.
+    assert [ref_mirror(number, 2, 1) for number in (110, 30, 89, 122)] == [124, 86, 75, 122]
+    assert all(ref_mirror(ref_mirror(number, 2, 1), 2, 1) == number for number in range(256))
+
+
+@pytest.mark.parametrize("boundary", [CYCLIC, FIXED])
+def test_mirror_semantics(boundary):
+    # Evolving the mirror image on the mirrored input mirrors the
+    # evolution, bit for bit: for every ECA, and for a k = 3, r = 2 rule
+    # checked against the reference as well.
+    rng = np.random.default_rng(11)
+    cells = rng.integers(0, 2, size=17, dtype=np.uint8)
+    for number in range(256):
+        direct = evolve(rule_from_number(number), Configuration(cells, boundary=boundary), 9)
+        mirrored = evolve(rule_from_number(ref_mirror(number, 2, 1)),
+                          Configuration(cells[::-1], boundary=boundary), 9)
+        assert np.array_equal(mirrored, direct[:, ::-1])
+    number = random.Random(11).randrange(3 ** 3 ** 5)
+    cells = rng.integers(0, 3, size=19, dtype=np.uint8)
+    mirrored = evolve(rule_from_number(ref_mirror(number, 3, 2), k=3, r=2),
+                      Configuration(cells[::-1], boundary=boundary), 12)
+    ref = ref_ca_evolve(number, 3, 2, cells.tolist(), 12, boundary=boundary)
+    assert mirrored.tolist() == [line[::-1] for line in ref]
 
 
 def test_step_rule110_cyclic():
