@@ -109,10 +109,10 @@ def _streamed_prefix_sizes(payload: bytes, counts: tuple[int, ...], k: int) -> t
     The whole bytes of each prefix go through one stream, with the level
     and zlib defaults of :func:`compressed_size`, which emits the same
     bytes however its input is split. At each prefix but the last, a copy
-    of the stream takes the final partial byte and finishes; the stream
-    itself finishes the last. Each copy moves the stream's whole state
-    (about 256 KiB at this level), so this only beats one-shot compression
-    of every prefix on payloads of a few KiB and up.
+    of the stream takes the final partial byte, if there is one, and
+    finishes; the stream itself finishes the last. Each copy moves the
+    stream's whole state (about 256 KiB at this level), so this only beats
+    one-shot compression of every prefix on payloads of a few KiB and up.
     """
     stream = zlib.compressobj(_LEVEL)
     emitted = fed = 0
@@ -122,6 +122,6 @@ def _streamed_prefix_sizes(payload: bytes, counts: tuple[int, ...], k: int) -> t
         emitted += len(stream.compress(payload[fed:whole]))
         fed = whole
         finish = stream.copy() if i + 1 < len(counts) else stream
-        tail = payload_cells(payload, count - loose, loose, k)
-        sizes.append((emitted + len(finish.compress(tail)) + len(finish.flush())) * 8)
+        tail = len(finish.compress(payload_cells(payload, count - loose, loose, k))) if loose else 0
+        sizes.append((emitted + tail + len(finish.flush())) * 8)
     return tuple(sizes)

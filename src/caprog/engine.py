@@ -293,26 +293,28 @@ def evolve_batch(systems, cells, boundary: str, t: int) -> EvolutionBatch:
     the runs' packed payloads SLAB_ROWS at a time, so no run is ever held
     as a whole unpacked array. A step is a pure function of the state, so
     a run back at its state of two steps before (at step 1, its initial
-    state) cycles its last two states: it retires at that step, as every
-    run still stepping does at step t. Its slab is filled with the cycle
-    and, once packed, holds only the cycle; when the last run retires,
-    that slab is packed once and written into every later slab. Run b
-    retired at the batch's ``steps[b]``, t if it stepped to the end.
+    state) cycles: it retires at that step, as every run still stepping
+    does at step t, and its next state is then its state of two steps
+    before, with no step taken. Once a packed slab starts at or after
+    every retirement, each later whole slab is a byte copy of it and a
+    shorter last one is packed from its first rows. Run b retired at
+    the batch's ``steps[b]``, t if it stepped to the end.
     """
     if t < 1:
         raise ValueError("an evolution must contain at least one transition (t >= 1)")
     if len(systems) != len(cells):
         raise ValueError("a batch pairs one system with each initial state")
     check_batch(systems, cells, boundary)
-    current = np.array(cells, dtype=np.uint8, order="C")  # a copy: states move in place
-    runs, k, size = len(systems), systems[0].k, current[0].size
+    before = np.array(cells, dtype=np.uint8, order="C")  # a copy: states move in place
+    runs, k, size = len(systems), systems[0].k, before[0].size
     tables = np.stack([system.outputs for system in systems])
-    lookup = _lookup(tables, k, current.ndim)
+    lookup = _lookup(tables, k, before.ndim)
     packed = np.empty((runs, packed_size((t + 1) * size, k)), dtype=np.uint8)
-    # slab[b] holds run b's rows of the slab of step s. The runs live[j]
-    # step on, and current[j] is the state of run live[j].
-    slab = np.empty((runs, SLAB_ROWS, *current.shape[1:]), dtype=np.uint8)
-    live, steps = np.arange(runs), np.empty(runs, dtype=np.int64)
+    # slab[b] holds run b's rows of the slab of step s, and before[b] and
+    # older[b] its states at steps s - 1 and s - 2 (at s = 1, its initial
+    # state). The runs live step on.
+    slab = np.empty((runs, SLAB_ROWS, *before.shape[1:]), dtype=np.uint8)
+    older, live, steps = before.copy(), np.arange(runs), np.empty(runs, dtype=np.int64)
 
     def pack(first: int, count: int) -> None:
         # slab[:, :count] are rows first .. first + count - 1 of every run;
@@ -321,48 +323,43 @@ def evolve_batch(systems, cells, boundary: str, t: int) -> EvolutionBatch:
         packed[:, start : start + packed_size(count * size, k)] = pack_rows(
             slab[:, :count].reshape(runs, -1), k)
 
-    # (runs, parity of s, their cycle) of the runs retired at a step s of this slab
-    retired = []
-    slab[:, 0] = current
-    before = current
+    slab[:, 0] = before
     for s in range(1, t + 1):
         i = s % SLAB_ROWS
-        older, before, current = before, current, _step_cells(current, lookup, systems[0],
-                                                              boundary)
-        # A slice writes at half the cost of a scatter, until a run retires.
-        slab[live if len(live) < runs else slice(None), i] = current
-        settled = (current == older).reshape(len(live), -1).all(axis=1) | (s == t)
-        if settled.any():
-            # Row s + d of a retired run is current for even d and before
-            # for odd d: the rest of its slab is filled so.
-            ids, odd, even = live[settled], before[settled][:, None], current[settled][:, None]
-            slab[ids, i + 1 :: 2], slab[ids, i + 2 :: 2] = odd, even
-            retired.append((ids, i % 2, odd, even))
-            steps[ids] = s
-            live, before, current = live[~settled], before[~settled], current[~settled]
-            lookup = _lookup(tables[live], k, current.ndim)
-        if i == SLAB_ROWS - 1 or not len(live):
+        if len(live):
+            # Until a run retires the states are read and written in place;
+            # then take gathers at half the cost of indexing by live.
+            ids = live if len(live) < runs else slice(None)
+            state, prev = (a if len(live) == runs else a.take(live, 0) for a in (before, older))
+            current = _step_cells(state, lookup, systems[0], boundary)
+            settled = (current == prev).reshape(len(live), -1).all(axis=1) | (s == t)
+            older[ids] = current
+            if settled.any():
+                steps[live[settled]] = s
+                live = live[~settled]
+                lookup = _lookup(tables[live], k, before.ndim)
+        # A retired run's state is never written again, so the swap makes
+        # its state of two steps before its next one.
+        older, before = before, older
+        slab[:, i] = before
+        if i == SLAB_ROWS - 1 or s == t:
             pack(s - i, min(SLAB_ROWS, t + 1 - s + i))
-            # Every slab starts on an even row, so from here on a retired
-            # run's slab holds its cycle in every row.
-            for ids, parity, odd, even in retired:
-                slab[ids, parity::2], slab[ids, 1 - parity :: 2] = even, odd
-            retired = []
-        if not len(live):
-            break
-    # Every later slab is the one slab every run now holds: packed once,
-    # it is written through a (runs, slabs, bytes) view of packed, and a
-    # shorter last slab takes its first rows.
+            # Every slab starts on an even row, so once one starts at or
+            # after every run's retirement, every later slab equals it.
+            if not len(live) and steps.max() <= s - i:
+                break
+    # The later whole slabs are written through a (runs, slabs, bytes) view.
     first = s - i + SLAB_ROWS
     whole, part = divmod(max(0, t + 1 - first), SLAB_ROWS)
     if whole:
-        start = packed_size(first * size, k)
-        slabs = packed[:, start : start + packed_size(whole * SLAB_ROWS * size, k)]
-        slabs.reshape(runs, whole, -1)[:] = pack_rows(slab.reshape(runs, 1, -1), k)
+        start, length = packed_size(first * size, k), packed_size(SLAB_ROWS * size, k)
+        # A copy: a source that overlaps its target makes numpy buffer the target.
+        cycle = packed[:, start - length : start].copy()
+        packed[:, start : start + whole * length].reshape(runs, whole, -1)[:] = cycle[:, None]
     if part:
         pack(first + whole * SLAB_ROWS, part)
     packed.setflags(write=False)
-    return EvolutionBatch(packed=packed, k=k, shape=(t + 1, *current.shape[1:]), steps=steps)
+    return EvolutionBatch(packed=packed, k=k, shape=(t + 1, *before.shape[1:]), steps=steps)
 
 
 def evolve(system: System, init: Configuration, t: int) -> np.ndarray:

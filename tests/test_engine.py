@@ -486,8 +486,9 @@ def test_settled_batch_stops_stepping_and_stays_exact(step_calls, case):
 def test_a_run_settles_at_every_row_of_a_slab(step_calls):
     # Rule 128 keeps only the middle cells of 111, so a block of L ones
     # dies after ceil(L / 2) steps and the run settles two steps later:
-    # as L grows, at every row of a slab.
-    t = 3 * engine.SLAB_ROWS
+    # as L grows, at every row of a slab, and later whole slabs and a
+    # short last slab follow.
+    t = 5 * engine.SLAB_ROWS + 3
     ends = set()
     for length in range(1, 2 * engine.SLAB_ROWS + 4):
         step_calls.clear()
@@ -562,6 +563,29 @@ def test_retired_runs_are_written_without_a_second_slab(step_calls):
     packed = runs * packed_size((t + 1) * width, 2)
     # The states, the settle check and one step's temporaries take about
     # 11 bytes per cell of a batch state.
+    assert peak < packed + runs * engine.SLAB_ROWS * width + 16 * runs * width
+    for system, init, rows in zip(systems, cells, batch.rows):
+        assert rows.tolist() == ref_run(system, Configuration(init), t)
+
+
+def test_slabs_after_every_retirement_are_copied_in_place(step_calls):
+    # 204, 51 and 0 retire at steps 1, 2 and 3, so from the second slab on
+    # every slab holds only the cycles: the 60 whole slabs after it are
+    # byte copies of it, with no buffer as large as their target (360 KiB
+    # here), and the short last slab is packed from its first rows.
+    runs, width, t = 3, 1024, 1000
+    systems = eca(0, 204, 51)
+    cells = np.random.default_rng(0).integers(0, 2, size=(runs, width), dtype=np.uint8)
+    evolve_batch(systems, cells, CYCLIC, 2)
+    step_calls.clear()
+    tracemalloc.start()
+    try:
+        batch = evolve_batch(systems, cells, CYCLIC, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert step_calls == [3, 2, 1]
+    packed = runs * packed_size((t + 1) * width, 2)
     assert peak < packed + runs * engine.SLAB_ROWS * width + 16 * runs * width
     for system, init, rows in zip(systems, cells, batch.rows):
         assert rows.tolist() == ref_run(system, Configuration(init), t)
@@ -707,11 +731,12 @@ def test_a_run_continues_from_its_last_state(data, kind, settles, t):
 
 
 @settings(max_examples=80, deadline=None)
-@given(data=st.data(), kind=st.sampled_from(["r1", "r2", "k3", "life"]), t=st.integers(1, 40),
-       boundary=st.sampled_from([CYCLIC, FIXED]))
+@given(data=st.data(), kind=st.sampled_from(["r1", "r2", "k3", "life"]),
+       t=st.integers(1, 5 * engine.SLAB_ROWS + 5), boundary=st.sampled_from([CYCLIC, FIXED]))
 def test_table_lookup_matches_reference(data, kind, t, boundary):
     """Binary rules and Life look their tables up by bitmask, k = 3 by
-    gather; either way the runs equal the naive reference, across slabs."""
+    gather; either way the runs equal the naive reference, across slabs,
+    and so do k = 3 runs that all settle and are copied slab by slab."""
     count = data.draw(st.integers(1, 4))
     if kind == "life":
         counts = st.frozensets(st.integers(0, 8))
@@ -721,6 +746,8 @@ def test_table_lookup_matches_reference(data, kind, t, boundary):
     else:
         k, r = (3, 1) if kind == "k3" else (2, int(kind[1]))
         numbers = st.integers(0, k ** k ** (2 * r + 1) - 1)
+        if k == 3:
+            numbers = st.one_of(st.sampled_from(SETTLING_K3), numbers)
         systems = [rule_from_number(data.draw(numbers), k=k, r=r) for _ in range(count)]
         shape = (data.draw(st.integers(1, 16)),)
     size = count * int(np.prod(shape))
