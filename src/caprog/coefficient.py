@@ -183,23 +183,25 @@ def _complexity_matrix(
     prefixes of the same run. In a chunk, a run that settles into period
     1 or 2 stops stepping at that step while the others step on (see
     :func:`caprog.engine.evolve_batch`), so inert systems measured
-    beside moving ones cost little. The memo covers one member, whose runs
-    may span chunks: it maps a payload's digest to the member's first run
-    with that payload. Runs of distinct members never coincide, since their
-    first rows are the members' cells. Each distinct run's payload, taken
-    at the largest runtime, which determines every prefix, goes once to
-    :func:`caprog.complexity.prefix_sizes`, which alone drops the input
-    row when it is left out and compresses. The sizes go straight into the
+    beside moving ones cost little. Without the input row, each chunk
+    first takes one step, and the runs measured start there, one step
+    shorter: the engine continues a run bit for bit. The memo covers one
+    member, whose runs may span chunks: it maps a payload's digest to the
+    member's first run with that payload. With the input row, runs of
+    distinct members never coincide, since their first rows are the
+    members' cells. Each distinct run's payload, taken at the largest
+    runtime, which determines every prefix, goes once to
+    :func:`caprog.complexity.prefix_sizes`. The sizes go straight into the
     run's row, and a repeated run copies that row. The calling thread
     compresses a chunk's settled runs and shares those that stepped to the
     largest runtime with up to ``workers`` - 1 helper threads, whose errors
     it raises. None of this shows in the result: a from-scratch
     recomputation per member yields identical numbers.
     """
-    t_top = times[-1]
     k = systems[0].k
     size = cells[0].size
     start = 0 if include_input else 1
+    t_top = times[-1] - start
     counts = tuple((t + 1 - start) * size for t in times)
     total = len(cells) * len(systems)
 
@@ -214,15 +216,18 @@ def _complexity_matrix(
         # after its current run, and the calling thread raises the error.
         try:
             for i, payload in runs:
-                out[i] = prefix_sizes(payload, start * size, counts, k)
+                out[i] = prefix_sizes(payload, counts, k)
         except BaseException as err:  # noqa: BLE001 - raised by the calling thread
             errors.append(err)
             for _ in runs:
                 pass
 
     for chunk in run_chunks(total, t_top, size, k):
-        batch = run_system([systems[i % len(systems)] for i in chunk],
-                           cells[[i // len(systems) for i in chunk]], boundary, t_top)
+        chunk_systems = [systems[i % len(systems)] for i in chunk]
+        states = cells[[i // len(systems) for i in chunk]]
+        if not include_input:
+            states = run_system(chunk_systems, states, boundary, 1).rows[:, 1]
+        batch = run_system(chunk_systems, states, boundary, t_top)
         # Helpers take only runs that stepped to t: a settled run is a cycle
         # from an early row on, and its stream spends its time holding the GIL.
         settled, moving, repeats = [], [], []
@@ -247,7 +252,7 @@ def _complexity_matrix(
         for i, first in repeats:
             out[i] = out[first]
         # The next chunk evolves with no payload of this one alive.
-        del batch, payload, settled, moving, helpers
+        del batch, states, payload, settled, moving, helpers
     return out.reshape(len(cells), len(systems), len(times)).transpose(1, 0, 2)
 
 

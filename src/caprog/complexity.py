@@ -5,8 +5,8 @@ The payload is the space-time array's cells, row-major, packed by
 DEFLATE stream stands in for the (uncomputable) shortest-description
 length. Sizes are reported in bits to soften quantisation plateaus in
 downstream difference terms. :func:`prefix_sizes` alone turns a run's
-payload into its runtime prefixes' sizes: it drops any leading cells (an
-input row left out) and picks one-shot or streamed compression.
+payload into its runtime prefixes' sizes, picking one-shot or streamed
+compression.
 """
 from __future__ import annotations
 
@@ -59,30 +59,20 @@ def packed_size(cell_count: int, k: int) -> int:
     return -(-cell_count // 8) if k == 2 else cell_count
 
 
-def payload_cells(payload: bytes, start: int, cell_count: int, k: int) -> bytes:
-    """The packed form of the ``cell_count`` cells of ``payload`` from cell
-    ``start`` on.
+def payload_cells(payload: bytes, cell_count: int, k: int) -> bytes:
+    """The packed form of the first ``cell_count`` cells of ``payload``.
 
-    Equal to ``pack_cells(flat[start : start + cell_count], k)`` when
-    ``payload`` is ``pack_cells(flat, k)``, without unpacking: a byte
-    slice when ``start`` falls on a byte, a bit shift otherwise.
+    Equal to ``pack_cells(flat[:cell_count], k)`` when ``payload`` is
+    ``pack_cells(flat, k)``, without unpacking.
     """
     if k != 2:
-        return payload[start : start + cell_count]
-    first, shift = divmod(start, 8)
-    if shift:
-        end = first + packed_size(shift + cell_count, 2)
-        # Cell `start`, bit `shift` (MSB first) of byte `first`, becomes
-        # the first bit.
-        value = int.from_bytes(payload[first:end], "big") << shift
-        payload = (value & ((1 << 8 * (end - first)) - 1)).to_bytes(end - first, "big")
-        first = 0
+        return payload[:cell_count]
     size, tail = divmod(cell_count, 8)
     if not tail:
-        return payload[first : first + size]
+        return payload[:size]
     # Zero the cells past cell_count in the final partial byte.
-    last = payload[first + size] & (0xFF << (8 - tail)) & 0xFF
-    return b"".join((payload[first : first + size], bytes((last,))))
+    last = payload[size] & (0xFF << (8 - tail)) & 0xFF
+    return b"".join((payload[:size], bytes((last,))))
 
 
 def compressed_size(payload: bytes) -> int:
@@ -90,21 +80,19 @@ def compressed_size(payload: bytes) -> int:
     return len(zlib.compress(payload, _LEVEL)) * 8
 
 
-def prefix_sizes(payload: bytes, start: int, counts: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """``compressed_size(payload_cells(payload, start, count, k))`` for each
-    of the increasing ``counts``, the cells before ``start`` dropped once.
-    What is left goes through one compression stream from STREAM_BYTES
-    on, and is compressed afresh per prefix below: the sizes are the same.
+def prefix_sizes(payload: bytes, counts: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """``compressed_size(payload_cells(payload, count, k))`` for each of the
+    increasing ``counts``. A payload of STREAM_BYTES or more goes through
+    one compression stream, and each prefix of a smaller one is compressed
+    afresh: the sizes are the same.
     """
-    if start:
-        payload = payload_cells(payload, start, counts[-1], k)
     if len(payload) < STREAM_BYTES:
-        return tuple(compressed_size(payload_cells(payload, 0, count, k)) for count in counts)
+        return tuple(compressed_size(payload_cells(payload, count, k)) for count in counts)
     return _streamed_prefix_sizes(payload, counts, k)
 
 
 def _streamed_prefix_sizes(payload: bytes, counts: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """:func:`prefix_sizes` from cell 0, from one compression of ``payload``.
+    """:func:`prefix_sizes` from one compression of ``payload``.
 
     The whole bytes of each prefix go through one stream, with the level
     and zlib defaults of :func:`compressed_size`, which emits the same
@@ -122,6 +110,6 @@ def _streamed_prefix_sizes(payload: bytes, counts: tuple[int, ...], k: int) -> t
         emitted += len(stream.compress(payload[fed:whole]))
         fed = whole
         finish = stream.copy() if i + 1 < len(counts) else stream
-        tail = len(finish.compress(payload_cells(payload, count - loose, loose, k))) if loose else 0
+        tail = len(finish.compress(payload_cells(payload[whole:], loose, k))) if loose else 0
         sizes.append((emitted + tail + len(finish.flush())) * 8)
     return tuple(sizes)

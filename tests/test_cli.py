@@ -600,7 +600,11 @@ class TestRerun:
         ("coeff_110_tiny_manifest.json", TINY),
         ("coeff_30_random_manifest.json", ["--rule", "30", "--random-inputs", "6", "--seed", "3",
                                            "--width", "33", "--t", "40", "--no-calibrate"]),
-    ], ids=["gray", "random"])
+        # 509-cell rows end inside a byte, and the 5,090 B payloads stream.
+        ("coeff_110_skip_input_row_manifest.json",
+         ["--rule", "110", "--gray-inputs", "4", "--width", "509", "--t", "80", "--no-calibrate",
+          "--skip-input-row"]),
+    ], ids=["gray", "random", "skip-input-row"])
     def test_checked_in_manifest_replays_to_a_match(self, tmp_path, capsys, fixture, flags):
         # written by an earlier caprog for `coeff` with these flags
         manifest_path = FIXTURES / fixture

@@ -369,15 +369,17 @@ BATCH_CASES = {
 def test_batched_matrix_is_bit_exact(monkeypatch, case):
     """The chunked, memoised matrix equals a per-member evolution and one
     compression per runtime, and for ECA the naive reference as well, at
-    every chunking and with 1 and 2 workers."""
+    every chunking and with 1 and 2 workers. Without the input row, each
+    chunk takes one step, and its runs go on from there."""
     systems, family, include_input = BATCH_CASES[case]()
     times = runtime_grid(family, 120, stride=11)[2]
     runs = len(systems) * family.n
-    batches = []
+    calls = []
 
     def recording(chunk_systems, cells, boundary, t):
-        batches.append(len(chunk_systems))
-        return evolve_batch(chunk_systems, cells, boundary, t)
+        batch = evolve_batch(chunk_systems, cells, boundary, t)
+        calls.append((chunk_systems, cells, t, batch))
+        return batch
 
     monkeypatch.setattr(coefficient, "run_system", recording)
     # One run per chunk; a first chunk that ends inside member 1's
@@ -390,11 +392,18 @@ def test_batched_matrix_is_bit_exact(monkeypatch, case):
     for budget, chunks in chunkings.items():
         monkeypatch.setattr(coefficient, "MEMORY_BUDGET", budget)
         for workers in (1, 2):
-            batches.clear()
+            calls.clear()
             matrices.append(coefficient._complexity_matrix(systems, family.cells,
                                                            family.boundary, times,
                                                            include_input, workers))
-            assert batches == chunks
+            if include_input:
+                assert [(len(s), t) for s, _, t, _ in calls] == [(n, times[-1]) for n in chunks]
+                continue
+            assert [(len(s), t) for s, _, t, _ in calls] == [
+                (n, t) for n in chunks for t in (1, times[-1] - 1)]
+            for (first, _, _, step), (then, cells, _, _) in zip(calls[::2], calls[1::2]):
+                assert then == first
+                assert np.array_equal(cells, step.rows[:, 1])
     matrix = matrices[0]
     assert all(other.tolist() == matrix.tolist() for other in matrices[1:])
     start = 0 if include_input else 1
@@ -490,10 +499,10 @@ def traced(measurement):
         tracemalloc.stop()
 
 
-def traced_matrix(systems, family, times):
+def traced_matrix(systems, family, times, include_input=True):
     """The matrix, and the peak of its traced allocations in bytes."""
     return traced(lambda: coefficient._complexity_matrix(systems, family.cells, family.boundary,
-                                                         times, True, 1))
+                                                         times, include_input, 1))
 
 
 def test_one_chunk_tensor_is_alive_at_a_time():
@@ -512,6 +521,21 @@ def test_one_chunk_tensor_is_alive_at_a_time():
                                               True, 1)
     matrix, peak = traced_matrix(systems, family, times)
     assert matrix.tolist() == expected.tolist()
+    assert peak <= bound, f"peak {peak} B above {bound} B"
+
+
+@pytest.mark.parametrize("systems, family", [
+    ((*INERT_LIFE, GAME_OF_LIFE), gray_patches(64, 32, 32)),
+    ([rule_from_number(number) for number in range(256)], gray_initials(8, 61)),
+], ids=["life", "eca"])
+def test_a_measurement_without_the_input_row_holds_one_chunk(systems, family):
+    """Without the input row, no chunk's one-step batch outlives its chunk:
+    the peak stays within the bound that holds with the input row."""
+    times = runtime_grid(family, 120)[2]
+    per_chunk = coefficient.MEMORY_BUDGET // run_bytes(family, times[-1] - 1)
+    assert len(systems) * family.n > 3 * per_chunk, "the case must take many chunks"
+    bound = coefficient.MEMORY_BUDGET + 64 * 1024
+    peak = traced_matrix(systems, family, times, include_input=False)[1]
     assert peak <= bound, f"peak {peak} B above {bound} B"
 
 
@@ -537,7 +561,7 @@ def test_payloads_count_against_the_budget(monkeypatch):
     about twice the budget."""
     # These payloads hardly compress, and compressing their prefixes takes
     # about 20 s; the sizes play no part in the peak, so a stand-in gives them.
-    monkeypatch.setattr(coefficient, "prefix_sizes", lambda payload, start, counts, k: counts)
+    monkeypatch.setattr(coefficient, "prefix_sizes", lambda payload, counts, k: counts)
     rng = np.random.default_rng(5)
     digits = random.Random(5)
     systems = [rule_from_number(digits.randrange(3 ** 27), k=3) for _ in range(4)]
@@ -660,10 +684,10 @@ def test_an_error_in_any_thread_comes_out_of_the_measurement(monkeypatch, system
     error = RuntimeError("the compressor failed")
     prefix_sizes = coefficient.prefix_sizes
 
-    def sizes(payload, start, counts, k):
+    def sizes(payload, counts, k):
         if bytes(payload) == failing:
             raise error
-        return prefix_sizes(payload, start, counts, k)
+        return prefix_sizes(payload, counts, k)
 
     monkeypatch.setattr(coefficient, "prefix_sizes", sizes)
     threads = threading.active_count()

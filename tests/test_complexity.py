@@ -84,7 +84,7 @@ class TestPacking:
         flat = rng.integers(0, k, size=size, dtype=np.uint8)
         payload = pack_cells(flat, k)
         for count in range(size + 1):
-            assert payload_cells(payload, 0, count, k) == pack_cells(flat[:count], k)
+            assert payload_cells(payload, count, k) == pack_cells(flat[:count], k)
 
     @given(
         row=st.one_of(st.integers(1, 5).map(lambda m: 8 * m), st.integers(1, 40)),
@@ -94,18 +94,13 @@ class TestPacking:
     )
     @settings(max_examples=60, deadline=None)
     def test_cells_of_a_payload_pack_those_cells(self, row, rows, k, seed):
-        # Dropping the first row of a run is a byte slice when the row is
-        # whole bytes and a bit shift otherwise; any cells past the first
-        # row too. A payload may also be a view of a packed array.
+        # Every prefix of a run, as bytes or as a view of a packed array.
         rng = np.random.default_rng(seed)
         flat = rng.integers(0, k, size=row * rows, dtype=np.uint8)
         payload = pack_cells(flat, k)
         for given in (payload, memoryview(np.frombuffer(payload, dtype=np.uint8))):
-            assert payload_cells(given, row, flat.size - row, k) == pack_cells(flat[row:], k)
-            for start in range(flat.size + 1):
-                count = (start * 7 + seed) % (flat.size - start + 1)
-                assert payload_cells(given, start, count, k) == pack_cells(
-                    flat[start : start + count], k)
+            for count in range(flat.size + 1):
+                assert payload_cells(given, count, k) == pack_cells(flat[:count], k)
 
     def test_bits_per_cell(self):
         # One bit per cell for k=2, one byte per cell for any k > 2.
@@ -146,33 +141,29 @@ class TestCompressedSize:
         size=st.integers(min_value=1, max_value=3 * STREAM_BYTES),
         loose=st.integers(min_value=0, max_value=7),
         k=st.sampled_from([2, 3]),
-        start=st.one_of(st.just(0), st.integers(1, 40).map(lambda m: 8 * m),
-                        st.integers(1, 320).filter(lambda s: s % 8)),
         density=st.sampled_from([0.02, 0.5]),
         seed=st.integers(min_value=0, max_value=2**31),
         picks=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=16),
     )
-    # Payloads left with one byte short of STREAM_BYTES compress each
-    # prefix afresh, and those left with STREAM_BYTES stream.
-    @example(size=STREAM_BYTES - 1, loose=3, k=2, start=61, density=0.5, seed=1, picks=[0.5])
-    @example(size=STREAM_BYTES, loose=3, k=2, start=61, density=0.5, seed=1, picks=[0.5])
-    @example(size=STREAM_BYTES - 1, loose=0, k=3, start=0, density=0.02, seed=2, picks=[0.3])
-    @example(size=STREAM_BYTES, loose=0, k=3, start=0, density=0.02, seed=2, picks=[0.3])
+    # Payloads one byte short of STREAM_BYTES compress each prefix
+    # afresh, and those of STREAM_BYTES stream.
+    @example(size=STREAM_BYTES - 1, loose=3, k=2, density=0.5, seed=1, picks=[0.5])
+    @example(size=STREAM_BYTES, loose=3, k=2, density=0.5, seed=1, picks=[0.5])
+    @example(size=STREAM_BYTES - 1, loose=0, k=3, density=0.02, seed=2, picks=[0.3])
+    @example(size=STREAM_BYTES, loose=0, k=3, density=0.02, seed=2, picks=[0.3])
     @settings(max_examples=60, deadline=None)
-    def test_streamed_prefix_sizes_match_one_shot(self, size, loose, k, start, density, seed,
-                                                  picks):
-        # Payloads of up to 3 * STREAM_BYTES bytes once the cells before
-        # start are dropped, so on both sides of the size at which
-        # prefix_sizes switches to streaming; sparse cells give long
-        # matches, dense ones few. Each size is checked against its
-        # definition: the prefix's cells packed afresh and compressed.
+    def test_streamed_prefix_sizes_match_one_shot(self, size, loose, k, density, seed, picks):
+        # Payloads of up to 3 * STREAM_BYTES bytes, so on both sides of the
+        # size at which prefix_sizes switches to streaming; sparse cells
+        # give long matches, dense ones few. Each size is checked against
+        # its definition: the prefix's cells packed afresh and compressed.
         rng = np.random.default_rng(seed)
         cells = max(1, 8 * size - loose) if k == 2 else size
-        live = rng.random(start + cells) < density
-        flat = live * rng.integers(1, k, size=start + cells, dtype=np.uint8)
+        live = rng.random(cells) < density
+        flat = live * rng.integers(1, k, size=cells, dtype=np.uint8)
         counts = tuple(sorted({max(1, round(p * cells)) for p in picks} | {cells}))
-        assert prefix_sizes(pack_cells(flat, k), start, counts, k) == tuple(
-            compressed_size(pack_cells(flat[start : start + count], k)) for count in counts
+        assert prefix_sizes(pack_cells(flat, k), counts, k) == tuple(
+            compressed_size(pack_cells(flat[:count], k)) for count in counts
         )
 
     @pytest.mark.parametrize("counts", [
@@ -185,8 +176,8 @@ class TestCompressedSize:
         # A payload of 2 * STREAM_BYTES streams, however short its prefixes.
         rng = np.random.default_rng(11)
         payload = rng.integers(0, 256, size=2 * STREAM_BYTES, dtype=np.uint8).tobytes()
-        assert prefix_sizes(payload, 0, counts, 2) == tuple(
-            compressed_size(payload_cells(payload, 0, count, 2)) for count in counts
+        assert prefix_sizes(payload, counts, 2) == tuple(
+            compressed_size(payload_cells(payload, count, 2)) for count in counts
         )
 
     def test_streamed_prefix_masks_cells_past_the_prefix(self):
@@ -195,7 +186,7 @@ class TestCompressedSize:
         # literal and compress larger. The payload is above STREAM_BYTES,
         # so it streams.
         payload = b"\xaa" * 9000 + b"\xab" + b"\xaa" * 50
-        (size,) = prefix_sizes(payload, 0, (8 * 9001 - 1,), 2)
+        (size,) = prefix_sizes(payload, (8 * 9001 - 1,), 2)
         assert size == compressed_size(b"\xaa" * 9001) < compressed_size(payload[:9001])
 
     def test_zero_grid_strictly_below_random_grid(self):
