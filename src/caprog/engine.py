@@ -12,6 +12,7 @@ function of its inputs, so results can be shared freely between workers.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,6 +20,8 @@ import numpy as np
 
 from .complexity import pack_rows, packed_size, unpack_rows
 
+# Boundaries of a run: a cyclic row or grid wraps; a fixed row reads cells
+# beyond its edges as 0.
 CYCLIC = "cyclic"
 FIXED = "fixed"
 
@@ -41,6 +44,8 @@ class RuleTable:
     number: int
 
     def __post_init__(self):
+        for name in ("k", "r", "number"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.k < 2 or self.r < 1:
             raise ValueError(f"need k >= 2 and r >= 1, got k={self.k}, r={self.r}")
         size = self.k ** (2 * self.r + 1)
@@ -108,9 +113,11 @@ class LifeRule:
     k = 2  # cells are binary; a class constant, not a field
 
     def __post_init__(self):
-        for counts in (self.born, self.survives):
+        for name in ("born", "survives"):
+            counts = frozenset(operator.index(c) for c in getattr(self, name))
             if any(c < 0 or c > 8 for c in counts):
                 raise ValueError("neighbour counts must lie in 0..8")
+            object.__setattr__(self, name, counts)
 
     @property
     def rule_id(self) -> str:
@@ -124,6 +131,7 @@ class LifeRule:
         table = np.zeros(18, dtype=np.uint8)
         table[sorted(self.born)] = 1
         table[sorted(9 + c for c in self.survives)] = 1
+        table.setflags(write=False)
         return table
 
 
@@ -134,14 +142,9 @@ System = RuleTable | LifeRule
 
 @dataclass(frozen=True, eq=False)
 class Configuration:
-    """A 1-D row or a 2-D grid of cells plus its boundary convention.
-
-    ``boundary`` is ``"cyclic"`` (the default: indices wrap) or
-    ``"fixed"`` (cells beyond the edges read as 0).
-    """
+    """One input: a 1-D row or a 2-D grid of cells, held as read-only uint8."""
 
     cells: np.ndarray
-    boundary: str = CYCLIC
 
     def __post_init__(self):
         arr = np.asarray(self.cells)
@@ -153,8 +156,6 @@ class Configuration:
         if not np.can_cast(arr.dtype, np.uint8) and (arr.min() < 0 or arr.max() > 255):
             raise ValueError("cell values must lie in 0..255")
         arr = np.ascontiguousarray(arr, dtype=np.uint8)
-        if self.boundary not in (CYCLIC, FIXED):
-            raise ValueError(f"unknown boundary {self.boundary!r}")
         arr.setflags(write=False)
         object.__setattr__(self, "cells", arr)
 
@@ -362,14 +363,14 @@ def evolve_batch(systems, cells, boundary: str, t: int) -> EvolutionBatch:
     return EvolutionBatch(packed=packed, k=k, shape=(t + 1, *before.shape[1:]), steps=steps)
 
 
-def evolve(system: System, init: Configuration, t: int) -> np.ndarray:
-    """Run ``system`` for ``t`` transitions from ``init``.
+def evolve(system: System, cells, t: int, boundary: str = CYCLIC) -> np.ndarray:
+    """Run ``system`` for ``t`` transitions from the row or grid ``cells`` under ``boundary``.
 
     Returns the read-only uint8 space-time array: ``rows[s+1]`` is one
     update of ``rows[s]``, with shape (t+1, W) for a 1-D run and
     (t+1, H, W) for a 2-D one.
     """
-    return evolve_batch([system], init.cells[None], init.boundary, t).rows[0]
+    return evolve_batch([system], np.asarray(cells)[None], boundary, t).rows[0]
 
 
 def default_width(seed_width: int, r: int, t: int) -> int:

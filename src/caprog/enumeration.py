@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import CYCLIC, Configuration
+from .engine import CYCLIC, FIXED, Configuration
 
 GRAY = "gray"
 RANDOM = "random"
@@ -26,8 +26,8 @@ def gray_code(j: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class InputFamily:
-    """Ordered, pairwise-distinct initial configurations of one shape and
-    boundary.
+    """Ordered, pairwise-distinct initial configurations of one shape, all
+    run under ``boundary`` (cyclic by default; see :mod:`caprog.engine`).
 
     ``scheme`` records how the family was built: ``"gray"`` families
     additionally guarantee Hamming distance exactly 1 between consecutive
@@ -39,11 +39,14 @@ class InputFamily:
     scheme: str
     seed: int | None = None
     density: float | None = None
+    boundary: str = CYCLIC
     cells: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len({(m.cells.shape, m.boundary) for m in self.members}) != 1:
-            raise ValueError("a family needs members, all of one shape and boundary")
+        if self.boundary not in (CYCLIC, FIXED):
+            raise ValueError(f"unknown boundary {self.boundary!r}")
+        if len({m.cells.shape for m in self.members}) != 1:
+            raise ValueError("a family needs members, all of one shape")
         cells = np.stack([m.cells for m in self.members])
         cells.setflags(write=False)
         flat = cells.reshape(len(cells), -1)
@@ -52,16 +55,11 @@ class InputFamily:
         if self.scheme == GRAY and (np.count_nonzero(flat[1:] != flat[:-1], axis=1) != 1).any():
             raise ValueError("consecutive gray members must differ in exactly one cell")
         object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "members", tuple(Configuration(cells=row, boundary=self.boundary)
-                                                  for row in cells))
+        object.__setattr__(self, "members", tuple(map(Configuration, cells)))
 
     @property
     def n(self) -> int:
         return self.cells.shape[0]
-
-    @property
-    def boundary(self) -> str:
-        return self.members[0].boundary
 
     @property
     def width(self) -> int:
@@ -105,8 +103,7 @@ def _gray_family(n: int, shape: tuple[int, ...], boundary: str = CYCLIC) -> Inpu
     window = tuple(slice((size - extent) // 2, (size - extent) // 2 + extent)
                    for size, extent in zip(shape, patch))
     cells[(slice(None), *window)] = bits.reshape(n, *patch)
-    members = tuple(Configuration(cells=member, boundary=boundary) for member in cells)
-    return InputFamily(members=members, scheme=GRAY)
+    return InputFamily(members=tuple(map(Configuration, cells)), scheme=GRAY, boundary=boundary)
 
 
 def gray_initials(n: int, width: int, boundary: str = CYCLIC) -> InputFamily:
@@ -131,5 +128,5 @@ def random_initials(
         raise ValueError(f"density must lie strictly between 0 and 1, got {density}")
     # One (n, width) draw takes the same values as n draws of one row each.
     rows = (np.random.default_rng(seed).random((n, width)) < density).astype(np.uint8)
-    members = tuple(Configuration(cells=row, boundary=boundary) for row in rows)
-    return InputFamily(members=members, scheme=RANDOM, seed=seed, density=density)
+    return InputFamily(members=tuple(map(Configuration, rows)), scheme=RANDOM, seed=seed,
+                       density=density, boundary=boundary)

@@ -35,7 +35,6 @@ from caprog.complexity import pack_cells
 from caprog.engine import (
     FIXED,
     GAME_OF_LIFE,
-    Configuration,
     evolve,
     rule_from_number,
 )
@@ -129,7 +128,7 @@ def test_criterion_4_parity_blocks_reduce_exactly():
         cells = np.zeros(32, dtype=np.uint8)
         start = (32 - size) // 2
         cells[start : start + size] = 1
-        rows = evolve(rule, Configuration(cells), 12)
+        rows = evolve(rule, cells, 12)
         outcomes[size] = int(rows[-1].sum())
     ok = all(survivors == size % 2 for size, survivors in outcomes.items())
     record_criterion(
@@ -214,7 +213,7 @@ def test_criterion_7_invariants(tmp_path):
         seg[rng.integers(0, sw)] = 1
         cells = np.zeros(width, dtype=np.uint8)
         cells[pos : pos + sw] = seg
-        rows = evolve(rule_from_number(number), Configuration(cells, boundary=FIXED), t)
+        rows = evolve(rule_from_number(number), cells, t, FIXED)
         for s, row in enumerate(rows):
             lo, hi = max(0, pos - s), min(width, pos + sw + s)
             if row[:lo].any() or row[hi:].any():
@@ -227,7 +226,7 @@ def test_criterion_7_invariants(tmp_path):
         number = int(rng.integers(0, 256))
         width = int(rng.integers(3, 40))
         t = int(rng.integers(1, 16))
-        init = Configuration(rng.integers(0, 2, size=width, dtype=np.uint8))
+        init = rng.integers(0, 2, size=width, dtype=np.uint8)
         rows = evolve(rule_from_number(number), init, t)
         if ref_unpack(pack_cells(rows.ravel(), 2), rows.size) != rows.ravel().tolist():
             round_ok = False

@@ -127,8 +127,8 @@ class TestEvolve:
             assert main(["evolve", *argv, "--t", str(t), "--raw", "--out", str(out)]) == 0
             written.append({path.name: path.read_bytes() for path in out.glob("evolution_*")})
         assert written[0] == written[1]
-        for j, member in enumerate(family.members):
-            rows = evolve(system, member, t)
+        for j, cells in enumerate(family.cells):
+            rows = evolve(system, cells, t, family.boundary)
             assert written[0][f"evolution_{j:03d}.bin"] == pack_cells(rows.ravel(), 2)
             assert ref_read_pbm(written[0][f"evolution_{j:03d}.pbm"]) == rows.reshape(
                 -1, rows.shape[-1]).tolist()
@@ -364,8 +364,8 @@ class TestCoeff:
         assert main(["coeff", *LIFE_SMALL, "--out", str(tmp_path)]) == 0
         family = gray_patches(12, 6, 7)
         # The first row is the member, so runs of two members never coincide.
-        runs = {pack_cells(evolve(system, member, 20).ravel(), 2)
-                for member in family.members for system in (GAME_OF_LIFE, *INERT_LIFE)}
+        runs = {pack_cells(evolve(system, cells, 20).ravel(), 2)
+                for cells in family.cells for system in (GAME_OF_LIFE, *INERT_LIFE)}
         assert sorted(compressed) == sorted(runs)
         assert len(runs) < 3 * family.n
 
@@ -400,8 +400,8 @@ class TestCoeff:
         assert "importlib.metadata" not in added
 
     def test_commands_leave_the_thread_pool_unloaded(self):
-        # only --workers > 1 compresses in a thread pool, so the CLI loads
-        # neither concurrent.futures nor the logging it imports
+        # compression runs on plain threading.Thread helpers, with no pool,
+        # so the CLI loads neither concurrent.futures nor the logging it imports
         done = run_from_checkout("-c", "import sys, caprog.cli; "
                                  "print('concurrent.futures' in sys.modules)")
         assert done.returncode == 0, done.stderr

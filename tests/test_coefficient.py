@@ -267,8 +267,7 @@ class TestDifferenceSum:
         last[0] = 2
         coloured = InputFamily(members=(*family.members[:-1], Configuration(last)), scheme=CUSTOM)
         grids = gray_patches(3, 8, width)
-        fixed_grids = InputFamily(members=tuple(Configuration(member.cells, boundary=FIXED)
-                                                for member in grids.members), scheme=CUSTOM)
+        fixed_grids = InputFamily(members=grids.members, scheme=CUSTOM, boundary=FIXED)
         for system, refused, match in ((rule_from_number(110), coloured, "colours"),
                                        (GAME_OF_LIFE, family, "2-D grids"),
                                        (rule_from_number(30), grids, "1-D rows"),
@@ -412,7 +411,7 @@ def test_batched_matrix_is_bit_exact(monkeypatch, case):
     for j, member in enumerate(family.members):
         payloads = set()
         for system, sizes in zip(systems, matrix[:, j]):
-            rows = evolve(system, member, times[-1])
+            rows = evolve(system, member.cells, times[-1], family.boundary)
             payload = pack_cells(rows[start:].ravel(), system.k)
             payloads.add(payload)
             longest = max(longest, len(payload))
@@ -422,7 +421,7 @@ def test_batched_matrix_is_bit_exact(monkeypatch, case):
             ]
             if system.rule_id.startswith("eca:"):
                 ref = ref_evolve(system.number, member.cells.tolist(), times[-1],
-                                 boundary=member.boundary)
+                                 boundary=family.boundary)
                 assert sizes.tolist() == [ref_complexity(ref[start : t + 1]) for t in times]
         repeats += len(systems) - len(payloads)
     # Which cases take their sizes from one compression stream per run.
@@ -439,8 +438,8 @@ def test_the_memo_reaches_across_chunks(monkeypatch, workers):
     systems = [rule_from_number(number) for number in (0, 8, 32, 128, 204, 110)]
     family = gray_initials(5, 13)
     times = runtime_grid(family, 20)[2]
-    distinct = [{pack_cells(evolve(system, member, times[-1]).ravel(), 2) for system in systems}
-                for member in family.members]
+    distinct = [{pack_cells(evolve(system, cells, times[-1]).ravel(), 2) for system in systems}
+                for cells in family.cells]
     assert [len(payloads) for payloads in distinct[1:]] == [3, 4, 3, 4]
     compressed = []
     prefix_sizes = coefficient.prefix_sizes
@@ -480,9 +479,9 @@ def test_matrix_is_the_same_at_any_budget(case, workers, data):
         patch.setattr(coefficient, "MEMORY_BUDGET", budget)
         matrix = coefficient._complexity_matrix(systems, family.cells, family.boundary, times,
                                                 True, workers)
-    for j, member in enumerate(family.members):
+    for j, cells in enumerate(family.cells):
         for system, sizes in zip(systems, matrix[:, j]):
-            rows = evolve(system, member, times[-1])
+            rows = evolve(system, cells, times[-1], family.boundary)
             assert sizes.tolist() == [compressed_size(pack_cells(rows[: t + 1].ravel(), 2))
                                       for t in times]
 
@@ -549,8 +548,8 @@ def test_a_run_beyond_the_budget_is_held_packed():
     matrix, peak = traced_matrix([rule], family, times)
     bound = coefficient.MEMORY_BUDGET + 64 * 1024
     assert peak <= bound, f"peak {peak} B above {bound} B"
-    for member, sizes in zip(family.members, matrix[0]):
-        rows = evolve(rule, member, times[-1])
+    for cells, sizes in zip(family.cells, matrix[0]):
+        rows = evolve(rule, cells, times[-1])
         assert sizes.tolist() == [compressed_size(pack_cells(rows[: t + 1].ravel(), 2))
                                   for t in times]
 
@@ -680,7 +679,7 @@ def test_an_error_in_any_thread_comes_out_of_the_measurement(monkeypatch, system
     stopped when it does. Rule 110's runs go to helpers, rule 204's settle
     at step 1 and stay on the calling thread."""
     systems, family = [rule_from_number(110), rule_from_number(204)], random_initials(6, 1024, seed=0)
-    failing = pack_cells(evolve(systems[system], family.members[member], 100).ravel(), 2)
+    failing = pack_cells(evolve(systems[system], family.cells[member], 100).ravel(), 2)
     error = RuntimeError("the compressor failed")
     prefix_sizes = coefficient.prefix_sizes
 

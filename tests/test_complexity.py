@@ -16,7 +16,7 @@ from caprog.complexity import (
     payload_cells,
     prefix_sizes,
 )
-from caprog.engine import Configuration, evolve, rule_from_number
+from caprog.engine import evolve, rule_from_number
 from caprog.enumeration import gray_initials
 
 from reference import ref_unpack
@@ -26,13 +26,13 @@ def cells(bits: str) -> np.ndarray:
     return np.array([int(b) for b in bits], dtype=np.uint8)
 
 
-def run_payload(number: int, init: Configuration, t: int, include_input: bool = True) -> bytes:
+def run_payload(number: int, init: np.ndarray, t: int, include_input: bool = True) -> bytes:
     """Packed cells of one run: every row, or rows 1..t without the input."""
     rows = evolve(rule_from_number(number), init, t)
     return pack_cells((rows if include_input else rows[1:]).ravel(), 2)
 
 
-def run_bits(number: int, init: Configuration, t: int, include_input: bool = True) -> int:
+def run_bits(number: int, init: np.ndarray, t: int, include_input: bool = True) -> int:
     return compressed_size(run_payload(number, init, t, include_input))
 
 
@@ -200,13 +200,13 @@ class TestCompressedSize:
 
 class TestRunPayload:
     def test_run_payload_streams_rows_together(self):
-        rows = evolve(rule_from_number(204), Configuration(cells("1010")), 1)
+        rows = evolve(rule_from_number(204), cells("1010"), 1)
         # rows are [1010],[1010]; streamed they fill one byte 0xAA
         assert pack_cells(rows.ravel(), 2) == b"\xaa"
 
     def test_roundtrip_through_unpacking(self):
         rule = rule_from_number(110)
-        rows = evolve(rule, gray_initials(8, 21).members[5], 13)
+        rows = evolve(rule, gray_initials(8, 21).cells[5], 13)
         payload = pack_cells(rows.ravel(), rule.k)
         assert ref_unpack(payload, rows.size) == rows.ravel().tolist()
 
@@ -218,19 +218,19 @@ class TestRunPayload:
     @settings(max_examples=40, deadline=None)
     def test_roundtrip_property(self, number, t, seed):
         rng = np.random.default_rng(seed)
-        init = Configuration(rng.integers(0, 2, size=17, dtype=np.uint8))
+        init = rng.integers(0, 2, size=17, dtype=np.uint8)
         rows = evolve(rule_from_number(number), init, t)
         assert ref_unpack(pack_cells(rows.ravel(), 2), rows.size) == rows.ravel().tolist()
 
 
 class TestEvolutionComplexity:
     def test_raw_bits_counts_every_cell(self):
-        init = gray_initials(8, 21).members[3]
+        init = gray_initials(8, 21).cells[3]
         # 11 rows of 21 cells, 8 cells per byte, last byte padded
         assert len(run_payload(110, init, 10)) == -(-11 * 21 // 8)
 
     def test_include_input_toggles_first_row(self):
-        init = gray_initials(8, 21).members[3]
+        init = gray_initials(8, 21).cells[3]
         with_input = run_payload(110, init, 10)
         without = run_payload(110, init, 10, include_input=False)
         # Switching the input off drops exactly the first 21 cells.
@@ -241,13 +241,13 @@ class TestEvolutionComplexity:
         # Framing plus block headers stay under 512 bits for payloads up to
         # one DEFLATE stored-block span (64 KiB).
         for number in (0, 30, 110, 255):
-            init = gray_initials(8, 21).members[2]
+            init = gray_initials(8, 21).cells[2]
             assert run_bits(number, init, 8) <= 9 * 21 + 512
 
     def test_blank_evolution_compresses_sublinearly(self):
         # rule 0 wipes everything after one step, so doubling the depth
         # should barely move the compressed size
-        init = gray_initials(40, 61).members[9]
+        init = gray_initials(40, 61).cells[9]
         short = run_bits(0, init, 8)
         deep = run_bits(0, init, 64)
         assert short == 128
@@ -261,10 +261,10 @@ class TestEvolutionComplexity:
         fam = gray_initials(40, 61)
         for t in (8, 50, 200):
             for j in (0, 17, 38):
-                a, b = fam.members[j], fam.members[j + 1]
+                a, b = fam.cells[j], fam.cells[j + 1]
                 d_full = abs(run_bits(255, a, t) - run_bits(255, b, t))
                 d_row = abs(
-                    compressed_size(pack_cells(a.cells, 2))
-                    - compressed_size(pack_cells(b.cells, 2))
+                    compressed_size(pack_cells(a, 2))
+                    - compressed_size(pack_cells(b, 2))
                 )
                 assert d_full <= d_row + 16

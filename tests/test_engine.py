@@ -33,12 +33,12 @@ from reference import (
 )
 
 
-def row(bits: str) -> Configuration:
-    return Configuration([int(ch) for ch in bits])
+def row(bits: str) -> np.ndarray:
+    return np.array([int(ch) for ch in bits], dtype=np.uint8)
 
 
-def step(config: Configuration, system) -> Configuration:
-    return Configuration(evolve(system, config, 1)[1], boundary=config.boundary)
+def step(cells, system, boundary: str = CYCLIC) -> np.ndarray:
+    return evolve(system, cells, 1, boundary)[1]
 
 
 def test_rule_digit_convention():
@@ -121,6 +121,24 @@ def test_rule_ids():
     assert rule_from_number(0).number == 0
 
 
+def test_a_numpy_rule_number_is_stored_as_an_int():
+    rule = rule_from_number(np.int64(110), k=np.int64(2), r=np.uint8(1))
+    assert type(rule.number) is type(rule.k) is type(rule.r) is int
+    assert rule.rule_id == "eca:110" and rule == rule_from_number(110)
+    assert evolve(rule, row("00100"), 3).tolist() == ref_evolve(110, [0, 0, 1, 0, 0], 3)
+
+
+def test_a_float_rule_number_is_refused():
+    for fields in ({"number": 110.0}, {"number": 110, "k": 2.0}, {"number": 110, "r": 1.0}):
+        with pytest.raises(TypeError, match="integer"):
+            rule_from_number(**fields)
+
+
+def test_a_bool_rule_number_is_its_int():
+    assert rule_from_number(True).rule_id == "eca:1"
+    assert type(rule_from_number(True).number) is int
+
+
 def test_a_rule_is_its_number():
     # The table is decoded from the number, so no rule holds a second copy
     # that could disagree with its id.
@@ -138,8 +156,8 @@ def test_conjugate_semantics():
     for _ in range(25):
         number = int(rng.integers(256))
         cells = rng.integers(0, 2, size=17, dtype=np.uint8)
-        direct = evolve(rule_from_number(number), Configuration(cells), 9)
-        flipped = evolve(rule_from_number(ref_conjugate(number)), Configuration(1 - cells), 9)
+        direct = evolve(rule_from_number(number), cells, 9)
+        flipped = evolve(rule_from_number(ref_conjugate(number)), 1 - cells, 9)
         assert np.array_equal(flipped, 1 - direct)
 
 
@@ -158,34 +176,33 @@ def test_mirror_semantics(boundary):
     rng = np.random.default_rng(11)
     cells = rng.integers(0, 2, size=17, dtype=np.uint8)
     for number in range(256):
-        direct = evolve(rule_from_number(number), Configuration(cells, boundary=boundary), 9)
-        mirrored = evolve(rule_from_number(ref_mirror(number, 2, 1)),
-                          Configuration(cells[::-1], boundary=boundary), 9)
+        direct = evolve(rule_from_number(number), cells, 9, boundary)
+        mirrored = evolve(rule_from_number(ref_mirror(number, 2, 1)), cells[::-1], 9, boundary)
         assert np.array_equal(mirrored, direct[:, ::-1])
     number = random.Random(11).randrange(3 ** 3 ** 5)
     cells = rng.integers(0, 3, size=19, dtype=np.uint8)
-    mirrored = evolve(rule_from_number(ref_mirror(number, 3, 2), k=3, r=2),
-                      Configuration(cells[::-1], boundary=boundary), 12)
+    mirrored = evolve(rule_from_number(ref_mirror(number, 3, 2), k=3, r=2), cells[::-1], 12,
+                      boundary)
     ref = ref_ca_evolve(number, 3, 2, cells.tolist(), 12, boundary=boundary)
     assert mirrored.tolist() == [line[::-1] for line in ref]
 
 
 def test_step_rule110_cyclic():
     out = step(row("00100"), rule_from_number(110))
-    assert list(out.cells) == [0, 1, 1, 0, 0]
+    assert list(out) == [0, 1, 1, 0, 0]
 
 
 def test_step_boundaries_differ():
     r110 = rule_from_number(110)
     cyclic = step(row("11111"), r110)
-    fixed = step(Configuration([1] * 5, boundary=FIXED), r110)
-    assert list(cyclic.cells) == [0, 0, 0, 0, 0]
-    assert list(fixed.cells) == [1, 0, 0, 0, 1]
+    fixed = step([1] * 5, r110, FIXED)
+    assert list(cyclic) == [0, 0, 0, 0, 0]
+    assert list(fixed) == [1, 0, 0, 0, 1]
 
 
 def test_step_rejects_out_of_range_colours():
     with pytest.raises(ValueError, match="colours"):
-        step(Configuration([0, 2, 0]), rule_from_number(110))
+        step([0, 2, 0], rule_from_number(110))
 
 
 @pytest.mark.parametrize("cells, match", [
@@ -215,6 +232,21 @@ def test_evolve_shape_and_replay():
         rows[0, 0] = 1
 
 
+@pytest.mark.parametrize("boundary", [CYCLIC, FIXED])
+def test_evolve_is_a_batch_of_one(boundary):
+    rng = np.random.default_rng(19)
+    rule, cells = rule_from_number(110), rng.integers(0, 2, size=23)
+    expected = evolve_batch([rule], cells[None], boundary, 15).rows[0]
+    for init in (cells.tolist(), cells):
+        rows = evolve(rule, init, 15, boundary)
+        assert rows.tolist() == expected.tolist() and not rows.flags.writeable
+
+
+def test_evolve_refuses_an_unknown_boundary():
+    with pytest.raises(ValueError, match="unknown boundary"):
+        evolve(rule_from_number(110), row("010"), 2, "wrapped")
+
+
 def test_evolve_requires_a_transition():
     with pytest.raises(ValueError, match="at least one transition"):
         evolve(rule_from_number(110), row("010"), 0)
@@ -239,7 +271,7 @@ def test_clear_rule_blanks():
 def test_isolated_bit_filter():
     # Rule 4 keeps exactly the cells with no live neighbour.
     out = step(row("0110010"), rule_from_number(4))
-    assert list(out.cells) == [0, 0, 0, 0, 0, 1, 0]
+    assert list(out) == [0, 0, 0, 0, 0, 1, 0]
 
 
 def test_default_width():
@@ -251,18 +283,17 @@ def test_life_blinker_oscillates():
     # 5x5 so the wrap-around neighbourhoods stay empty
     cells = np.zeros((5, 5), dtype=np.uint8)
     cells[2, 1:4] = 1
-    grid = Configuration(cells)
-    once = step(grid, GAME_OF_LIFE)
+    once = step(cells, GAME_OF_LIFE)
     vertical = np.zeros((5, 5), dtype=np.uint8)
     vertical[1:4, 2] = 1
-    assert np.array_equal(once.cells, vertical)
-    assert np.array_equal(step(once, GAME_OF_LIFE).cells, grid.cells)
+    assert np.array_equal(once, vertical)
+    assert np.array_equal(step(once, GAME_OF_LIFE), cells)
 
 
 def test_life_block_is_still():
     cells = np.zeros((4, 4), dtype=np.uint8)
     cells[1:3, 1:3] = 1
-    assert np.array_equal(step(Configuration(cells), GAME_OF_LIFE).cells, cells)
+    assert np.array_equal(step(cells, GAME_OF_LIFE), cells)
 
 
 def glider(side: int) -> np.ndarray:
@@ -273,7 +304,7 @@ def glider(side: int) -> np.ndarray:
 
 
 def test_life_glider_translates():
-    rows = evolve(GAME_OF_LIFE, Configuration(glider(8)), 4)
+    rows = evolve(GAME_OF_LIFE, glider(8), 4)
     assert rows.shape == (5, 8, 8) and rows.shape[-1] == 8
     assert np.array_equal(rows[4], np.roll(np.roll(rows[0], 1, 0), 1, 1))
     assert rows.tolist() == ref_life_evolve(glider(8).tolist(), 4, born={3}, survives={2, 3})
@@ -284,13 +315,29 @@ def test_life_rule_validation():
         LifeRule(born=frozenset({9}), survives=frozenset())
 
 
+def test_life_rule_refuses_counts_that_are_not_integers():
+    for born, survives in (({3.5}, {2, 3}), ({3}, {2.0})):
+        with pytest.raises(TypeError, match="integer"):
+            LifeRule(born=frozenset(born), survives=frozenset(survives))
+    rule = LifeRule(born=frozenset({np.int64(3)}), survives=frozenset({2, np.uint8(3)}))
+    assert rule == GAME_OF_LIFE and rule.rule_id == "life:B3/S23"
+
+
+@pytest.mark.parametrize("rule", [GAME_OF_LIFE, *INERT_LIFE], ids=lambda rule: rule.rule_id)
+def test_life_tables_are_read_only(rule):
+    # GAME_OF_LIFE is shared by every measurement in the process.
+    assert not rule.outputs.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        rule.outputs[3] = 0
+
+
 def test_inert_life_rules():
     rng = np.random.default_rng(3)
-    grid = Configuration(rng.integers(0, 2, size=(9, 9), dtype=np.uint8))
+    grid = rng.integers(0, 2, size=(9, 9), dtype=np.uint8)
     clear = LifeRule(born=frozenset(), survives=frozenset())
     freeze = LifeRule(born=frozenset(), survives=frozenset(range(9)))
-    assert step(grid, clear).cells.sum() == 0
-    assert np.array_equal(step(grid, freeze).cells, grid.cells)
+    assert step(grid, clear).sum() == 0
+    assert np.array_equal(step(grid, freeze), grid)
     assert freeze.rule_id == "life:B/S012345678"
 
 
@@ -302,7 +349,7 @@ def test_life_lookup_table():
 def test_evolve_accepts_both_system_types():
     rows = evolve(rule_from_number(110), row("010"), 2)
     assert rows.shape == (3, 3)
-    grid = Configuration(np.zeros((4, 4), dtype=np.uint8))
+    grid = np.zeros((4, 4), dtype=np.uint8)
     grids = evolve(GAME_OF_LIFE, grid, 2)
     assert grids.shape == (3, 4, 4)
     assert grids.dtype == np.uint8 and GAME_OF_LIFE.k == 2
@@ -311,17 +358,16 @@ def test_evolve_accepts_both_system_types():
 
 
 def test_systems_reject_the_other_shape():
-    grid = Configuration(np.zeros((4, 4), dtype=np.uint8))
-    fixed_grid = Configuration(np.zeros((4, 4), dtype=np.uint8), boundary=FIXED)
-    for run in (lambda c, s: evolve(s, c, 2), step):
+    grid = np.zeros((4, 4), dtype=np.uint8)
+    for run in (lambda c, s, b=CYCLIC: evolve(s, c, 2, b), step):
         with pytest.raises(ValueError, match="2-D grids"):
             run(row("0110"), GAME_OF_LIFE)
         with pytest.raises(ValueError, match="cyclic"):
-            run(fixed_grid, GAME_OF_LIFE)
+            run(grid, GAME_OF_LIFE, FIXED)
         with pytest.raises(ValueError, match="1-D rows"):
             run(grid, rule_from_number(110))
     with pytest.raises(ValueError, match="colours"):
-        evolve(GAME_OF_LIFE, Configuration(np.full((3, 3), 2, dtype=np.uint8)), 1)
+        evolve(GAME_OF_LIFE, np.full((3, 3), 2, dtype=np.uint8), 1)
 
 
 def test_eca_enumeration_is_complete():
@@ -336,13 +382,13 @@ def test_life_matches_naive_reference_on_random_grids():
         # Sides from 1 up, so degenerate tori (a cell its own neighbour) count too.
         height, width = (int(x) for x in rng.integers(1, 14, size=2))
         cells = (rng.random((height, width)) < 0.4).astype(np.uint8)
-        rows = evolve(GAME_OF_LIFE, Configuration(cells), 15)
+        rows = evolve(GAME_OF_LIFE, cells, 15)
         ref = ref_life_evolve(cells.tolist(), 15, born={3}, survives={2, 3})
         assert rows.tolist() == ref
 
 
 def test_life_matches_naive_reference_on_the_glider():
-    rows = evolve(GAME_OF_LIFE, Configuration(glider(7)), 40)
+    rows = evolve(GAME_OF_LIFE, glider(7), 40)
     assert rows.tolist() == ref_life_evolve(glider(7).tolist(), 40, born={3}, survives={2, 3})
 
 
@@ -350,7 +396,7 @@ def test_inert_life_rules_match_naive_reference():
     rng = np.random.default_rng(5)
     cells = rng.integers(0, 2, size=(8, 11), dtype=np.uint8)
     for rule in INERT_LIFE:
-        rows = evolve(rule, Configuration(cells), 6)
+        rows = evolve(rule, cells, 6)
         ref = ref_life_evolve(cells.tolist(), 6, born=rule.born, survives=rule.survives)
         assert rows.tolist() == ref
 
@@ -360,7 +406,7 @@ def test_fixed_boundary_matches_naive_reference():
     for _ in range(40):
         number = int(rng.integers(256))
         cells = rng.integers(0, 2, size=int(rng.integers(1, 30)), dtype=np.uint8)
-        rows = evolve(rule_from_number(number), Configuration(cells, boundary=FIXED), 20)
+        rows = evolve(rule_from_number(number), cells, 20, FIXED)
         assert rows.tolist() == ref_evolve(number, cells.tolist(), 20, boundary="fixed")
 
 
@@ -371,7 +417,7 @@ def test_batch_rows_are_the_members_runs():
     batch = evolve_batch(rules, cells, CYCLIC, 12)
     assert batch.rows.shape == (5, 13, 23)
     for rule, init, rows in zip(rules, cells, batch.rows):
-        assert rows.tolist() == evolve(rule, Configuration(init), 12).tolist()
+        assert rows.tolist() == evolve(rule, init, 12).tolist()
 
 
 def test_batch_rejects_mixed_kinds_and_shapes():
@@ -411,28 +457,25 @@ def test_batch_takes_bool_cells():
     assert rows.tolist() == [[0, 1, 1], [0, 1, 1]]
 
 
-def ref_run(system, config: Configuration, t: int) -> list:
+def ref_run(system, cells, t: int, boundary: str = CYCLIC) -> list:
     """The naive reference's space-time array of one Life or ECA run."""
-    cells = config.cells.tolist()
+    cells = np.asarray(cells).tolist()
     if isinstance(system, LifeRule):
         return ref_life_evolve(cells, t, born=system.born, survives=system.survives)
-    return ref_evolve(system.number, cells, t, boundary=config.boundary)
+    return ref_evolve(system.number, cells, t, boundary=boundary)
 
 
-def random_rows(count: int, width: int, seed: int, boundary: str = CYCLIC) -> list:
+def random_rows(count: int, width: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    return [Configuration(rng.integers(0, 2, size=width, dtype=np.uint8), boundary=boundary)
-            for _ in range(count)]
+    return np.stack([rng.integers(0, 2, size=width, dtype=np.uint8) for _ in range(count)])
 
 
-def life_grids(*patterns) -> list:
+def life_grids(*patterns) -> np.ndarray:
     """Each pattern's (row, column) cells live in a 6x6 torus."""
-    grids = []
-    for pattern in patterns:
-        cells = np.zeros((6, 6), dtype=np.uint8)
+    grids = np.zeros((len(patterns), 6, 6), dtype=np.uint8)
+    for grid, pattern in zip(grids, patterns):
         for i, j in pattern:
-            cells[i, j] = 1
-        grids.append(Configuration(cells))
+            grid[i, j] = 1
     return grids
 
 
@@ -444,43 +487,38 @@ def eca(*numbers) -> list:
     return [rule_from_number(number) for number in numbers]
 
 
-# (systems, initial configurations, t, steps the engine takes). A step
+# (systems, initial states, boundary, t, steps the engine takes). A step
 # count below t means the chunk settled: every run back at its state of
 # two steps before.
 SETTLING_CASES = {
     # 204 copies every cell, so the run is still from the start.
-    "rule-204": lambda: (eca(204), random_rows(1, 13, 9), 9, 1),
+    "rule-204": lambda: (eca(204), random_rows(1, 13, 9), CYCLIC, 9, 1),
     # 0 blanks the row at once, and a blank row repeats from step 1 on.
-    "rule-0": lambda: (eca(0), random_rows(1, 13, 10), 9, 3),
+    "rule-0": lambda: (eca(0), random_rows(1, 13, 10), CYCLIC, 9, 3),
     # 51 complements every cell, so the run alternates from the start.
-    "rule-51": lambda: (eca(51), random_rows(1, 13, 1), 9, 2),
+    "rule-51": lambda: (eca(51), random_rows(1, 13, 1), CYCLIC, 9, 2),
     # 204 is still at once; 0 and 255 reach their fixed point after one step.
-    "inert-eca": lambda: (eca(*INERT_ECA), random_rows(4, 13, 2), 200, 3),
-    "inert-life": lambda: (INERT_LIFE, [Configuration(glider(9))] * 2, 200, 3),
-    "blinker-and-block": lambda: ([GAME_OF_LIFE] * 2, life_grids(BLINKER, BLOCK), 9, 2),
+    "inert-eca": lambda: (eca(*INERT_ECA), random_rows(4, 13, 2), CYCLIC, 200, 3),
+    "inert-life": lambda: (INERT_LIFE, np.stack([glider(9)] * 2), CYCLIC, 200, 3),
+    "blinker-and-block": lambda: ([GAME_OF_LIFE] * 2, life_grids(BLINKER, BLOCK), CYCLIC, 9, 2),
     # 110 never repeats on this row, so neither does the chunk, whatever 0 does.
-    "110-beside-0": lambda: (eca(110, 0), random_rows(2, 31, 4), 200, 200),
-    "110-alone": lambda: (eca(110), random_rows(1, 31, 4), 200, 200),
+    "110-beside-0": lambda: (eca(110, 0), random_rows(2, 31, 4), CYCLIC, 200, 200),
+    "110-alone": lambda: (eca(110), random_rows(1, 31, 4), CYCLIC, 200, 200),
     # Rule 0 is back at its state of two steps before at step 3.
-    "settles-at-the-final-step": lambda: (eca(0, 204), random_rows(2, 13, 5), 3, 3),
-    "t-1": lambda: (eca(*INERT_ECA), random_rows(4, 13, 6), 1, 1),
-    "t-2": lambda: (eca(*INERT_ECA), random_rows(4, 13, 7), 2, 2),
-    "fixed": lambda: (eca(*INERT_ECA), random_rows(4, 13, 8, FIXED), 9, 3),
+    "settles-at-the-final-step": lambda: (eca(0, 204), random_rows(2, 13, 5), CYCLIC, 3, 3),
+    "t-1": lambda: (eca(*INERT_ECA), random_rows(4, 13, 6), CYCLIC, 1, 1),
+    "t-2": lambda: (eca(*INERT_ECA), random_rows(4, 13, 7), CYCLIC, 2, 2),
+    "fixed": lambda: (eca(*INERT_ECA), random_rows(4, 13, 8), FIXED, 9, 3),
 }
-
-
-def stacked(inits: list) -> tuple:
-    """The cells and the boundary of a batch of configurations."""
-    return np.stack([init.cells for init in inits]), inits[0].boundary
 
 
 @pytest.mark.parametrize("case", SETTLING_CASES)
 def test_settled_batch_stops_stepping_and_stays_exact(step_calls, case):
-    systems, inits, t, steps = SETTLING_CASES[case]()
-    batch = evolve_batch(systems, *stacked(inits), t)
+    systems, cells, boundary, t, steps = SETTLING_CASES[case]()
+    batch = evolve_batch(systems, cells, boundary, t)
     assert len(step_calls) == steps
-    for system, init, rows in zip(systems, inits, batch.rows):
-        assert rows.tolist() == ref_run(system, init, t)
+    for system, init, rows in zip(systems, cells, batch.rows):
+        assert rows.tolist() == ref_run(system, init, t, boundary)
 
 
 def test_a_run_settles_at_every_row_of_a_slab(step_calls):
@@ -493,7 +531,7 @@ def test_a_run_settles_at_every_row_of_a_slab(step_calls):
     for length in range(1, 2 * engine.SLAB_ROWS + 4):
         step_calls.clear()
         cells = [1] * length + [0] * 3
-        rows = evolve(rule_from_number(128), Configuration(cells), t)
+        rows = evolve(rule_from_number(128), cells, t)
         assert rows.tolist() == ref_evolve(128, cells, t)
         assert len(step_calls) == -(-length // 2) + 2
         ends.add(len(step_calls) % engine.SLAB_ROWS)
@@ -505,10 +543,10 @@ def test_a_settled_run_stops_stepping_at_its_settle_step(step_calls):
     # before at step 3; 110 never repeats on this row. Each of the two
     # retires at the step it settles, whatever the slab, and 110 steps
     # all the way.
-    systems, inits, t = eca(110, 0, 204), random_rows(3, 31, 4), 64
-    batch = evolve_batch(systems, *stacked(inits), t)
+    systems, cells, t = eca(110, 0, 204), random_rows(3, 31, 4), 64
+    batch = evolve_batch(systems, cells, CYCLIC, t)
     assert step_calls == [3, 2, 2] + [1] * (t - 3)
-    for system, init, rows in zip(systems, inits, batch.rows):
+    for system, init, rows in zip(systems, cells, batch.rows):
         assert rows.tolist() == ref_run(system, init, t)
 
 
@@ -525,21 +563,21 @@ def test_packing_does_not_grow_with_retirements(step_calls, monkeypatch):
 
     monkeypatch.setattr(engine, "pack_rows", counting)
     width, t = 70, 4 * engine.SLAB_ROWS + 6
-    inits = [Configuration([1] * length + [0] * (width - length)) for length in (2, 30, 62)]
-    inits += random_rows(1, width, 4)
+    cells = np.array([[1] * length + [0] * (width - length) for length in (2, 30, 62)])
+    cells = np.concatenate([cells, random_rows(1, width, 4)])
     systems = eca(128, 128, 128, 110)
-    batch = evolve_batch(systems, *stacked(inits), t)
+    batch = evolve_batch(systems, cells, CYCLIC, t)
     assert step_calls == [4] * 3 + [3] * 14 + [2] * 16 + [1] * (t - 33)
     assert packs == [len(systems)] * -(-(t + 1) // engine.SLAB_ROWS)
-    for system, init, rows in zip(systems, inits, batch.rows):
+    for system, init, rows in zip(systems, cells, batch.rows):
         assert rows.tolist() == ref_run(system, init, t)
     # Without 110 the last run retires at step 33, in the third slab: the
     # 9 whole slabs after it take one pack of the cycles, and the short
     # last slab one more.
     packs.clear()
-    batch = evolve_batch(systems[:3], *stacked(inits[:3]), 12 * engine.SLAB_ROWS)
+    batch = evolve_batch(systems[:3], cells[:3], CYCLIC, 12 * engine.SLAB_ROWS)
     assert packs == [3] * 5
-    for system, init, rows in zip(systems, inits, batch.rows):
+    for system, init, rows in zip(systems, cells, batch.rows):
         assert rows.tolist() == ref_run(system, init, 12 * engine.SLAB_ROWS)
 
 
@@ -565,7 +603,7 @@ def test_retired_runs_are_written_without_a_second_slab(step_calls):
     # 11 bytes per cell of a batch state.
     assert peak < packed + runs * engine.SLAB_ROWS * width + 16 * runs * width
     for system, init, rows in zip(systems, cells, batch.rows):
-        assert rows.tolist() == ref_run(system, Configuration(init), t)
+        assert rows.tolist() == ref_run(system, init, t)
 
 
 def test_slabs_after_every_retirement_are_copied_in_place(step_calls):
@@ -588,7 +626,7 @@ def test_slabs_after_every_retirement_are_copied_in_place(step_calls):
     packed = runs * packed_size((t + 1) * width, 2)
     assert peak < packed + runs * engine.SLAB_ROWS * width + 16 * runs * width
     for system, init, rows in zip(systems, cells, batch.rows):
-        assert rows.tolist() == ref_run(system, Configuration(init), t)
+        assert rows.tolist() == ref_run(system, init, t)
 
 
 def test_runs_that_retire_together_are_written_in_place(step_calls):
@@ -610,7 +648,7 @@ def test_runs_that_retire_together_are_written_in_place(step_calls):
     packed = runs * packed_size((t + 1) * width, 2)
     assert peak < packed + runs * engine.SLAB_ROWS * width + 16 * runs * width
     for system, init, rows in zip(systems, cells, batch.rows):
-        assert rows.tolist() == ref_run(system, Configuration(init), t)
+        assert rows.tolist() == ref_run(system, init, t)
 
 
 # Rules whose runs settle, after a transient or at once, next to rules
@@ -637,16 +675,16 @@ def test_batch_matches_reference_whether_or_not_it_settles(step_calls, data, lif
     inits = []
     for _ in systems:
         bits = data.draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
-        inits.append(Configuration(np.array(bits, dtype=np.uint8).reshape(shape), boundary=boundary))
+        inits.append(np.array(bits, dtype=np.uint8).reshape(shape))
     step_calls.clear()
-    batch = evolve_batch(systems, *stacked(inits), t)
+    batch = evolve_batch(systems, np.stack(inits), boundary, t)
     # Run b steps until the first s >= 1 whose state equals its state of
     # two steps before (at s = 1, the initial state), and at most t times:
     # step s steps every run whose count is at least s, and the batch
     # reports that count as the run's step.
     settle_steps = []
     for system, init, rows in zip(systems, inits, batch.rows):
-        ref = ref_run(system, init, t)
+        ref = ref_run(system, init, t, boundary)
         assert rows.tolist() == ref
         settle_steps.append(next((s for s in range(1, t + 1) if ref[s] == ref[max(s - 2, 0)]), t))
     assert step_calls == [sum(s <= steps for steps in settle_steps)
@@ -661,11 +699,10 @@ def test_halo_wider_than_the_row(boundary, width):
     # several times round a cyclic row.
     rng = np.random.default_rng(width)
     systems = [rule_from_number(int.from_bytes(rng.bytes(16), "big"), k=2, r=3) for _ in range(4)]
-    inits = [Configuration(rng.integers(0, 2, size=width, dtype=np.uint8), boundary=boundary)
-             for _ in systems]
-    batch = evolve_batch(systems, *stacked(inits), 10)
-    for system, init, rows in zip(systems, inits, batch.rows):
-        assert rows.tolist() == ref_ca_evolve(system.number, 2, 3, init.cells.tolist(), 10,
+    cells = np.stack([rng.integers(0, 2, size=width, dtype=np.uint8) for _ in systems])
+    batch = evolve_batch(systems, cells, boundary, 10)
+    for system, init, rows in zip(systems, cells, batch.rows):
+        assert rows.tolist() == ref_ca_evolve(system.number, 2, 3, init.tolist(), 10,
                                               boundary=boundary)
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,7 +108,7 @@ def test_family_shape_properties():
     fam2 = gray_patches(8, 20, 24)
     assert (fam2.n, fam2.width, fam2.height) == (8, 24, 20)
     # patches are 2-D configurations on the torus
-    assert all(isinstance(m, Configuration) and m.boundary == "cyclic" for m in fam2.members)
+    assert all(isinstance(m, Configuration) for m in fam2.members) and fam2.boundary == "cyclic"
     # The family holds its cells once: one read-only stack, of which each
     # member's cells are a row.
     for family in (fam, fam2, random_initials(5, 12, seed=2)):
@@ -159,9 +161,18 @@ def test_custom_family_validation():
     # the cast could wrap it into a duplicate of another member.
     with pytest.raises(ValueError, match="0..255"):
         InputFamily(members=(a, Configuration(np.array([0, 257, 0]))), scheme=CUSTOM)
-    # A family has one boundary, so every measurement of it runs under it.
-    with pytest.raises(ValueError, match="boundary"):
-        InputFamily(members=(a, Configuration([0, 1, 1], boundary=FIXED)), scheme=CUSTOM)
+    with pytest.raises(ValueError, match="unknown boundary"):
+        InputFamily(members=(a, b), scheme=CUSTOM, boundary="wrapped")
+
+
+def test_a_family_holds_its_boundary_once():
+    # The builders hand the boundary to the family, which every
+    # measurement of it runs under; its members are cells only.
+    for family in (gray_initials(4, 9, boundary=FIXED),
+                   random_initials(3, 9, seed=1, boundary=FIXED),
+                   InputFamily(members=(Configuration([0, 1]),), scheme=CUSTOM, boundary=FIXED)):
+        assert family.boundary == FIXED
+    assert [field.name for field in dataclasses.fields(Configuration)] == ["cells"]
 
 
 def test_gray_scheme_enforces_minimal_change():
