@@ -3,8 +3,8 @@
 A system whose coefficient sits inside a calibrated zero band is inert: it
 cannot be steered by its input. Systems compute when the coefficient is
 positive beyond the band. Two systems are behaviourally equivalent when
-their coefficients agree exactly on an identical parameter grid, and
-c-equivalent when they agree to within a stated tolerance.
+their coefficients agree exactly on an identical parameter grid and input
+family, and c-equivalent when they agree to within a stated tolerance.
 
 The zero band is calibrated empirically: provably inert rules are pushed
 through the identical measurement pipeline and the band is twice the worst
@@ -43,7 +43,7 @@ EPSILON_FLOOR = 1e-12
 
 
 class IncomparableError(ValueError):
-    """Two results were measured on different parameter grids."""
+    """Two results were measured on different parameter grids or input families."""
 
 
 def calibrate_epsilon(
@@ -98,14 +98,13 @@ def _paired_grids(a, b) -> list[tuple[CoefficientResult, CoefficientResult]]:
         raise IncomparableError(
             f"grids have {len(ga)} and {len(gb)} points; results are not comparable"
         )
-    # Pair by canonical grid order so callers may list points differently.
-    ga = sorted(ga, key=lambda r: repr(r.params.grid_key()))
-    gb = sorted(gb, key=lambda r: repr(r.params.grid_key()))
+    # Pair by canonical (grid, family) order so callers may list points differently.
+    ga, gb = (sorted(g, key=lambda r: repr((r.params.grid(), r.family))) for g in (ga, gb))
     for ra, rb in zip(ga, gb):
-        if ra.params.grid_key() != rb.params.grid_key():
+        if (ra.params.grid(), ra.family) != (rb.params.grid(), rb.family):
             raise IncomparableError(
-                "results were measured on different parameter grids: "
-                f"{ra.params.grid_key()} vs {rb.params.grid_key()}"
+                "results were measured on different parameter grids or input families: "
+                f"{ra.params.grid()} on {ra.family} vs {rb.params.grid()} on {rb.family}"
             )
     return list(zip(ga, gb))
 

@@ -39,7 +39,7 @@ from .classify import (
     sweep_eca,
     zero_band,
 )
-from .coefficient import measure, measure_all, run_chunks, runtime_grid
+from .coefficient import measure, measure_all, runtime_grid
 from .complexity import COMPRESSOR_ID, unpack_rows
 from .engine import (
     CYCLIC,
@@ -49,11 +49,11 @@ from .engine import (
     default_width,
     evolve_batch,
     rule_from_number,
+    run_chunks,
 )
 from .enumeration import CUSTOM, InputFamily, gray_initials, gray_patches, random_initials
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_INCOMPARABLE = 3
 EXIT_INTERNAL = 4
 
@@ -307,12 +307,12 @@ def cmd_compare(args, argv) -> int:
         obj.update(equivalent=None, incomparable=True, reason=str(err))
     else:
         obj.update(incomparable=False, c=args.c, grid=res_a.params.grid())
-    print(json.dumps(obj, sort_keys=True, indent=2))
+    data = reportio.json_bytes(obj)
+    print(data.decode(), end="")
     if obj["incomparable"]:
         return EXIT_INCOMPARABLE
     if args.out:
-        reportio.write_outputs(args.out, {"compare.json": reportio.json_bytes(obj)},
-                               argv, obj["grid"])
+        reportio.write_outputs(args.out, {"compare.json": data}, argv, obj["grid"])
     return EXIT_OK
 
 
@@ -335,7 +335,7 @@ def cmd_rerun(args, argv) -> int:
     checks = reportio.verify_outputs(args.out, manifest)
     obj = {"match": all(checks.values()), "files": checks,
            "manifest": str(args.manifest), "out": str(args.out)}
-    print(json.dumps(obj, sort_keys=True, indent=2))
+    print(reportio.json_bytes(obj).decode(), end="")
     return EXIT_OK if obj["match"] else EXIT_INTERNAL
 
 

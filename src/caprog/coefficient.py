@@ -25,17 +25,9 @@ import numpy as np
 # The engine is bound under the name run_system, and compressed_size and
 # pack_cells, which nothing here calls, stay importable, only because the
 # benchmark's tracer (perfbench/tracer.py) wraps these module attributes.
-from .complexity import COMPRESSOR_ID, compressed_size, pack_cells, packed_size, prefix_sizes
-from .engine import SLAB_ROWS, STEP_BYTES, System, check_batch, evolve_batch as run_system
+from .complexity import COMPRESSOR_ID, compressed_size, pack_cells, prefix_sizes
+from .engine import System, check_batch, evolve_batch as run_system, run_chunks
 from .enumeration import InputFamily
-
-# Bytes a chunk of runs evolved together may hold: per run, its packed
-# payload (1 bit per cell for k = 2, 1 byte for k > 2), one slab of
-# engine.SLAB_ROWS unpacked rows and one step's temporaries. A chunk holds
-# as many runs as fit, and at least one: enough to amortise numpy's
-# per-call cost, few enough that memory stays bounded at any sweep size.
-# The family's cells, InputFamily.cells, come on top.
-MEMORY_BUDGET = 2 * 1024 * 1024
 
 
 class DegenerateFitError(ValueError):
@@ -71,16 +63,12 @@ class RunParams:
         del params["rule_id"]
         return params
 
-    def grid_key(self) -> tuple:
-        return tuple(self.grid().values())
-
 
 @dataclass(frozen=True)
 class VariabilityCurve:
     """Sampled (t', S(t')) points feeding the line fit."""
 
     points: tuple[tuple[int, float], ...]
-    family_descriptor: str
 
     def __post_init__(self):
         if len(self.points) < 2:
@@ -110,10 +98,12 @@ class FitResult:
 
 @dataclass(frozen=True)
 class CoefficientResult:
-    """The fitted slope plus everything needed to reproduce it."""
+    """The fitted slope plus everything needed to reproduce it: the grid
+    it was measured on and the descriptor of its input family."""
 
     fit: FitResult
     params: RunParams
+    family: str
 
     @property
     def c_value(self) -> float:
@@ -164,21 +154,14 @@ def resolve_workers(workers: int | None) -> int:
     return workers
 
 
-def run_chunks(runs: int, t: int, size: int, k: int) -> list[range]:
-    """Runs 0 .. runs - 1 (t steps on size cells in k colours) in chunks within MEMORY_BUDGET."""
-    run_bytes = packed_size((t + 1) * size, k) + (SLAB_ROWS + STEP_BYTES) * size
-    step = max(1, MEMORY_BUDGET // run_bytes)
-    return [range(first, min(first + step, runs)) for first in range(0, runs, step)]
-
-
 def _complexity_matrix(
     systems, cells, boundary: str, times: tuple[int, ...], include_input: bool, workers: int
 ) -> np.ndarray:
     """Compressed sizes in bits, shape (systems, n, len(times)), of the runs
     from the n initial states stacked in ``cells``.
 
-    The (member, system) runs are evolved in chunks that fit
-    MEMORY_BUDGET, one chunk at a time and each into one packed array, and
+    The (member, system) runs are evolved in the chunks of
+    :func:`caprog.engine.run_chunks`, one at a time and each into one packed array, and
     each run once to the largest runtime: shorter runtimes compress
     prefixes of the same run. In a chunk, a run that settles into period
     1 or 2 stops stepping at that step while the others step on (see
@@ -304,10 +287,8 @@ def measure_all(
     measured = []
     for system, totals in zip(systems, gaps):
         curve = VariabilityCurve(
-            points=tuple((t, int(total) / (t * (family.n - 1))) for t, total in zip(times, totals)),
-            family_descriptor=family.descriptor,
+            points=tuple((t, int(total) / (t * (family.n - 1))) for t, total in zip(times, totals))
         )
-        fit = fit_line(curve)
         params = RunParams(
             rule_id=system.rule_id,
             t_max=t_max,
@@ -321,7 +302,8 @@ def measure_all(
             scheme=family.scheme,
             include_input=include_input,
         )
-        measured.append((CoefficientResult(fit=fit, params=params), curve))
+        res = CoefficientResult(fit=fit_line(curve), params=params, family=family.descriptor)
+        measured.append((res, curve))
     return measured
 
 

@@ -207,6 +207,21 @@ STEP_BYTES = 24
 # to whole bytes at one bit per cell.
 SLAB_ROWS = 16
 
+# Bytes a chunk of runs, evolved in one evolve_batch call, may hold: per
+# run, its packed payload (1 bit per cell for k = 2, 1 byte for k > 2),
+# one slab of SLAB_ROWS unpacked rows and one step's STEP_BYTES
+# temporaries. A chunk holds as many runs as fit, and at least one:
+# enough to amortise numpy's per-call cost, few enough that memory stays
+# bounded at any run count. The initial states come on top.
+MEMORY_BUDGET = 2 * 1024 * 1024
+
+
+def run_chunks(runs: int, t: int, size: int, k: int) -> list[range]:
+    """Runs 0 .. runs - 1 (t steps on size cells in k colours) in chunks within MEMORY_BUDGET."""
+    run_bytes = packed_size((t + 1) * size, k) + (SLAB_ROWS + STEP_BYTES) * size
+    step = max(1, MEMORY_BUDGET // run_bytes)
+    return [range(first, min(first + step, runs)) for first in range(0, runs, step)]
+
 
 def _lookup(tables: np.ndarray, k: int, ndim: int):
     """The map from a batch's table indices, shaped (B, *cells), to its

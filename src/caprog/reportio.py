@@ -77,7 +77,7 @@ def coefficient_json_obj(res: CoefficientResult, curve: VariabilityCurve) -> dic
         "fit": asdict(res.fit),
         "params": asdict(res.params),
         "curve": {
-            "family": curve.family_descriptor,
+            "family": res.family,
             "points": [[t, value] for t, value in curve.points],
         },
     }
@@ -90,7 +90,10 @@ def coefficient_from_obj(obj: dict) -> CoefficientResult:
     fit = FitResult(**obj["fit"])
     if obj["c_value"] != fit.slope:
         raise ValueError("c_value must equal the fitted slope exactly")
-    return CoefficientResult(fit=fit, params=RunParams(**obj["params"]))
+    family = obj["curve"]["family"]
+    if not isinstance(family, str):
+        raise ValueError("curve.family must be the input family's descriptor")
+    return CoefficientResult(fit=fit, params=RunParams(**obj["params"]), family=family)
 
 
 _SWEEP_COLUMNS = ("rule", "c_value", "rmse", "rank", "cluster")

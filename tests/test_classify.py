@@ -1,6 +1,7 @@
 """Tests for zero-band calibration, the computes predicate, equivalence
 checks, clustering, and the whole-family sweep."""
 
+import dataclasses
 import os
 
 import pytest
@@ -20,9 +21,10 @@ from caprog.classify import (
     r30_grouping,
     sweep_eca,
 )
-from caprog.coefficient import measure, resolve_workers
+from caprog.coefficient import CoefficientResult, FitResult, RunParams, measure, resolve_workers
+from caprog.complexity import COMPRESSOR_ID
 from caprog.engine import rule_from_number
-from caprog.enumeration import gray_initials
+from caprog.enumeration import gray_initials, random_initials
 
 # Reduced grid shared by the sweep tests; small enough to run twice.
 SWEEP_KW = dict(t_max=40, n=8, width=21, workers=1)
@@ -40,6 +42,20 @@ def small_family():
 
 def coeff(number: int, family, t_max: int = 40):
     return measure(rule_from_number(number), family, t_max)[0]
+
+
+def synthetic_sweep(c30: float) -> SweepReport:
+    """A report of made-up coefficients: the four inert rules near zero,
+    three rules far apart, and rule 30 at ``c30``."""
+    grid = RunParams(rule_id="eca:0", t_max=40, t_min=5, stride=2, n=8, width=21,
+                     boundary="cyclic", compressor_id=COMPRESSOR_ID, scheme="gray",
+                     include_input=True)
+    values = {0: 0.0, 255: 0.0, 204: 0.001, 51: -0.001, 110: 5.0, 90: 10.0, 45: 20.0, 30: c30}
+    return SweepReport(entries=tuple(
+        CoefficientResult(fit=FitResult(slope=c, intercept=0.0, rmse=0.0, point_count=2),
+                          params=dataclasses.replace(grid, rule_id=f"eca:{number}"),
+                          family="gray(n=8,W21)")
+        for number, c in values.items()))
 
 
 class TestKMeans:
@@ -143,6 +159,20 @@ class TestEquivalence:
             behaviourally_equivalent(a, b)
         with pytest.raises(IncomparableError):
             c_equivalent(a, b, 1.0)
+
+    def test_differing_families_are_incomparable(self):
+        # One grid, two random families: the grid alone cannot tell them apart.
+        a = coeff(30, random_initials(4, 16, seed=0), t_max=20)
+        b = coeff(30, random_initials(4, 16, seed=1, density=0.3), t_max=20)
+        assert a.params.grid() == b.params.grid() and a.family != b.family
+        for equivalent in (behaviourally_equivalent, lambda a, b: c_equivalent(a, b, 1.0)):
+            with pytest.raises(IncomparableError) as err:
+                equivalent(a, b)
+            assert a.family in str(err.value) and b.family in str(err.value)
+
+    def test_empty_grids_are_refused(self):
+        with pytest.raises(ValueError, match="empty"):
+            behaviourally_equivalent([], [])
 
     def test_incomparable_is_a_value_error(self):
         assert issubclass(IncomparableError, ValueError)
@@ -250,3 +280,11 @@ class TestSweep:
             (False, False): "neither",
         }[(shares, within)]
         assert verdict["held"] == expected
+
+    @pytest.mark.parametrize("c30, held", [(0.0, "both"), (0.01, "cluster"), (7.0, "neither")])
+    def test_r30_grouping_names_the_criterion_that_held(self, c30, held):
+        # 0.01 clusters with the inert rules but lies outside twice the
+        # zero band (0.002); 7.0 clusters with 5.0.
+        verdict = r30_grouping(synthetic_sweep(c30))
+        assert verdict["epsilon"] == 0.002
+        assert verdict["held"] == held

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import caprog
-from caprog import coefficient
+from caprog import coefficient, engine
 from caprog.classify import INERT_ECA, INERT_LIFE, calibrate_epsilon, computes, is_zero_computer
 from caprog.cli import DEFAULT_T, LIFE_T, build_parser, main
 from caprog.coefficient import measure
@@ -21,6 +21,7 @@ from caprog.enumeration import gray_initials, gray_patches, random_initials
 from caprog.reportio import (
     MANIFEST_NAME,
     SCHEMA_MANIFEST,
+    coefficient_from_obj,
     coefficient_json_obj,
     curve_csv_bytes,
     json_bytes,
@@ -121,8 +122,8 @@ class TestEvolve:
         # are those of evolving its member alone.
         t = 37
         written = []
-        for budget in (1, coefficient.MEMORY_BUDGET):
-            monkeypatch.setattr(coefficient, "MEMORY_BUDGET", budget)
+        for budget in (1, engine.MEMORY_BUDGET):
+            monkeypatch.setattr(engine, "MEMORY_BUDGET", budget)
             out = tmp_path / str(budget)
             assert main(["evolve", *argv, "--t", str(t), "--raw", "--out", str(out)]) == 0
             written.append({path.name: path.read_bytes() for path in out.glob("evolution_*")})
@@ -247,6 +248,11 @@ class TestUsageErrors:
         "coeff --rule 110 --gray-inputs 6 --width 15 --t 24 --density 0.9",
         "evolve --rule 30 --input 0110 --seed 3 --t 4",
         "coeff --model life --gray-inputs 4 --height 8 --width 8 --t 6 --seed 1",
+        "evolve --input 01 --t 3",
+        "evolve --rule 30 --input 012 --t 3",
+        # compare needs two rule numbers or two stored results
+        "compare --a-json a.json",
+        "compare --a 30",
     ])
     def test_bad_family_or_runtime_grid(self, tmp_path, argv, capsys):
         # rejected while parsing the flags, before anything is evolved
@@ -476,7 +482,26 @@ class TestCompare:
         assert verdict["equivalent"] is None
         assert "grids" in verdict["reason"] or "grid" in verdict["reason"]
 
-    @pytest.mark.parametrize("stored", ["tampered", "missing", "not JSON", "a JSON list"])
+    def test_stored_results_from_different_families_are_incomparable(self, tmp_path, capsys):
+        # One grid, two random families.
+        argv = ["coeff", "--rule", "30", "--random-inputs", "4", "--width", "16", "--t", "20",
+                "--no-calibrate"]
+        for name, family in (("a", ["--seed", "0"]), ("b", ["--seed", "1", "--density", "0.3"])):
+            assert main([*argv, *family, "--out", str(tmp_path / name)]) == 0
+        stored = [coefficient_from_obj(read_json(tmp_path / name / "coefficient.json"))
+                  for name in "ab"]
+        assert stored[0].params.grid() == stored[1].params.grid()
+        capsys.readouterr()
+        code = main(["compare", "--a-json", str(tmp_path / "a" / "coefficient.json"),
+                     "--b-json", str(tmp_path / "b" / "coefficient.json"), "--c", "1"])
+        assert code == 3
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["incomparable"] is True and verdict["equivalent"] is None
+        for res in stored:
+            assert f"{res.params.grid()} on {res.family}" in verdict["reason"]
+
+    @pytest.mark.parametrize("stored", ["tampered", "missing", "not JSON", "a JSON list",
+                                        "no family descriptor"])
     def test_unreadable_stored_result_is_a_usage_error(self, tmp_path, capsys, stored):
         good, bad = tmp_path / "good.json", tmp_path / "bad.json"
         res, curve = measure(rule_from_number(90), gray_initials(6, 15), 24)
@@ -488,6 +513,9 @@ class TestCompare:
             bad.write_text("c_value,0.5\n")
         elif stored == "a JSON list":
             bad.write_text("[]\n")
+        elif stored == "no family descriptor":
+            curve = {**obj["curve"], "family": [obj["curve"]["family"]]}
+            bad.write_bytes(json_bytes({**obj, "curve": curve}))
         assert main(["compare", "--a-json", str(bad), "--b-json", str(good)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert err[-1].startswith("caprog compare: error:")
@@ -512,7 +540,8 @@ class TestCompare:
         code = main(["compare", "--a", "3", "--b", "3", "--c", "1e-9", *SMALL,
                      "--out", str(out)])
         assert code == 0
-        capsys.readouterr()
+        # the verdict printed is the file written, byte for byte
+        assert capsys.readouterr().out.encode() == (out / "compare.json").read_bytes()
         obj = read_json(out / "compare.json")
         assert obj["equivalent"] is True
 
@@ -631,6 +660,17 @@ class TestRerun:
         code = main(["rerun", "--manifest", str(manifest_path), "--out", str(second)])
         assert code == 3
         assert "deflate/zlib-0.0.0/level9" in capsys.readouterr().err
+        assert not second.exists()
+
+    def test_failed_replay_returns_its_exit_code(self, tmp_path, capsys):
+        manifest_path = tmp_path / MANIFEST_NAME
+        obj = {"schema": SCHEMA_MANIFEST, "argv": ["coeff", "--rule", "300"],
+               "params": {}, "outputs": {}, "timestamp": "2020-01-01T00:00:00+00:00"}
+        manifest_path.write_bytes(json_bytes(obj))
+        second = tmp_path / "second"
+        code = main(["rerun", "--manifest", str(manifest_path), "--out", str(second)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == "replay exited with 2"
         assert not second.exists()
 
     @pytest.mark.parametrize("command", ["rerun --manifest {manifest}", "frobnicate", ""])

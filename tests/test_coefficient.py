@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caprog import cli, coefficient, complexity
+from caprog import cli, coefficient, complexity, engine
 from caprog.classify import INERT_LIFE
 from caprog.coefficient import (
     CoefficientResult,
@@ -55,7 +55,7 @@ def run_bytes(family: InputFamily, t: int, k: int = 2) -> int:
 
 
 def curve_from(points) -> VariabilityCurve:
-    return VariabilityCurve(points=tuple(points), family_descriptor="gray(n=4,W9)")
+    return VariabilityCurve(points=tuple(points))
 
 
 def times_of(curve: VariabilityCurve) -> tuple[int, ...]:
@@ -148,12 +148,12 @@ class TestResultTypes:
         base.update(overrides)
         return RunParams(**base)
 
-    def test_grid_key_ignores_the_rule(self):
+    def test_grid_ignores_the_rule(self):
         a = self.params(rule_id="eca:110")
         b = self.params(rule_id="eca:30")
-        assert a.grid_key() == b.grid_key()
+        assert a.grid() == b.grid()
 
-    def test_grid_key_tracks_every_grid_field(self):
+    def test_grid_tracks_every_grid_field(self):
         base = self.params()
         for field, value in [
             ("t_max", 100),
@@ -166,7 +166,7 @@ class TestResultTypes:
             ("include_input", False),
             ("height", 32),
         ]:
-            assert self.params(**{field: value}).grid_key() != base.grid_key()
+            assert self.params(**{field: value}).grid() != base.grid()
 
     def test_incomplete_params_rejected(self):
         with pytest.raises(ValueError):
@@ -194,11 +194,12 @@ class TestResultTypes:
 
     def test_coefficient_must_carry_its_own_slope(self):
         fit = fit_line(curve_from([(1, 1.0), (2, 2.0), (3, 2.0)]))
-        res = CoefficientResult(fit=fit, params=self.params())
+        res = CoefficientResult(fit=fit, params=self.params(), family="gray(n=40,W61)")
         assert res.c_value == fit.slope
         # c_value is the slope itself, so no result can hold a second copy.
         with pytest.raises(TypeError, match="c_value"):
-            CoefficientResult(c_value=fit.slope, fit=fit, params=self.params())
+            CoefficientResult(c_value=fit.slope, fit=fit, params=self.params(),
+                              family="gray(n=40,W61)")
         # A stored result comes from outside the program: a tampered copy is refused.
         stored = coefficient_json_obj(res, curve_from([(1, 1.0), (2, 2.0)]))
         stored["c_value"] = fit.slope + 1e-9
@@ -247,7 +248,7 @@ class TestDifferenceSum:
             measure(rule_from_number(30), fam, 5, 1, 5)
 
     @pytest.mark.parametrize("width, t, budget", [
-        pytest.param(21, 30, coefficient.MEMORY_BUDGET, id="21-30"),
+        pytest.param(21, 30, engine.MEMORY_BUDGET, id="21-30"),
         pytest.param(1200, 300, 1, id="1200-300"),
     ])
     def test_refuses_mixed_kinds_before_evolving(self, monkeypatch, width, t, budget):
@@ -255,7 +256,7 @@ class TestDifferenceSum:
         # and t=300 the budget is below one run, so each chunk holds one
         # run and no single batch would see two kinds, or the last
         # member's colour 2.
-        monkeypatch.setattr(coefficient, "MEMORY_BUDGET", budget)
+        monkeypatch.setattr(engine, "MEMORY_BUDGET", budget)
         monkeypatch.setattr(coefficient, "run_system", no_evolution)
         family = gray_initials(3, width)
         for systems in ([rule_from_number(30), rule_from_number(5, k=3)],
@@ -292,8 +293,8 @@ class TestVariabilityCurve:
 
     def test_metadata_travels_with_the_curve(self):
         fam = gray_initials(8, 21)
-        curve = measure(rule_from_number(90), fam, 24, 4, 5)[1]
-        assert curve.family_descriptor == "gray(n=8,W21)"
+        res, curve = measure(rule_from_number(90), fam, 24, 4, 5)
+        assert res.family == "gray(n=8,W21)"
         assert times_of(curve) == (4, 9, 14, 19, 24)
 
 
@@ -389,7 +390,7 @@ def test_batched_matrix_is_bit_exact(monkeypatch, case):
     chunkings = {1: [1] * runs, split * run: [split] * full + [rest] * (rest > 0), runs * run: [runs]}
     matrices = []
     for budget, chunks in chunkings.items():
-        monkeypatch.setattr(coefficient, "MEMORY_BUDGET", budget)
+        monkeypatch.setattr(engine, "MEMORY_BUDGET", budget)
         for workers in (1, 2):
             calls.clear()
             matrices.append(coefficient._complexity_matrix(systems, family.cells,
@@ -451,8 +452,8 @@ def test_the_memo_reaches_across_chunks(monkeypatch, workers):
     expected = coefficient._complexity_matrix(systems, family.cells, family.boundary, times,
                                               True, workers)
     monkeypatch.setattr(coefficient, "prefix_sizes", recording)
-    monkeypatch.setattr(coefficient, "MEMORY_BUDGET", 1)
-    assert len(coefficient.run_chunks(len(systems) * family.n, times[-1], family.width, 2)) == 30
+    monkeypatch.setattr(engine, "MEMORY_BUDGET", 1)
+    assert len(engine.run_chunks(len(systems) * family.n, times[-1], family.width, 2)) == 30
     matrix = coefficient._complexity_matrix(systems, family.cells, family.boundary, times,
                                             True, workers)
     assert len(compressed) == sum(map(len, distinct))
@@ -476,7 +477,7 @@ def test_matrix_is_the_same_at_any_budget(case, workers, data):
     times = runtime_grid(family, 16, 4, 3)[2]
     budget = data.draw(st.integers(0, len(systems) * family.n * run_bytes(family, times[-1])))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(coefficient, "MEMORY_BUDGET", budget)
+        patch.setattr(engine, "MEMORY_BUDGET", budget)
         matrix = coefficient._complexity_matrix(systems, family.cells, family.boundary, times,
                                                 True, workers)
     for j, cells in enumerate(family.cells):
@@ -509,13 +510,13 @@ def test_one_chunk_tensor_is_alive_at_a_time():
     packed runs of a chunk are freed before the next chunk evolves."""
     systems, family = (*INERT_LIFE, GAME_OF_LIFE), gray_patches(64, 32, 32)
     times = runtime_grid(family, 120)[2]
-    per_chunk = coefficient.MEMORY_BUDGET // run_bytes(family, times[-1])
+    per_chunk = engine.MEMORY_BUDGET // run_bytes(family, times[-1])
     assert len(systems) * family.n > 3 * per_chunk, "the case must take many chunks"
     # The budget holds one chunk's packed runs, slab and step; the memo
     # holds one digest per distinct run of the current member, and no
     # view of a chunk's payloads outlives it; 64 KiB cover the small
     # arrays and lists of the loop.
-    bound = coefficient.MEMORY_BUDGET + 64 * 1024
+    bound = engine.MEMORY_BUDGET + 64 * 1024
     expected = coefficient._complexity_matrix(systems, family.cells, family.boundary, times,
                                               True, 1)
     matrix, peak = traced_matrix(systems, family, times)
@@ -531,9 +532,9 @@ def test_a_measurement_without_the_input_row_holds_one_chunk(systems, family):
     """Without the input row, no chunk's one-step batch outlives its chunk:
     the peak stays within the bound that holds with the input row."""
     times = runtime_grid(family, 120)[2]
-    per_chunk = coefficient.MEMORY_BUDGET // run_bytes(family, times[-1] - 1)
+    per_chunk = engine.MEMORY_BUDGET // run_bytes(family, times[-1] - 1)
     assert len(systems) * family.n > 3 * per_chunk, "the case must take many chunks"
-    bound = coefficient.MEMORY_BUDGET + 64 * 1024
+    bound = engine.MEMORY_BUDGET + 64 * 1024
     peak = traced_matrix(systems, family, times, include_input=False)[1]
     assert peak <= bound, f"peak {peak} B above {bound} B"
 
@@ -544,9 +545,9 @@ def test_a_run_beyond_the_budget_is_held_packed():
     in the budget at once, and each size is that of its run's prefix."""
     rule, family = rule_from_number(110), random_initials(3, 4096, seed=0)
     times = runtime_grid(family, 600)[2]
-    assert (times[-1] + 1) * 4096 > coefficient.MEMORY_BUDGET
+    assert (times[-1] + 1) * 4096 > engine.MEMORY_BUDGET
     matrix, peak = traced_matrix([rule], family, times)
-    bound = coefficient.MEMORY_BUDGET + 64 * 1024
+    bound = engine.MEMORY_BUDGET + 64 * 1024
     assert peak <= bound, f"peak {peak} B above {bound} B"
     for cells, sizes in zip(family.cells, matrix[0]):
         rows = evolve(rule, cells, times[-1])
@@ -568,7 +569,7 @@ def test_payloads_count_against_the_budget(monkeypatch):
                     for _ in range(8))
     family = InputFamily(members=members, scheme=CUSTOM)
     times = runtime_grid(family, 300)[2]
-    bound = coefficient.MEMORY_BUDGET + 64 * 1024
+    bound = engine.MEMORY_BUDGET + 64 * 1024
     peak = traced_matrix(systems, family, times)[1]
     assert peak <= bound, f"peak {peak} B above {bound} B"
 
@@ -579,7 +580,7 @@ def test_a_measurement_holds_the_family_once():
     systems, family = (*INERT_LIFE, GAME_OF_LIFE), gray_patches(512, 32, 32)
     assert family.cells.nbytes == 512 * 1024
     measured, peak = traced(lambda: coefficient.measure_all(systems, family, 8))
-    bound = coefficient.MEMORY_BUDGET + 64 * 1024
+    bound = engine.MEMORY_BUDGET + 64 * 1024
     assert peak <= bound, f"peak {peak} B above {bound} B"
     expected = [coefficient.measure(system, family, 8)[0].c_value for system in systems]
     assert [result.c_value for result, _ in measured] == expected
@@ -643,7 +644,7 @@ def test_runs_that_never_settle_start_one_helper_per_chunk(events, monkeypatch, 
     calling thread."""
     rule, family = rule_from_number(110), random_initials(6, 4096, seed=0)
     times = runtime_grid(family, 300)[2]
-    monkeypatch.setattr(coefficient, "MEMORY_BUDGET", per_chunk * run_bytes(family, times[-1]))
+    monkeypatch.setattr(engine, "MEMORY_BUDGET", per_chunk * run_bytes(family, times[-1]))
     coefficient._complexity_matrix([rule], family.cells, family.boundary, times, True, 2)
     assert events == ["evolve", "helper"] * (6 // per_chunk)
 
@@ -664,7 +665,7 @@ def test_matrix_is_the_same_for_any_worker_count(monkeypatch):
 
     monkeypatch.setattr(coefficient, "run_system", recording)
     # Four runs a chunk, so chunks end inside a member's systems.
-    monkeypatch.setattr(coefficient, "MEMORY_BUDGET", 4 * run_bytes(family, times[-1]))
+    monkeypatch.setattr(engine, "MEMORY_BUDGET", 4 * run_bytes(family, times[-1]))
     matrices = [coefficient._complexity_matrix(systems, family.cells, family.boundary, times,
                                                True, resolve_workers(workers))
                 for workers in (1, 2, 3, None)]

@@ -114,6 +114,8 @@ def test_rule_number_bounds():
         rule_from_number(-1)
     with pytest.raises(ValueError):
         rule_from_number(0, k=1)
+    with pytest.raises(ValueError, match="2097152 entries is unsupported"):
+        rule_from_number(0, r=10)
 
 
 def test_rule_ids():

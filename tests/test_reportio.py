@@ -104,7 +104,7 @@ class TestJsonAndCsv:
         back = coefficient_from_obj(obj)
         assert back == res
         assert back.c_value == res.c_value
-        assert back.params.grid_key() == res.params.grid_key()
+        assert back.params.grid() == res.params.grid()
 
     def test_from_obj_rejects_foreign_payloads(self):
         with pytest.raises(ValueError, match="coefficient"):
