@@ -31,6 +31,7 @@ from .coefficient import (
     FitResult,
     RunParams,
     VariabilityCurve,
+    complexity_matrices,
     fit_line,
     measure,
     sample_times,

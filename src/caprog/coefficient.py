@@ -154,39 +154,45 @@ def resolve_workers(workers: int | None) -> int:
     return workers
 
 
-def _complexity_matrix(
-    systems, cells, boundary: str, times: tuple[int, ...], include_input: bool, workers: int
+def complexity_matrices(
+    systems, family: InputFamily, times: tuple[int, ...], include_input: bool = True,
+    workers: int | None = None,
 ) -> np.ndarray:
-    """Compressed sizes in bits, shape (systems, n, len(times)), of the runs
-    from the n initial states stacked in ``cells``.
+    """Compressed sizes in bits, an int64 array of shape (systems, n,
+    len(times)): [s, j, i] is the size of ``systems[s]``'s run from member
+    j over its rows 0 (1 without the input row) to ``times[i]``. Input that
+    :func:`caprog.engine.check_batch` refuses, and times not increasing from
+    1 or not past the first row measured, raise before anything evolves.
 
     The (member, system) runs are evolved in the chunks of
-    :func:`caprog.engine.run_chunks`, one at a time and each into one packed array, and
-    each run once to the largest runtime: shorter runtimes compress
-    prefixes of the same run. In a chunk, a run that settles into period
-    1 or 2 stops stepping at that step while the others step on (see
-    :func:`caprog.engine.evolve_batch`), so inert systems measured
-    beside moving ones cost little. Without the input row, each chunk
-    first takes one step, and the runs measured start there, one step
-    shorter: the engine continues a run bit for bit. The memo covers one
-    member, whose runs may span chunks: it maps a payload's digest to the
-    member's first run with that payload. With the input row, runs of
-    distinct members never coincide, since their first rows are the
-    members' cells. Each distinct run's payload, taken at the largest
-    runtime, which determines every prefix, goes once to
-    :func:`caprog.complexity.prefix_sizes`. The sizes go straight into the
+    :func:`caprog.engine.run_chunks`, one at a time and each into one packed
+    array, and each run once to the largest runtime: shorter runtimes
+    compress prefixes of the same run. In a chunk, a run that settles into
+    period 1 or 2 stops stepping at that step while the others step on (see
+    :func:`caprog.engine.evolve_batch`), so inert systems measured beside
+    moving ones cost little. Without the input row, each chunk first takes
+    one step and measures from there: the engine continues a run bit for
+    bit. The memo covers one member, whose runs may span chunks: it maps a
+    payload's digest to the member's first run with that payload. With the
+    input row, runs of distinct members never coincide, since their first
+    rows are the members' cells. Each distinct run's payload, taken at the
+    largest runtime, which determines every prefix, goes once to
+    :func:`caprog.complexity.prefix_sizes`; the sizes go straight into the
     run's row, and a repeated run copies that row. The calling thread
     compresses a chunk's settled runs and shares those that stepped to the
-    largest runtime with up to ``workers`` - 1 helper threads, whose errors
-    it raises. None of this shows in the result: a from-scratch
-    recomputation per member yields identical numbers.
+    largest runtime with up to ``workers`` - 1 helper threads (default: one
+    per CPU), whose errors it raises; the sizes do not depend on them.
     """
-    k = systems[0].k
-    size = cells[0].size
+    workers = resolve_workers(workers)
+    check_batch(systems, family.cells, family.boundary)
     start = 0 if include_input else 1
+    if len(times) < 1 or times[0] < 1 or times[-1] <= start or list(times) != sorted(set(times)):
+        raise ValueError(f"need strictly increasing times >= 1, the last > {start}: {times}")
+    k = systems[0].k
+    size = family.cells[0].size
     t_top = times[-1] - start
     counts = tuple((t + 1 - start) * size for t in times)
-    total = len(cells) * len(systems)
+    total = family.n * len(systems)
 
     # Run i is systems[i % S] from member i // S.
     out = np.empty((total, len(times)), dtype=np.int64)
@@ -207,10 +213,10 @@ def _complexity_matrix(
 
     for chunk in run_chunks(total, t_top, size, k):
         chunk_systems = [systems[i % len(systems)] for i in chunk]
-        states = cells[[i // len(systems) for i in chunk]]
+        states = family.cells[[i // len(systems) for i in chunk]]
         if not include_input:
-            states = run_system(chunk_systems, states, boundary, 1).rows[:, 1]
-        batch = run_system(chunk_systems, states, boundary, t_top)
+            states = run_system(chunk_systems, states, family.boundary, 1).rows[:, 1]
+        batch = run_system(chunk_systems, states, family.boundary, t_top)
         # Helpers take only runs that stepped to t: a settled run is a cycle
         # from an early row on, and its stream spends its time holding the GIL.
         settled, moving, repeats = [], [], []
@@ -236,7 +242,7 @@ def _complexity_matrix(
             out[i] = out[first]
         # The next chunk evolves with no payload of this one alive.
         del batch, states, payload, settled, moving, helpers
-    return out.reshape(len(cells), len(systems), len(times)).transpose(1, 0, 2)
+    return out.reshape(family.n, len(systems), len(times)).transpose(1, 0, 2)
 
 
 def fit_line(curve: VariabilityCurve) -> FitResult:
@@ -271,16 +277,10 @@ def measure_all(
     include_input: bool = True,
     workers: int | None = None,
 ) -> list[tuple[CoefficientResult, VariabilityCurve]]:
-    """:func:`measure` for each of ``systems`` on one shared family, with
-    every run evolved and compressed in one batched pass; ``workers``
-    threads (default: one per CPU) compress distinct runs. Systems not of
-    one kind (Life, or 1-D with one k and r), or unable to act on the
-    family, are refused before anything evolves."""
-    workers = resolve_workers(workers)
-    check_batch(systems, family.cells, family.boundary)
+    """:func:`measure` for each of ``systems`` on one shared family: a line
+    fitted to each system's gap sums in one :func:`complexity_matrices` pass."""
     t_min, stride, times = runtime_grid(family, t_max, t_min, stride)
-    matrices = _complexity_matrix(systems, family.cells, family.boundary, times, include_input,
-                                  workers)
+    matrices = complexity_matrices(systems, family, times, include_input, workers)
     # Pair terms run over consecutive members j and j+1, so there are n-1
     # of them; the divisor matches.
     gaps = np.abs(np.diff(matrices, axis=1)).sum(axis=1)

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import __version__
 from .classify import SweepReport
-from .coefficient import CoefficientResult, FitResult, RunParams, VariabilityCurve
+from .coefficient import (CoefficientResult, FitResult, RunParams, VariabilityCurve, fit_line,
+                          sample_times)
 
 SCHEMA_CURVE = "caprog.curve.v1"
 SCHEMA_COEFFICIENT = "caprog.coefficient.v1"
@@ -84,7 +85,9 @@ def coefficient_json_obj(res: CoefficientResult, curve: VariabilityCurve) -> dic
 
 
 def coefficient_from_obj(obj: dict) -> CoefficientResult:
-    """Rebuild a stored coefficient result, e.g. for later comparison."""
+    """Rebuild a stored coefficient result, e.g. for later comparison. Its
+    curve must be sampled at its grid's runtimes and refit to its fit bit
+    for bit: the fit is plain arithmetic, and floats are stored by repr."""
     if obj.get("schema") != SCHEMA_COEFFICIENT:
         raise ValueError("not a stored coefficient result")
     fit = FitResult(**obj["fit"])
@@ -93,7 +96,14 @@ def coefficient_from_obj(obj: dict) -> CoefficientResult:
     family = obj["curve"]["family"]
     if not isinstance(family, str):
         raise ValueError("curve.family must be the input family's descriptor")
-    return CoefficientResult(fit=fit, params=RunParams(**obj["params"]), family=family)
+    params = RunParams(**obj["params"])
+    curve = VariabilityCurve(points=tuple((t, value) for t, value in obj["curve"]["points"]))
+    times = sample_times(params.t_min, params.t_max, params.stride)
+    if tuple(t for t, _ in curve.points) != times:
+        raise ValueError("curve.points must be sampled at the runtimes of params")
+    if fit_line(curve) != fit:
+        raise ValueError("fit must be the line fitted to curve.points exactly")
+    return CoefficientResult(fit=fit, params=params, family=family)
 
 
 _SWEEP_COLUMNS = ("rule", "c_value", "rmse", "rank", "cluster")

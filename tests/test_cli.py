@@ -501,7 +501,8 @@ class TestCompare:
             assert f"{res.params.grid()} on {res.family}" in verdict["reason"]
 
     @pytest.mark.parametrize("stored", ["tampered", "missing", "not JSON", "a JSON list",
-                                        "no family descriptor"])
+                                        "no family descriptor", "no points", "a changed S",
+                                        "a changed t", "a changed stride"])
     def test_unreadable_stored_result_is_a_usage_error(self, tmp_path, capsys, stored):
         good, bad = tmp_path / "good.json", tmp_path / "bad.json"
         res, curve = measure(rule_from_number(90), gray_initials(6, 15), 24)
@@ -515,6 +516,19 @@ class TestCompare:
             bad.write_text("[]\n")
         elif stored == "no family descriptor":
             curve = {**obj["curve"], "family": [obj["curve"]["family"]]}
+            bad.write_bytes(json_bytes({**obj, "curve": curve}))
+        elif stored == "a changed stride":
+            # The points still fit, but not at the runtimes of the grid.
+            params = {**obj["params"], "stride": obj["params"]["stride"] + 1}
+            bad.write_bytes(json_bytes({**obj, "params": params}))
+        elif stored != "missing":
+            # The curve no longer refits to the stored fit, or has no points.
+            points = [list(point) for point in obj["curve"]["points"]]
+            if stored == "a changed S":
+                points[3][1] += 1e-12
+            elif stored == "a changed t":
+                points[-1][0] += 1
+            curve = {**obj["curve"], "points": [] if stored == "no points" else points}
             bad.write_bytes(json_bytes({**obj, "curve": curve}))
         assert main(["compare", "--a-json", str(bad), "--b-json", str(good)]) == 2
         err = capsys.readouterr().err.strip().splitlines()

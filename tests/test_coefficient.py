@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from caprog import cli, coefficient, complexity, engine
@@ -20,7 +20,6 @@ from caprog.coefficient import (
     VariabilityCurve,
     fit_line,
     measure,
-    resolve_workers,
     runtime_grid,
     sample_times,
 )
@@ -393,9 +392,8 @@ def test_batched_matrix_is_bit_exact(monkeypatch, case):
         monkeypatch.setattr(engine, "MEMORY_BUDGET", budget)
         for workers in (1, 2):
             calls.clear()
-            matrices.append(coefficient._complexity_matrix(systems, family.cells,
-                                                           family.boundary, times,
-                                                           include_input, workers))
+            matrices.append(coefficient.complexity_matrices(systems, family, times,
+                                                            include_input, workers))
             if include_input:
                 assert [(len(s), t) for s, _, t, _ in calls] == [(n, times[-1]) for n in chunks]
                 continue
@@ -449,13 +447,11 @@ def test_the_memo_reaches_across_chunks(monkeypatch, workers):
         compressed.append(bytes(payload))
         return prefix_sizes(payload, *args)
 
-    expected = coefficient._complexity_matrix(systems, family.cells, family.boundary, times,
-                                              True, workers)
+    expected = coefficient.complexity_matrices(systems, family, times, True, workers)
     monkeypatch.setattr(coefficient, "prefix_sizes", recording)
     monkeypatch.setattr(engine, "MEMORY_BUDGET", 1)
     assert len(engine.run_chunks(len(systems) * family.n, times[-1], family.width, 2)) == 30
-    matrix = coefficient._complexity_matrix(systems, family.cells, family.boundary, times,
-                                            True, workers)
+    matrix = coefficient.complexity_matrices(systems, family, times, True, workers)
     assert len(compressed) == sum(map(len, distinct))
     assert sorted(compressed) == sorted(payload for payloads in distinct for payload in payloads)
     assert matrix.tolist() == expected.tolist()
@@ -478,13 +474,67 @@ def test_matrix_is_the_same_at_any_budget(case, workers, data):
     budget = data.draw(st.integers(0, len(systems) * family.n * run_bytes(family, times[-1])))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "MEMORY_BUDGET", budget)
-        matrix = coefficient._complexity_matrix(systems, family.cells, family.boundary, times,
-                                                True, workers)
+        matrix = coefficient.complexity_matrices(systems, family, times, True, workers)
     for j, cells in enumerate(family.cells):
         for system, sizes in zip(systems, matrix[:, j]):
             rows = evolve(system, cells, times[-1], family.boundary)
             assert sizes.tolist() == [compressed_size(pack_cells(rows[: t + 1].ravel(), 2))
                                       for t in times]
+
+
+# Runs on rows of 1,024 cells are streamed when the largest time is 31 or
+# more (32 without the input row), and compressed one-shot below it.
+SUPERSET_CASES = {**SMALL_CASES, "eca-wide": lambda: (
+    [rule_from_number(number) for number in (0, 204, 30, 110)], gray_initials(3, 1024))}
+
+
+@pytest.mark.parametrize("include_input", [True, False])
+@pytest.mark.parametrize("workers", [1, 2])
+@settings(max_examples=10, deadline=None)
+@given(case=st.sampled_from(sorted(SUPERSET_CASES)), data=st.data())
+def test_a_pass_over_more_times_holds_each_grid_it_covers(include_input, workers, case, data):
+    """The columns of a pass over any superset of sample times are, bit for
+    bit, the pass over the subset: one pass serves every grid it covers."""
+    systems, family = SUPERSET_CASES[case]()
+    superset = sorted(data.draw(st.sets(st.integers(1, 40), min_size=1, max_size=12)))
+    subset = sorted(data.draw(st.sets(st.sampled_from(superset), min_size=1)))
+    assume(include_input or subset[-1] > 1)
+    whole = coefficient.complexity_matrices(systems, family, tuple(superset), include_input,
+                                            workers)
+    part = coefficient.complexity_matrices(systems, family, tuple(subset), include_input,
+                                           workers)
+    assert part.shape == (len(systems), family.n, len(subset)) and part.dtype == np.int64
+    assert whole[:, :, [superset.index(t) for t in subset]].tolist() == part.tolist()
+
+
+@pytest.mark.parametrize("include_input", [True, False])
+@pytest.mark.parametrize("systems, family, t", [
+    ([rule_from_number(number) for number in range(256)], gray_initials(3, 13), 16),
+    ((GAME_OF_LIFE, *INERT_LIFE), gray_patches(6, 6, 6), 20),
+], ids=["sweep", "life"])
+def test_each_curve_is_a_view_of_the_matrix(systems, family, t, include_input):
+    """Every S(t) that a measurement fits is the matrix's gap sum at t,
+    sum_j |M[j+1, t] - M[j, t]|, over t * (n - 1)."""
+    times = runtime_grid(family, t)[2]
+    matrix = coefficient.complexity_matrices(systems, family, times, include_input)
+    measured = coefficient.measure_all(systems, family, t, include_input=include_input)
+    for sizes, (_, curve) in zip(matrix, measured, strict=True):
+        assert curve.points == tuple(
+            (t_prime, sum(abs(int(sizes[j + 1, i]) - int(sizes[j, i]))
+                          for j in range(family.n - 1)) / (t_prime * (family.n - 1)))
+            for i, t_prime in enumerate(times))
+
+
+@pytest.mark.parametrize("times, include_input", [
+    ((), True), ((0, 5), True), ((3, 3, 5), True), ((6, 4), True), ((1,), False),
+], ids=str)
+def test_matrices_refuse_times_that_are_not_increasing_runtimes(monkeypatch, times,
+                                                                include_input):
+    # Without the input row, the runs start at row 1, so the last time must pass it.
+    monkeypatch.setattr(coefficient, "run_system", no_evolution)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        coefficient.complexity_matrices([rule_from_number(30)], gray_initials(4, 9), times,
+                                        include_input)
 
 
 def traced(measurement):
@@ -501,8 +551,8 @@ def traced(measurement):
 
 def traced_matrix(systems, family, times, include_input=True):
     """The matrix, and the peak of its traced allocations in bytes."""
-    return traced(lambda: coefficient._complexity_matrix(systems, family.cells, family.boundary,
-                                                         times, include_input, 1))
+    return traced(lambda: coefficient.complexity_matrices(systems, family, times,
+                                                          include_input, 1))
 
 
 def test_one_chunk_tensor_is_alive_at_a_time():
@@ -517,8 +567,7 @@ def test_one_chunk_tensor_is_alive_at_a_time():
     # view of a chunk's payloads outlives it; 64 KiB cover the small
     # arrays and lists of the loop.
     bound = engine.MEMORY_BUDGET + 64 * 1024
-    expected = coefficient._complexity_matrix(systems, family.cells, family.boundary, times,
-                                              True, 1)
+    expected = coefficient.complexity_matrices(systems, family, times, True, 1)
     matrix, peak = traced_matrix(systems, family, times)
     assert matrix.tolist() == expected.tolist()
     assert peak <= bound, f"peak {peak} B above {bound} B"
@@ -609,7 +658,7 @@ def test_the_default_life_measurement_stops_each_run_at_its_settle_step(step_cal
 
 @pytest.fixture
 def events(monkeypatch):
-    """What _complexity_matrix does, in order: "evolve" for each chunk it
+    """What complexity_matrices does, in order: "evolve" for each chunk it
     evolves and "helper" for each thread it starts."""
     log = []
 
@@ -633,7 +682,7 @@ def test_runs_that_all_settle_start_no_helper(events):
     thread."""
     systems, family = (GAME_OF_LIFE, *INERT_LIFE), gray_patches(20, 48, 48)
     times = runtime_grid(family, 120)[2]
-    coefficient._complexity_matrix(systems, family.cells, family.boundary, times, True, 2)
+    coefficient.complexity_matrices(systems, family, times, True, 2)
     assert events and set(events) == {"evolve"}
 
 
@@ -645,7 +694,7 @@ def test_runs_that_never_settle_start_one_helper_per_chunk(events, monkeypatch, 
     rule, family = rule_from_number(110), random_initials(6, 4096, seed=0)
     times = runtime_grid(family, 300)[2]
     monkeypatch.setattr(engine, "MEMORY_BUDGET", per_chunk * run_bytes(family, times[-1]))
-    coefficient._complexity_matrix([rule], family.cells, family.boundary, times, True, 2)
+    coefficient.complexity_matrices([rule], family, times, True, 2)
     assert events == ["evolve", "helper"] * (6 // per_chunk)
 
 
@@ -666,8 +715,7 @@ def test_matrix_is_the_same_for_any_worker_count(monkeypatch):
     monkeypatch.setattr(coefficient, "run_system", recording)
     # Four runs a chunk, so chunks end inside a member's systems.
     monkeypatch.setattr(engine, "MEMORY_BUDGET", 4 * run_bytes(family, times[-1]))
-    matrices = [coefficient._complexity_matrix(systems, family.cells, family.boundary, times,
-                                               True, resolve_workers(workers))
+    matrices = [coefficient.complexity_matrices(systems, family, times, True, workers)
                 for workers in (1, 2, 3, None)]
     assert any(min(chunk) < times[-1] == max(chunk) for chunk in steps), "no chunk mixes"
     assert all(matrix.tolist() == matrices[0].tolist() for matrix in matrices[1:])

@@ -30,13 +30,15 @@ def test_every_patched_name_resolves():
 
 
 def test_tracer_times_the_batched_engine():
-    # The tracer counts the cells of whatever the engine name returns.
+    # The tracer counts the cells of whatever the engine name returns, and
+    # times the fit only while measure_all looks fit_line up in coefficient.
     n, t, width = 5, 30, 17
     with load_tracer().Tracer() as traced:
         coefficient.measure(rule_from_number(110), gray_initials(n, width), t)
     metrics = traced.metrics(wall_s=1.0)
     assert metrics["engine.cells"] == 1 * n * (t + 1) * width
     assert metrics["engine.evolve_s"] > 0
+    assert metrics["coefficient.fit_s"] > 0
 
 
 @pytest.mark.parametrize("argv", [
