@@ -41,6 +41,9 @@ INERT_LIFE = (
 # zero, otherwise the inert rules themselves could not be classified.
 EPSILON_FLOOR = 1e-12
 
+# Lloyd iterations before k-means stops, converged or not.
+KMEANS_MAX_ITER = 100
+
 
 class IncomparableError(ValueError):
     """Two results were measured on different parameter grids or input families."""
@@ -126,7 +129,7 @@ def c_equivalent(a, b, c: float) -> bool:
     return all(abs(ra.c_value - rb.c_value) < c for ra, rb in _paired_grids(a, b))
 
 
-def kmeans_clusters(values, k: int = 4, max_iter: int = 100) -> tuple[int, ...]:
+def kmeans_clusters(values, k: int = 4) -> tuple[int, ...]:
     """Deterministic 1-D k-means labels, aligned with the input order.
 
     Seeding is farthest-point starting from the minimum value, so the
@@ -149,17 +152,22 @@ def kmeans_clusters(values, k: int = 4, max_iter: int = 100) -> tuple[int, ...]:
         centres.append(best)
 
     assign = [0] * len(vals)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         new_assign = [
             min(range(k), key=lambda i: (abs(v - centres[i]), i)) for v in vals
         ]
         if new_assign == assign:
             break
         assign = new_assign
+        # Each centre's sum runs left to right from the int 0, not through
+        # sum(), which is compensated for floats from Python 3.12 on.
+        totals, sizes = [0] * k, [0] * k
+        for v, a in zip(vals, assign):
+            totals[a] += v
+            sizes[a] += 1
         for i in range(k):
-            members = [v for v, a in zip(vals, assign) if a == i]
-            if members:
-                centres[i] = sum(members) / len(members)
+            if sizes[i]:
+                centres[i] = totals[i] / sizes[i]
 
     order = sorted(range(k), key=lambda i: centres[i])
     label_of = {cluster: rank + 1 for rank, cluster in enumerate(order)}

@@ -249,17 +249,27 @@ def fit_line(curve: VariabilityCurve) -> FitResult:
     """Ordinary least squares line over (t', S).
 
     Plain sequential arithmetic, so an independent reimplementation of the
-    textbook formulas reproduces the result bit-exactly.
+    textbook formulas reproduces the result bit-exactly. Each sum runs left
+    to right from the int 0 in an explicit loop: builtin ``sum()`` of
+    floats is compensated from Python 3.12 on, and would change the bits
+    of a fit with the interpreter.
     """
     points = curve.points
     m = len(points)
-    mean_x = sum(p[0] for p in points) / m
-    mean_y = sum(p[1] for p in points) / m
-    sxx = sum((p[0] - mean_x) ** 2 for p in points)
-    sxy = sum((p[0] - mean_x) * (p[1] - mean_y) for p in points)
+    sum_x = sum_y = 0
+    for x, y in points:
+        sum_x += x
+        sum_y += y
+    mean_x, mean_y = sum_x / m, sum_y / m
+    sxx = sxy = 0
+    for x, y in points:
+        sxx += (x - mean_x) ** 2
+        sxy += (x - mean_x) * (y - mean_y)
     slope = sxy / sxx
     intercept = mean_y - slope * mean_x
-    sq_err = sum((p[1] - (intercept + slope * p[0])) ** 2 for p in points)
+    sq_err = 0
+    for x, y in points:
+        sq_err += (y - (intercept + slope * x)) ** 2
     return FitResult(
         slope=slope,
         intercept=intercept,

@@ -4,9 +4,9 @@ The payload is the space-time array's cells, row-major, packed by
 :func:`pack_cells` with no header; its compressed size under a pinned
 DEFLATE stream stands in for the (uncomputable) shortest-description
 length. Sizes are reported in bits to soften quantisation plateaus in
-downstream difference terms. :func:`prefix_sizes` alone turns a run's
-payload into its runtime prefixes' sizes, picking one-shot or streamed
-compression.
+downstream difference terms. :func:`prefix_sizes` is the one place that
+slices a run's payload into its runtime prefixes and compresses them,
+one-shot or streamed.
 """
 from __future__ import annotations
 
@@ -59,57 +59,37 @@ def packed_size(cell_count: int, k: int) -> int:
     return -(-cell_count // 8) if k == 2 else cell_count
 
 
-def payload_cells(payload: bytes, cell_count: int, k: int) -> bytes:
-    """The packed form of the first ``cell_count`` cells of ``payload``.
-
-    Equal to ``pack_cells(flat[:cell_count], k)`` when ``payload`` is
-    ``pack_cells(flat, k)``, without unpacking.
-    """
-    if k != 2:
-        return payload[:cell_count]
-    size, tail = divmod(cell_count, 8)
-    if not tail:
-        return payload[:size]
-    # Zero the cells past cell_count in the final partial byte.
-    last = payload[size] & (0xFF << (8 - tail)) & 0xFF
-    return b"".join((payload[:size], bytes((last,))))
-
-
 def compressed_size(payload: bytes) -> int:
     """Size in bits of the pinned compressor's output for ``payload``."""
     return len(zlib.compress(payload, _LEVEL)) * 8
 
 
 def prefix_sizes(payload: bytes, counts: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """``compressed_size(payload_cells(payload, count, k))`` for each of the
-    increasing ``counts``. A payload of STREAM_BYTES or more goes through
-    one compression stream, and each prefix of a smaller one is compressed
-    afresh: the sizes are the same.
+    """``compressed_size(pack_cells(flat[:count], k))`` for each of the
+    increasing ``counts``, where ``payload`` is ``pack_cells(flat, k)``.
+
+    A prefix is its whole bytes of ``payload`` and, for k=2, a final
+    partial byte with the cells past ``count`` zeroed. Below STREAM_BYTES
+    each prefix is compressed afresh. From STREAM_BYTES up, the whole
+    bytes go through one stream, with the level and zlib defaults of
+    :func:`compressed_size`, which emits the same bytes however its input
+    is split; a copy of the stream takes each prefix's partial byte and
+    finishes, and the stream itself finishes the last. Each copy moves the
+    stream's whole state (about 256 KiB at this level), so streaming only
+    beats one-shot compression on payloads of a few KiB and up.
     """
-    if len(payload) < STREAM_BYTES:
-        return tuple(compressed_size(payload_cells(payload, count, k)) for count in counts)
-    return _streamed_prefix_sizes(payload, counts, k)
-
-
-def _streamed_prefix_sizes(payload: bytes, counts: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """:func:`prefix_sizes` from one compression of ``payload``.
-
-    The whole bytes of each prefix go through one stream, with the level
-    and zlib defaults of :func:`compressed_size`, which emits the same
-    bytes however its input is split. At each prefix but the last, a copy
-    of the stream takes the final partial byte, if there is one, and
-    finishes; the stream itself finishes the last. Each copy moves the
-    stream's whole state (about 256 KiB at this level), so this only beats
-    one-shot compression of every prefix on payloads of a few KiB and up.
-    """
-    stream = zlib.compressobj(_LEVEL)
+    stream = zlib.compressobj(_LEVEL) if len(payload) >= STREAM_BYTES else None
     emitted = fed = 0
     sizes = []
     for i, count in enumerate(counts):
         whole, loose = divmod(count, 8) if k == 2 else (count, 0)
+        tail = bytes((payload[whole] & (0xFF << (8 - loose)) & 0xFF,)) if loose else b""
+        if stream is None:
+            head = payload[:whole]
+            sizes.append(compressed_size(b"".join((head, tail)) if loose else head))
+            continue
         emitted += len(stream.compress(payload[fed:whole]))
         fed = whole
         finish = stream.copy() if i + 1 < len(counts) else stream
-        tail = len(finish.compress(payload_cells(payload[whole:], loose, k))) if loose else 0
-        sizes.append((emitted + tail + len(finish.flush())) * 8)
+        sizes.append((emitted + len(finish.compress(tail)) + len(finish.flush())) * 8)
     return tuple(sizes)

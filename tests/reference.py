@@ -9,6 +9,7 @@ must agree with this one bit for bit.
 """
 from __future__ import annotations
 
+import math
 import zlib
 
 
@@ -179,13 +180,36 @@ def ref_difference_sum(number: int, members: list[list[int]], t: int,
 
 
 def ref_ols(points: list[tuple[int, float]]) -> tuple[float, float]:
+    # Explicit left-to-right sums: builtin sum() of floats is compensated
+    # from Python 3.12 on.
     m = len(points)
-    mean_x = sum(p[0] for p in points) / m
-    mean_y = sum(p[1] for p in points) / m
-    sxx = sum((p[0] - mean_x) ** 2 for p in points)
-    sxy = sum((p[0] - mean_x) * (p[1] - mean_y) for p in points)
+    sum_x = sum_y = 0
+    for x, y in points:
+        sum_x += x
+        sum_y += y
+    mean_x, mean_y = sum_x / m, sum_y / m
+    sxx = sxy = 0
+    for x, y in points:
+        sxx += (x - mean_x) ** 2
+        sxy += (x - mean_x) * (y - mean_y)
     slope = sxy / sxx
     return slope, mean_y - slope * mean_x
+
+
+def compensated_sum(items, start=0):
+    """builtin ``sum()`` as Python 3.12 and later compute it: a float total
+    carries a Neumaier compensation term, added back at the end. Patched
+    over ``builtins.sum`` on an older interpreter, it shows what a newer
+    one would compute."""
+    total, compensation = start, 0.0
+    for x in items:
+        if isinstance(x, float) and isinstance(total, float):
+            t = total + x
+            compensation += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+            total = t
+        else:
+            total = total + x
+    return total + compensation if compensation and math.isfinite(compensation) else total
 
 
 def ref_coefficient(number: int, n: int, width: int, t_max: int,

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface, run in process."""
 
 import argparse
+import builtins
 import json
 import os
 import subprocess
@@ -29,7 +30,7 @@ from caprog.reportio import (
     verify_outputs,
 )
 
-from reference import ref_read_pbm, ref_unpack
+from reference import compensated_sum, ref_read_pbm, ref_unpack
 
 # Small measurement grid reused across tests to keep runs quick.
 SMALL = ["--gray-inputs", "6", "--width", "15", "--t", "24"]
@@ -499,6 +500,17 @@ class TestCompare:
         assert verdict["incomparable"] is True and verdict["equivalent"] is None
         for res in stored:
             assert f"{res.params.grid()} on {res.family}" in verdict["reason"]
+
+    def test_stored_result_refits_under_a_compensated_sum(self, tmp_path, capsys, monkeypatch):
+        # Written here, then read where sum() compensates float rounding,
+        # as it does from Python 3.12 on: the load-time refit must agree.
+        assert main(["coeff", "--rule", "110", "--t", "60", "--no-calibrate",
+                     "--out", str(tmp_path)]) == 0
+        stored = str(tmp_path / "coefficient.json")
+        capsys.readouterr()
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        assert main(["compare", "--a-json", stored, "--b-json", stored]) == 0
+        assert json.loads(capsys.readouterr().out)["equivalent"] is True
 
     @pytest.mark.parametrize("stored", ["tampered", "missing", "not JSON", "a JSON list",
                                         "no family descriptor", "no points", "a changed S",

@@ -1,5 +1,6 @@
 """Tests for the variability curve and the fitted transition coefficient."""
 
+import builtins
 import math
 import random
 import threading
@@ -38,7 +39,7 @@ from caprog.engine import (
 from caprog.enumeration import CUSTOM, InputFamily, gray_initials, gray_patches, random_initials
 from caprog.reportio import coefficient_from_obj, coefficient_json_obj
 
-from reference import ref_coefficient, ref_complexity, ref_evolve, ref_ols
+from reference import compensated_sum, ref_coefficient, ref_complexity, ref_evolve, ref_ols
 
 
 def no_evolution(*args):
@@ -121,6 +122,19 @@ class TestFitLine:
 
     def test_degenerate_fit_is_a_value_error(self):
         assert issubclass(DegenerateFitError, ValueError)
+
+    def test_fit_does_not_follow_a_compensated_sum(self, monkeypatch):
+        # Python 3.12's sum() compensates float rounding. On this curve
+        # that changes the total of S, so a fit taken with sum() would
+        # change its bits with the interpreter.
+        curve = curve_from((t, 0.1 * t / 7) for t in range(4, 20))
+        plain = 0
+        for value in values_of(curve):
+            plain += value
+        assert compensated_sum(values_of(curve)) != plain
+        expected = fit_line(curve)
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        assert fit_line(curve) == expected
 
     def test_matches_reference_ols(self):
         points = [(10, 0.31), (20, 0.27), (30, 0.22), (40, 0.25)]

@@ -13,7 +13,6 @@ from caprog.complexity import (
     compressed_size,
     pack_cells,
     packed_size,
-    payload_cells,
     prefix_sizes,
 )
 from caprog.engine import evolve, rule_from_number
@@ -82,9 +81,10 @@ class TestPacking:
     def test_prefix_of_a_payload_packs_the_prefix(self, size, k, seed):
         rng = np.random.default_rng(seed)
         flat = rng.integers(0, k, size=size, dtype=np.uint8)
-        payload = pack_cells(flat, k)
-        for count in range(size + 1):
-            assert payload_cells(payload, count, k) == pack_cells(flat[:count], k)
+        counts = tuple(range(size + 1))
+        assert prefix_sizes(pack_cells(flat, k), counts, k) == tuple(
+            compressed_size(pack_cells(flat[:count], k)) for count in counts
+        )
 
     @given(
         row=st.one_of(st.integers(1, 5).map(lambda m: 8 * m), st.integers(1, 40)),
@@ -98,9 +98,10 @@ class TestPacking:
         rng = np.random.default_rng(seed)
         flat = rng.integers(0, k, size=row * rows, dtype=np.uint8)
         payload = pack_cells(flat, k)
+        counts = tuple(range(flat.size + 1))
+        expected = tuple(compressed_size(pack_cells(flat[:count], k)) for count in counts)
         for given in (payload, memoryview(np.frombuffer(payload, dtype=np.uint8))):
-            for count in range(flat.size + 1):
-                assert payload_cells(given, count, k) == pack_cells(flat[:count], k)
+            assert prefix_sizes(given, counts, k) == expected
 
     def test_bits_per_cell(self):
         # One bit per cell for k=2, one byte per cell for any k > 2.
@@ -176,18 +177,21 @@ class TestCompressedSize:
         # A payload of 2 * STREAM_BYTES streams, however short its prefixes.
         rng = np.random.default_rng(11)
         payload = rng.integers(0, 256, size=2 * STREAM_BYTES, dtype=np.uint8).tobytes()
+        flat = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
         assert prefix_sizes(payload, counts, 2) == tuple(
-            compressed_size(payload_cells(payload, count, 2)) for count in counts
+            compressed_size(pack_cells(flat[:count], 2)) for count in counts
         )
 
-    def test_streamed_prefix_masks_cells_past_the_prefix(self):
+    # A run of 0xAA bytes, one 0xAB, then 50 more 0xAA: 951 B compress
+    # each prefix afresh, 9,051 B stream.
+    @pytest.mark.parametrize("lead", [900, 9000], ids=["one-shot", "streamed"])
+    def test_prefix_masks_cells_past_the_prefix(self, lead):
         # The prefix ends one cell short of the single 0xAB byte. Masked,
         # that byte continues the run of 0xAA; unmasked, it would be a new
-        # literal and compress larger. The payload is above STREAM_BYTES,
-        # so it streams.
-        payload = b"\xaa" * 9000 + b"\xab" + b"\xaa" * 50
-        (size,) = prefix_sizes(payload, (8 * 9001 - 1,), 2)
-        assert size == compressed_size(b"\xaa" * 9001) < compressed_size(payload[:9001])
+        # literal and compress larger.
+        payload = b"\xaa" * lead + b"\xab" + b"\xaa" * 50
+        (size,) = prefix_sizes(payload, (8 * (lead + 1) - 1,), 2)
+        assert size == compressed_size(b"\xaa" * (lead + 1)) < compressed_size(payload[:lead + 1])
 
     def test_zero_grid_strictly_below_random_grid(self):
         rng = np.random.default_rng(7)
