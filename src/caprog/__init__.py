@@ -44,7 +44,6 @@ from .engine import (
     CYCLIC,
     FIXED,
     GAME_OF_LIFE,
-    Configuration,
     LifeRule,
     RuleTable,
     default_width,

@@ -41,7 +41,8 @@ INERT_LIFE = (
 # zero, otherwise the inert rules themselves could not be classified.
 EPSILON_FLOOR = 1e-12
 
-# Lloyd iterations before k-means stops, converged or not.
+# k-means classes, and Lloyd iterations before k-means stops, converged or not.
+KMEANS_K = 4
 KMEANS_MAX_ITER = 100
 
 
@@ -129,21 +130,21 @@ def c_equivalent(a, b, c: float) -> bool:
     return all(abs(ra.c_value - rb.c_value) < c for ra, rb in _paired_grids(a, b))
 
 
-def kmeans_clusters(values, k: int = 4) -> tuple[int, ...]:
+def kmeans_clusters(values) -> tuple[int, ...]:
     """Deterministic 1-D k-means labels, aligned with the input order.
 
     Seeding is farthest-point starting from the minimum value, so the
     result depends only on the multiset of values: permuting the input
-    permutes the labels identically. Labels are 1..k ascending by cluster
-    centre.
+    permutes the labels identically. Labels are 1..KMEANS_K ascending by
+    cluster centre.
     """
     vals = [float(v) for v in values]
     uniq = sorted(set(vals))
-    if len(uniq) < k:
-        raise ValueError(f"need at least k={k} distinct values, got {len(uniq)}")
+    if len(uniq) < KMEANS_K:
+        raise ValueError(f"need at least k={KMEANS_K} distinct values, got {len(uniq)}")
 
     centres = [uniq[0]]
-    while len(centres) < k:
+    while len(centres) < KMEANS_K:
         best, best_dist = None, -1.0
         for u in uniq:
             d = min(abs(u - c) for c in centres)
@@ -153,23 +154,21 @@ def kmeans_clusters(values, k: int = 4) -> tuple[int, ...]:
 
     assign = [0] * len(vals)
     for _ in range(KMEANS_MAX_ITER):
-        new_assign = [
-            min(range(k), key=lambda i: (abs(v - centres[i]), i)) for v in vals
-        ]
+        new_assign = [min(range(KMEANS_K), key=lambda i: (abs(v - centres[i]), i)) for v in vals]
         if new_assign == assign:
             break
         assign = new_assign
         # Each centre's sum runs left to right from the int 0, not through
         # sum(), which is compensated for floats from Python 3.12 on.
-        totals, sizes = [0] * k, [0] * k
+        totals, sizes = [0] * KMEANS_K, [0] * KMEANS_K
         for v, a in zip(vals, assign):
             totals[a] += v
             sizes[a] += 1
-        for i in range(k):
+        for i in range(KMEANS_K):
             if sizes[i]:
                 centres[i] = totals[i] / sizes[i]
 
-    order = sorted(range(k), key=lambda i: centres[i])
+    order = sorted(range(KMEANS_K), key=lambda i: centres[i])
     label_of = {cluster: rank + 1 for rank, cluster in enumerate(order)}
     return tuple(label_of[a] for a in assign)
 

@@ -45,7 +45,6 @@ from .engine import (
     CYCLIC,
     FIXED,
     GAME_OF_LIFE,
-    Configuration,
     default_width,
     evolve_batch,
     rule_from_number,
@@ -157,8 +156,7 @@ def _family(args, parser, width_for) -> InputFamily:
                 parser.error("--input is the whole row; it takes no --width")
             if set(bits) - {"0", "1"}:
                 parser.error("--input is a string of 0s and 1s")
-            member = Configuration([int(ch) for ch in bits])
-            return InputFamily(members=(member,), scheme=CUSTOM, boundary=args.boundary)
+            return InputFamily(members=[[*map(int, bits)]], scheme=CUSTOM, boundary=args.boundary)
         if args.random_inputs:
             return random_initials(args.random_inputs, args.width or width_for(1),
                                    seed=args.seed or 0,

@@ -6,8 +6,9 @@ numbered 0..255) acting on rows, and 2-D outer-totalistic rules whose
 default is Conway's Game of Life acting on cyclic grids. Both step by one
 table lookup per cell.
 
-All values are immutable after construction; every operation is a pure
-function of its inputs, so results can be shared freely between workers.
+Every operation is a pure function of its inputs, so results can be shared
+freely between workers. Cells are checked where they enter a run, by
+:func:`check_batch`, and where they enter a family, by ``InputFamily``.
 """
 from __future__ import annotations
 
@@ -140,24 +141,15 @@ GAME_OF_LIFE = LifeRule(born=frozenset({3}), survives=frozenset({2, 3}))
 System = RuleTable | LifeRule
 
 
+# Kept only because perfbench/workloads.py builds coeff_wide's members from it.
 @dataclass(frozen=True, eq=False)
 class Configuration:
-    """One input: a 1-D row or a 2-D grid of cells, held as read-only uint8."""
+    """One input's cells, unchecked until an ``InputFamily`` stacks them."""
 
-    cells: np.ndarray
+    cells: object
 
-    def __post_init__(self):
-        arr = np.asarray(self.cells)
-        if not 1 <= arr.ndim <= 2 or arr.size < 1:
-            raise ValueError("a configuration is a non-empty 1-D row or 2-D grid of cells")
-        # Checked before the cast to uint8, which would wrap or truncate.
-        if arr.dtype.kind not in "biu":
-            raise ValueError(f"cells must be integers, got dtype {arr.dtype}")
-        if not np.can_cast(arr.dtype, np.uint8) and (arr.min() < 0 or arr.max() > 255):
-            raise ValueError("cell values must lie in 0..255")
-        arr = np.ascontiguousarray(arr, dtype=np.uint8)
-        arr.setflags(write=False)
-        object.__setattr__(self, "cells", arr)
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.cells, dtype=dtype, copy=copy)
 
 
 @dataclass(frozen=True, eq=False)

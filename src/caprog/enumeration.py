@@ -1,4 +1,5 @@
-"""Ordered families of initial configurations.
+"""Ordered families of initial configurations, whose cells are checked
+once, when :class:`InputFamily` stacks them.
 
 The reflected-binary (Gray) ordering makes consecutive inputs differ in
 exactly one cell, which is what lets downstream difference sums read as
@@ -8,11 +9,11 @@ figure-style runs from random inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .engine import CYCLIC, FIXED, Configuration
+from .engine import CYCLIC, FIXED
 
 GRAY = "gray"
 RANDOM = "random"
@@ -29,25 +30,35 @@ class InputFamily:
     """Ordered, pairwise-distinct initial configurations of one shape, all
     run under ``boundary`` (cyclic by default; see :mod:`caprog.engine`).
 
-    ``scheme`` records how the family was built: ``"gray"`` families
-    additionally guarantee Hamming distance exactly 1 between consecutive
-    members. ``cells`` is the read-only uint8 ``(n, *shape)`` stack of the
-    members, built once: each member's cells are a view of its row.
+    ``members``, an ``(n, *shape)`` array or a sequence of rows or grids, must
+    be non-empty 1-D rows or 2-D grids of integers in 0..255, refused rather
+    than cast. The family keeps only their read-only uint8 stack ``cells``.
+    ``scheme`` records how it was built: ``"gray"`` members also differ from
+    their neighbours in exactly one cell.
     """
 
-    members: tuple
+    members: InitVar[object]
     scheme: str
     seed: int | None = None
     density: float | None = None
     boundary: str = CYCLIC
     cells: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, members):
         if self.boundary not in (CYCLIC, FIXED):
             raise ValueError(f"unknown boundary {self.boundary!r}")
-        if len({m.cells.shape for m in self.members}) != 1:
+        rows = [np.asarray(m) for m in members]
+        if len({row.shape for row in rows}) != 1:
             raise ValueError("a family needs members, all of one shape")
-        cells = np.stack([m.cells for m in self.members])
+        cells = np.stack(rows)
+        if not 2 <= cells.ndim <= 3 or cells.size < 1:
+            raise ValueError("a configuration is a non-empty 1-D row or 2-D grid of cells")
+        # Checked before the cast to uint8, which would wrap or truncate.
+        if cells.dtype.kind not in "biu":
+            raise ValueError(f"cells must be integers, got dtype {cells.dtype}")
+        if not np.can_cast(cells.dtype, np.uint8) and (cells.min() < 0 or cells.max() > 255):
+            raise ValueError("cell values must lie in 0..255")
+        cells = cells.astype(np.uint8, copy=False)
         cells.setflags(write=False)
         flat = cells.reshape(len(cells), -1)
         if len({row.tobytes() for row in flat}) != len(flat):
@@ -55,7 +66,6 @@ class InputFamily:
         if self.scheme == GRAY and (np.count_nonzero(flat[1:] != flat[:-1], axis=1) != 1).any():
             raise ValueError("consecutive gray members must differ in exactly one cell")
         object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "members", tuple(map(Configuration, cells)))
 
     @property
     def n(self) -> int:
@@ -103,7 +113,7 @@ def _gray_family(n: int, shape: tuple[int, ...], boundary: str = CYCLIC) -> Inpu
     window = tuple(slice((size - extent) // 2, (size - extent) // 2 + extent)
                    for size, extent in zip(shape, patch))
     cells[(slice(None), *window)] = bits.reshape(n, *patch)
-    return InputFamily(members=tuple(map(Configuration, cells)), scheme=GRAY, boundary=boundary)
+    return InputFamily(members=cells, scheme=GRAY, boundary=boundary)
 
 
 def gray_initials(n: int, width: int, boundary: str = CYCLIC) -> InputFamily:
@@ -128,5 +138,4 @@ def random_initials(
         raise ValueError(f"density must lie strictly between 0 and 1, got {density}")
     # One (n, width) draw takes the same values as n draws of one row each.
     rows = (np.random.default_rng(seed).random((n, width)) < density).astype(np.uint8)
-    return InputFamily(members=tuple(map(Configuration, rows)), scheme=RANDOM, seed=seed,
-                       density=density, boundary=boundary)
+    return InputFamily(members=rows, scheme=RANDOM, seed=seed, density=density, boundary=boundary)

@@ -195,9 +195,8 @@ def test_criterion_7_invariants(tmp_path):
         bin(a ^ b).count("1") == 1 for a, b in zip(codes, codes[1:])
     )
     fam = gray_initials(1024, 12)
-    cells = np.stack([m.cells for m in fam.members])
     ok_parts["gray family n=1024"] = bool(
-        (np.abs(np.diff(cells.astype(np.int8), axis=0)).sum(axis=1) == 1).all()
+        (np.abs(np.diff(fam.cells.astype(np.int8), axis=0)).sum(axis=1) == 1).all()
     )
 
     # Perturbations propagate at most one cell per step.

@@ -18,4 +18,4 @@ def test_coeff_wide_inputs_build(monkeypatch):
     rule, family = workloads.WORKLOADS["coeff_wide"].prepare(0)
     assert rule.rule_id == "eca:110"
     assert family.n == 6
-    assert {m.cells.shape for m in family.members} == {(4096,)}
+    assert family.cells.shape == (6, 4096)

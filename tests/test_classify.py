@@ -83,9 +83,6 @@ class TestKMeans:
         with pytest.raises(ValueError, match="distinct"):
             kmeans_clusters((1.0, 1.0, 2.0, 3.0))
 
-    def test_k_override(self):
-        assert kmeans_clusters((0.0, 10.0), k=2) == (1, 2)
-
 
 class TestZeroBand:
     def test_calibration_matches_formula(self, small_family):

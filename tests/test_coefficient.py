@@ -31,7 +31,6 @@ from caprog.engine import (
     GAME_OF_LIFE,
     SLAB_ROWS,
     STEP_BYTES,
-    Configuration,
     evolve,
     evolve_batch,
     rule_from_number,
@@ -231,7 +230,7 @@ class TestDifferenceSum:
 
     def test_reversing_the_family_changes_nothing(self):
         fam = gray_initials(6, 15)
-        flipped = InputFamily(members=tuple(reversed(fam.members)), scheme=CUSTOM)
+        flipped = InputFamily(members=fam.cells[::-1], scheme=CUSTOM)
         rule = rule_from_number(110)
         forward = measure(rule, fam, 9, 3, 6)[1]
         backward = measure(rule, flipped, 9, 3, 6)[1]
@@ -251,7 +250,7 @@ class TestDifferenceSum:
     def test_needs_two_members_and_one_transition(self, monkeypatch):
         monkeypatch.setattr(coefficient, "run_system", no_evolution)
         fam = gray_initials(4, 9)
-        lone = InputFamily(members=fam.members[:1], scheme=CUSTOM)
+        lone = InputFamily(members=fam.cells[:1], scheme=CUSTOM)
         with pytest.raises(ValueError, match="n >= 2"):
             measure(rule_from_number(30), lone, 5, 1, 5)
         with pytest.raises(ValueError, match="1 <= t_min"):
@@ -277,11 +276,11 @@ class TestDifferenceSum:
                         [rule_from_number(30), GAME_OF_LIFE]):
             with pytest.raises(ValueError, match="one kind"):
                 coefficient.measure_all(systems, family, t)
-        last = family.members[-1].cells.copy()
+        last = family.cells[-1].copy()
         last[0] = 2
-        coloured = InputFamily(members=(*family.members[:-1], Configuration(last)), scheme=CUSTOM)
+        coloured = InputFamily(members=(*family.cells[:-1], last), scheme=CUSTOM)
         grids = gray_patches(3, 8, width)
-        fixed_grids = InputFamily(members=grids.members, scheme=CUSTOM, boundary=FIXED)
+        fixed_grids = InputFamily(members=grids.cells, scheme=CUSTOM, boundary=FIXED)
         for system, refused, match in ((rule_from_number(110), coloured, "colours"),
                                        (GAME_OF_LIFE, family, "2-D grids"),
                                        (rule_from_number(30), grids, "1-D rows"),
@@ -350,8 +349,7 @@ def _k3_r2_case():
     rng = np.random.default_rng(3)
     digits = random.Random(3)
     rules = [rule_from_number(digits.randrange(3 ** 243), k=3, r=2) for _ in range(2)]
-    members = tuple(Configuration(rng.integers(0, 3, size=300, dtype=np.uint8))
-                    for _ in range(6))
+    members = [rng.integers(0, 3, size=300, dtype=np.uint8) for _ in range(6)]
     return rules, InputFamily(members=members, scheme=CUSTOM), True
 
 
@@ -421,10 +419,10 @@ def test_batched_matrix_is_bit_exact(monkeypatch, case):
     start = 0 if include_input else 1
     repeats = 0
     longest = 0
-    for j, member in enumerate(family.members):
+    for j, cells in enumerate(family.cells):
         payloads = set()
         for system, sizes in zip(systems, matrix[:, j]):
-            rows = evolve(system, member.cells, times[-1], family.boundary)
+            rows = evolve(system, cells, times[-1], family.boundary)
             payload = pack_cells(rows[start:].ravel(), system.k)
             payloads.add(payload)
             longest = max(longest, len(payload))
@@ -433,7 +431,7 @@ def test_batched_matrix_is_bit_exact(monkeypatch, case):
                 for t in times
             ]
             if system.rule_id.startswith("eca:"):
-                ref = ref_evolve(system.number, member.cells.tolist(), times[-1],
+                ref = ref_evolve(system.number, cells.tolist(), times[-1],
                                  boundary=family.boundary)
                 assert sizes.tolist() == [ref_complexity(ref[start : t + 1]) for t in times]
         repeats += len(systems) - len(payloads)
@@ -628,8 +626,7 @@ def test_payloads_count_against_the_budget(monkeypatch):
     rng = np.random.default_rng(5)
     digits = random.Random(5)
     systems = [rule_from_number(digits.randrange(3 ** 27), k=3) for _ in range(4)]
-    members = tuple(Configuration(rng.integers(0, 3, size=2000, dtype=np.uint8))
-                    for _ in range(8))
+    members = [rng.integers(0, 3, size=2000, dtype=np.uint8) for _ in range(8)]
     family = InputFamily(members=members, scheme=CUSTOM)
     times = runtime_grid(family, 300)[2]
     bound = engine.MEMORY_BUDGET + 64 * 1024

@@ -14,7 +14,6 @@ from caprog.engine import (
     CYCLIC,
     FIXED,
     GAME_OF_LIFE,
-    Configuration,
     LifeRule,
     RuleTable,
     default_width,
@@ -205,23 +204,6 @@ def test_step_boundaries_differ():
 def test_step_rejects_out_of_range_colours():
     with pytest.raises(ValueError, match="colours"):
         step([0, 2, 0], rule_from_number(110))
-
-
-@pytest.mark.parametrize("cells, match", [
-    (np.array([0, 256, 1, 0, 0]), "0..255"),
-    (np.array([0, -255, 1, 0, 0]), "0..255"),
-    (np.array([0.5, 1.7, 1]), "integers"),
-    ([0, 1.0, 0], "integers"),
-])
-def test_configuration_refuses_cells_it_cannot_hold(cells, match):
-    # A cast to uint8 would wrap 256 to 0 and -255 to 1, and truncate 1.7.
-    with pytest.raises(ValueError, match=match):
-        Configuration(cells)
-
-
-def test_configuration_keeps_every_cell_it_can_hold():
-    for cells in (np.array([0, 255, 1]), np.array([True, False, True]), [0, 1, 2]):
-        assert Configuration(cells).cells.tolist() == np.asarray(cells, dtype=int).tolist()
 
 
 def test_evolve_shape_and_replay():

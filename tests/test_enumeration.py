@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from caprog import engine
+from caprog.cli import main
 from caprog.engine import FIXED, Configuration
 from caprog.enumeration import (
     CUSTOM,
@@ -19,7 +21,7 @@ from reference import ref_gray_members, ref_gray_patches
 
 
 def patterns(family) -> list[str]:
-    return ["".join(str(c) for c in m.cells) for m in family.members]
+    return ["".join(str(c) for c in cells) for cells in family.cells]
 
 
 def test_gray_code_sequence():
@@ -41,8 +43,8 @@ def test_centring_is_left_biased():
 
 def test_first_member_blank_and_all_distinct():
     fam = gray_initials(33, 12)
-    assert fam.members[0].cells.sum() == 0
-    assert len({m.cells.tobytes() for m in fam.members}) == fam.n
+    assert fam.cells[0].sum() == 0
+    assert len({cells.tobytes() for cells in fam.cells}) == fam.n
 
 
 def test_consecutive_hamming_distance_is_one():
@@ -84,7 +86,7 @@ def test_random_family_is_n_sequential_row_draws(seed, n, width, density):
 
 def test_random_density_band():
     fam = random_initials(250, 40, seed=41)
-    mean = np.mean([m.cells.mean() for m in fam.members])
+    mean = np.mean([cells.mean() for cells in fam.cells])
     assert 0.47 <= mean <= 0.53
 
 
@@ -107,15 +109,12 @@ def test_family_shape_properties():
     assert (fam.n, fam.width, fam.height) == (6, 9, None)
     fam2 = gray_patches(8, 20, 24)
     assert (fam2.n, fam2.width, fam2.height) == (8, 24, 20)
-    # patches are 2-D configurations on the torus
-    assert all(isinstance(m, Configuration) for m in fam2.members) and fam2.boundary == "cyclic"
-    # The family holds its cells once: one read-only stack, of which each
-    # member's cells are a row.
-    for family in (fam, fam2, random_initials(5, 12, seed=2)):
-        assert family.cells.shape == (family.n, *family.members[0].cells.shape)
+    # patches are 2-D grids on the torus
+    assert fam2.cells.ndim == 3 and fam2.boundary == "cyclic"
+    # The family holds its cells once, as one read-only uint8 stack.
+    for family, shape in ((fam, (9,)), (fam2, (20, 24)), (random_initials(5, 12, seed=2), (12,))):
+        assert family.cells.shape == (family.n, *shape)
         assert family.cells.dtype == np.uint8 and not family.cells.flags.writeable
-        assert all(np.shares_memory(m.cells, family.cells) for m in family.members)
-        assert [m.cells.tolist() for m in family.members] == family.cells.tolist()
 
 
 def test_patches_are_centred_and_minimal_change():
@@ -144,7 +143,7 @@ def test_gray_writer_matches_reference(n, shape):
         family, expected = gray_initials(n, *shape), ref_gray_members(n, *shape)
     else:
         family, expected = gray_patches(n, *shape), ref_gray_patches(n, *shape)
-    assert [m.cells.tolist() for m in family.members] == expected
+    assert family.cells.tolist() == expected
 
 
 def test_custom_family_validation():
@@ -179,3 +178,63 @@ def test_gray_scheme_enforces_minimal_change():
     jump = (Configuration([0, 0]), Configuration([1, 1]))
     with pytest.raises(ValueError, match="exactly one"):
         InputFamily(members=jump, scheme="gray")
+
+
+FORMS = ("array", "lists", "configurations")
+
+
+def members_as(rows: np.ndarray, form: str):
+    """The members ``rows`` as one (n, *shape) array, as lists or as Configurations."""
+    if form == "array":
+        return rows
+    return rows.tolist() if form == "lists" else [Configuration(row) for row in rows]
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("rows, match", [
+    # A cast to uint8 would wrap 256 to 0 and -255 to 1, and truncate 1.7.
+    (np.array([[0, 1, 0, 0, 0], [0, 256, 1, 0, 0]]), "0..255"),
+    (np.array([[0, 1, 0, 0, 0], [0, -255, 1, 0, 0]]), "0..255"),
+    (np.array([[0, 1, 0], [0.5, 1.7, 1]]), "integers"),
+    (np.array([[0, 1, 0], [0, 1.0, 0]]), "integers"),
+    (np.array([0, 1]), "non-empty 1-D row or 2-D grid"),
+    (np.zeros((2, 2, 2, 2), dtype=np.uint8), "non-empty 1-D row or 2-D grid"),
+    (np.zeros((2, 0), dtype=np.uint8), "non-empty 1-D row or 2-D grid"),
+])
+def test_a_family_refuses_cells_it_cannot_hold(rows, match, form):
+    with pytest.raises(ValueError, match=match):
+        InputFamily(members=members_as(rows, form), scheme=CUSTOM)
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("rows", [
+    np.array([[0, 255, 1], [0, 0, 1]]),
+    np.array([[True, False, True], [False, False, True]]),
+    np.array([[0, 1, 2], [2, 1, 0]], dtype=np.int64),
+    np.array([[[0, 1], [2, 3]], [[3, 2], [1, 0]]], dtype=np.uint16),
+])
+def test_a_family_keeps_every_cell_it_can_hold(rows, form):
+    family = InputFamily(members=members_as(rows, form), scheme=CUSTOM)
+    assert family.cells.tolist() == rows.astype(int).tolist()
+    assert family.cells.dtype == np.uint8 and not family.cells.flags.writeable
+    # The family holds a copy: the caller's array stays writable and its own.
+    assert rows.flags.writeable and not np.shares_memory(family.cells, rows)
+
+
+def test_every_member_form_gives_one_family():
+    rows = random_initials(6, 17, seed=3).cells
+    families = [InputFamily(members=members_as(rows, form), scheme=CUSTOM) for form in FORMS]
+    assert all(np.array_equal(family.cells, rows) for family in families)
+    assert not any(hasattr(family, "members") for family in families)
+
+
+def test_builders_build_no_configuration(tmp_path, monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a family builder built a Configuration")
+
+    monkeypatch.setattr(engine.Configuration, "__init__", refuse)
+    assert gray_initials(40, 61).n == 40
+    assert gray_patches(16, 8, 8).n == 16
+    assert random_initials(5, 12, seed=2).n == 5
+    assert main(["evolve", "--rule", "30", "--input", "0110", "--t", "8",
+                 "--out", str(tmp_path / "out")]) == 0
