@@ -145,12 +145,8 @@ def kmeans_clusters(values) -> tuple[int, ...]:
 
     centres = [uniq[0]]
     while len(centres) < KMEANS_K:
-        best, best_dist = None, -1.0
-        for u in uniq:
-            d = min(abs(u - c) for c in centres)
-            if d > best_dist:
-                best, best_dist = u, d
-        centres.append(best)
+        # max keeps the first, so the smallest, of equally far values.
+        centres.append(max(uniq, key=lambda u: min(abs(u - c) for c in centres)))
 
     assign = [0] * len(vals)
     for _ in range(KMEANS_MAX_ITER):

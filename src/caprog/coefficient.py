@@ -117,11 +117,7 @@ def sample_times(t_min: int, t_max: int, stride: int) -> tuple[int, ...]:
         raise ValueError(f"need 1 <= t_min < t_max, got t_min={t_min}, t_max={t_max}")
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    times = []
-    t = t_max
-    while t >= t_min:
-        times.append(t)
-        t -= stride
+    times = range(t_max, t_min - 1, -stride)
     if len(times) < 2:
         raise DegenerateFitError(f"t_min={t_min}, t_max={t_max} and stride={stride} sample "
                                  "one runtime; a line fit needs at least two points")

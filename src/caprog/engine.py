@@ -7,7 +7,8 @@ default is Conway's Game of Life acting on cyclic grids. Both step by one
 table lookup per cell.
 
 Every operation is a pure function of its inputs, so results can be shared
-freely between workers. Cells are checked where they enter a run, by
+freely between workers. A configuration is a plain array of cells, with no
+type around it. Cells are checked where they enter a run, by
 :func:`check_batch`, and where they enter a family, by ``InputFamily``.
 """
 from __future__ import annotations
@@ -141,15 +142,9 @@ GAME_OF_LIFE = LifeRule(born=frozenset({3}), survives=frozenset({2, 3}))
 System = RuleTable | LifeRule
 
 
-# Kept only because perfbench/workloads.py builds coeff_wide's members from it.
-@dataclass(frozen=True, eq=False)
-class Configuration:
-    """One input's cells, unchecked until an ``InputFamily`` stacks them."""
-
-    cells: object
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.cells, dtype=dtype, copy=copy)
+# Kept only because perfbench/workloads.py calls it; a member is its cells.
+def Configuration(cells):
+    return cells
 
 
 @dataclass(frozen=True, eq=False)

@@ -34,7 +34,8 @@ class InputFamily:
     be non-empty 1-D rows or 2-D grids of integers in 0..255, refused rather
     than cast. The family keeps only their read-only uint8 stack ``cells``.
     ``scheme`` records how it was built: ``"gray"`` members also differ from
-    their neighbours in exactly one cell.
+    their neighbours in exactly one cell. ``descriptor`` names the family in a
+    stored result, where it is checked against the stored params.
     """
 
     members: InitVar[object]
@@ -82,11 +83,15 @@ class InputFamily:
 
     @property
     def descriptor(self) -> str:
-        dims = f"{self.height}x{self.width}" if self.height is not None else f"W{self.width}"
-        extra = ""
-        if self.scheme == RANDOM:
-            extra = f",seed={self.seed},density={self.density}"
-        return f"{self.scheme}(n={self.n},{dims}{extra})"
+        extra = f",seed={self.seed},density={self.density}" if self.scheme == RANDOM else ""
+        return f"{descriptor_head(self.scheme, self.n, self.width, self.height)}{extra})"
+
+
+def descriptor_head(scheme: str, n: int, width: int, height: int | None) -> str:
+    """A family descriptor up to its shape, as ``gray(n=16,8x8``; a random
+    family's ``,seed=…,density=…`` follows, and ``)`` closes it."""
+    dims = f"{height}x{width}" if height is not None else f"W{width}"
+    return f"{scheme}(n={n},{dims}"
 
 
 def _gray_family(n: int, shape: tuple[int, ...], boundary: str = CYCLIC) -> InputFamily:

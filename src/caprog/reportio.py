@@ -21,6 +21,7 @@ from . import __version__
 from .classify import SweepReport
 from .coefficient import (CoefficientResult, FitResult, RunParams, VariabilityCurve, fit_line,
                           sample_times)
+from .enumeration import descriptor_head
 
 SCHEMA_CURVE = "caprog.curve.v1"
 SCHEMA_COEFFICIENT = "caprog.coefficient.v1"
@@ -93,10 +94,11 @@ def coefficient_from_obj(obj: dict) -> CoefficientResult:
     fit = FitResult(**obj["fit"])
     if obj["c_value"] != fit.slope:
         raise ValueError("c_value must equal the fitted slope exactly")
-    family = obj["curve"]["family"]
-    if not isinstance(family, str):
-        raise ValueError("curve.family must be the input family's descriptor")
     params = RunParams(**obj["params"])
+    family = obj["curve"]["family"]
+    head = descriptor_head(params.scheme, params.n, params.width, params.height)
+    if not isinstance(family, str) or not family.startswith((head + ")", head + ",")):
+        raise ValueError("curve.family must be the descriptor of the family of params")
     curve = VariabilityCurve(points=tuple((t, value) for t, value in obj["curve"]["points"]))
     times = sample_times(params.t_min, params.t_max, params.stride)
     if tuple(t for t, _ in curve.points) != times:
@@ -143,6 +145,9 @@ def load_manifest(path: str | Path) -> dict:
     if not (isinstance(obj.get("argv"), list) and isinstance(obj.get("params"), dict)
             and isinstance(obj.get("outputs"), dict)):
         raise ValueError(f"a run manifest needs an argv list, params and outputs: {path}")
+    # An artifact lies in its run's directory, so no name may lead out of it.
+    if any(name in ("", ".", "..") or Path(name).name != name for name in obj["outputs"]):
+        raise ValueError(f"a run manifest lists its artifacts by plain file name: {path}")
     return obj
 
 

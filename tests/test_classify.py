@@ -79,6 +79,11 @@ class TestKMeans:
         shuffled_labels = kmeans_clusters(shuffled)
         assert shuffled_labels == tuple(labels[i] for i in perm)
 
+    def test_seeding_keeps_the_smallest_of_equally_far_values(self):
+        # Seeds 0, 4, 2; then 1 and 3 are both 1 from the seeds, and the
+        # smaller is taken. Seeding 3 instead would give (1, 1, 2, 3, 4).
+        assert kmeans_clusters([0.0, 1.0, 2.0, 3.0, 4.0]) == (1, 2, 3, 4, 4)
+
     def test_needs_k_distinct_values(self):
         with pytest.raises(ValueError, match="distinct"):
             kmeans_clusters((1.0, 1.0, 2.0, 3.0))

@@ -27,6 +27,7 @@ from caprog.reportio import (
     curve_csv_bytes,
     json_bytes,
     load_manifest,
+    sha256_hex,
     verify_outputs,
 )
 
@@ -514,7 +515,8 @@ class TestCompare:
 
     @pytest.mark.parametrize("stored", ["tampered", "missing", "not JSON", "a JSON list",
                                         "no family descriptor", "no points", "a changed S",
-                                        "a changed t", "a changed stride"])
+                                        "a changed t", "a changed stride", "a changed n",
+                                        "a changed width", "a changed scheme"])
     def test_unreadable_stored_result_is_a_usage_error(self, tmp_path, capsys, stored):
         good, bad = tmp_path / "good.json", tmp_path / "bad.json"
         res, curve = measure(rule_from_number(90), gray_initials(6, 15), 24)
@@ -533,6 +535,15 @@ class TestCompare:
             # The points still fit, but not at the runtimes of the grid.
             params = {**obj["params"], "stride": obj["params"]["stride"] + 1}
             bad.write_bytes(json_bytes({**obj, "params": params}))
+        elif stored in ("a changed n", "a changed width"):
+            # The curve still refits on its grid, but the family is not the
+            # one of params. Width 1 leaves "gray(n=6,W1" a prefix of
+            # "gray(n=6,W15)", which is still not its family.
+            key, value = ("n", 7) if stored == "a changed n" else ("width", 1)
+            bad.write_bytes(json_bytes({**obj, "params": {**obj["params"], key: value}}))
+        elif stored == "a changed scheme":
+            curve = {**obj["curve"], "family": "random(n=6,W15,seed=1,density=0.5)"}
+            bad.write_bytes(json_bytes({**obj, "curve": curve}))
         elif stored != "missing":
             # The curve no longer refits to the stored fit, or has no points.
             points = [list(point) for point in obj["curve"]["points"]]
@@ -604,6 +615,26 @@ class TestRerun:
         assert code == 0
         out = capsys.readouterr().out
         assert json.loads(out[out.index("{"):])["match"] is True
+
+    @pytest.mark.parametrize("name", ["../secret.txt", "sub/secret.txt", "", ".", ".."])
+    def test_manifest_naming_a_file_outside_the_replay_is_refused(self, tmp_path, capsys, name):
+        # A replay checks only what it writes into its own directory, so it
+        # must not vouch for a file beside it whose hash the manifest holds.
+        secret = tmp_path / "secret.txt"
+        secret.write_bytes(b"not written by caprog\n")
+        first = tmp_path / "first"
+        assert main(["evolve", "--rule", "30", "--input", "0110", "--t", "4",
+                     "--out", str(first)]) == 0
+        manifest_path = first / MANIFEST_NAME
+        obj = read_json(manifest_path)
+        obj["outputs"][name] = sha256_hex(secret.read_bytes())
+        manifest_path.write_bytes(json_bytes(obj))
+        capsys.readouterr()
+        replay = tmp_path / "replay"
+        code = main(["rerun", "--manifest", str(manifest_path), "--out", str(replay)])
+        assert code == 4
+        assert "file name" in capsys.readouterr().err
+        assert not replay.exists()
 
     def test_doctored_manifest_fails_verification(self, tmp_path, capsys):
         first = tmp_path / "first"

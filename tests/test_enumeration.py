@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -171,7 +169,6 @@ def test_a_family_holds_its_boundary_once():
                    random_initials(3, 9, seed=1, boundary=FIXED),
                    InputFamily(members=(Configuration([0, 1]),), scheme=CUSTOM, boundary=FIXED)):
         assert family.boundary == FIXED
-    assert [field.name for field in dataclasses.fields(Configuration)] == ["cells"]
 
 
 def test_gray_scheme_enforces_minimal_change():
@@ -184,7 +181,8 @@ FORMS = ("array", "lists", "configurations")
 
 
 def members_as(rows: np.ndarray, form: str):
-    """The members ``rows`` as one (n, *shape) array, as lists or as Configurations."""
+    """The members ``rows`` as one (n, *shape) array, as lists or as rows
+    passed through ``Configuration``, as the benchmark builds them."""
     if form == "array":
         return rows
     return rows.tolist() if form == "lists" else [Configuration(row) for row in rows]
@@ -229,10 +227,10 @@ def test_every_member_form_gives_one_family():
 
 
 def test_builders_build_no_configuration(tmp_path, monkeypatch):
-    def refuse(self, *args, **kwargs):
+    def refuse(*args, **kwargs):
         raise AssertionError("a family builder built a Configuration")
 
-    monkeypatch.setattr(engine.Configuration, "__init__", refuse)
+    monkeypatch.setattr(engine, "Configuration", refuse)
     assert gray_initials(40, 61).n == 40
     assert gray_patches(16, 8, 8).n == 16
     assert random_initials(5, 12, seed=2).n == 5

@@ -1,4 +1,5 @@
-"""The package parses on the oldest Python that pyproject.toml declares."""
+"""The package and its tests parse on the oldest Python that pyproject.toml
+declares."""
 
 import ast
 import re
@@ -12,7 +13,8 @@ def test_sources_parse_at_the_declared_python_floor():
     floor = tuple(int(part) for part in
                   re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', text, re.MULTILINE).groups())
     sources = sorted((ROOT / "src" / "caprog").glob("*.py"))
-    assert sources
-    for path in sources:
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    assert sources and tests
+    for path in [*sources, *tests]:
         # Refuses syntax newer than the floor, e.g. except* or PEP 695 generics.
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=floor)

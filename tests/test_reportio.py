@@ -207,6 +207,19 @@ class TestManifest:
             "a.txt", "b.bin", MANIFEST_NAME, "notes.txt"]
         assert verify_outputs(out, first) == {"a.txt": True, "b.bin": True, "notes.txt": False}
 
+    @pytest.mark.parametrize("name", ["../a.txt", "..", ""])
+    def test_run_whose_manifest_names_a_path_is_left_alone(self, tmp_path, name):
+        # Its manifest is no run manifest, so the directory is not an
+        # earlier run, though it holds nothing the manifest does not list.
+        out = tmp_path / "out"
+        write_outputs(out, self.files(), ["caprog"], {})
+        obj = json.loads((out / MANIFEST_NAME).read_text(encoding="utf-8"))
+        obj["outputs"][name] = sha256_hex(b"alpha\n")
+        (out / MANIFEST_NAME).write_bytes(json_bytes(obj))
+        with pytest.raises(FileExistsError):
+            write_outputs(out, {"c.txt": b"gamma\n"}, ["caprog"], {})
+        assert sorted(p.name for p in out.iterdir()) == ["a.txt", "b.bin", MANIFEST_NAME]
+
     def test_working_directory_is_never_replaced(self, tmp_path, monkeypatch):
         out = tmp_path / "out"
         write_outputs(out, self.files(), ["caprog"], {})
@@ -243,6 +256,7 @@ class TestManifest:
     @pytest.mark.parametrize("change", [
         {"outputs": None}, {"outputs": []}, {"outputs": "a.txt"},
         {"params": None}, {"argv": "caprog coeff"}, {"argv": None},
+        *({"outputs": {name: "0" * 64}} for name in ("../a.txt", "d/a.txt", "", ".", "..")),
     ])
     def test_load_needs_argv_params_and_outputs(self, tmp_path, change):
         path = tmp_path / MANIFEST_NAME
