@@ -190,7 +190,7 @@ def cmd_evolve(args, argv) -> int:
         parser.error("choose --input BITS, --gray-inputs N, or --random-inputs N")
     family = _family(args, parser, lambda core: default_width(core, system.r, t))
     files = {}
-    for chunk in run_chunks(family.n, t, family.cells[0].size, system.k):
+    def render_chunk(chunk) -> None:
         batch = evolve_batch([system] * len(chunk), family.cells[chunk], family.boundary, t)
         for j, payload in zip(chunk, batch.packed):
             rows = unpack_rows(payload, math.prod(batch.shape), system.k)
@@ -198,6 +198,8 @@ def cmd_evolve(args, argv) -> int:
             files[f"evolution_{j:03d}.pbm"] = reportio.pbm_bytes(rows.reshape(-1, batch.shape[-1]))
             if args.raw:
                 files[f"evolution_{j:03d}.bin"] = payload.tobytes()
+    for chunk in run_chunks(family.n, t, family.cells[0].size, system.k):
+        render_chunk(chunk)
     described = {"scheme": family.scheme, "n": family.n, "width": family.width,
                  "height": family.height, "seed": family.seed, "density": family.density}
     params = {"system": system.rule_id, "t": t, "raw": bool(args.raw),

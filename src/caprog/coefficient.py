@@ -161,23 +161,25 @@ def complexity_matrices(
     1 or not past the first row measured, raise before anything evolves.
 
     The (member, system) runs are evolved in the chunks of
-    :func:`caprog.engine.run_chunks`, one at a time and each into one packed
-    array, and each run once to the largest runtime: shorter runtimes
-    compress prefixes of the same run. In a chunk, a run that settles into
-    period 1 or 2 stops stepping at that step while the others step on (see
-    :func:`caprog.engine.evolve_batch`), so inert systems measured beside
-    moving ones cost little. Without the input row, each chunk first takes
-    one step and measures from there: the engine continues a run bit for
-    bit. The memo covers one member, whose runs may span chunks: it maps a
-    payload's digest to the member's first run with that payload. With the
-    input row, runs of distinct members never coincide, since their first
-    rows are the members' cells. Each distinct run's payload, taken at the
-    largest runtime, which determines every prefix, goes once to
-    :func:`caprog.complexity.prefix_sizes`; the sizes go straight into the
-    run's row, and a repeated run copies that row. The calling thread
-    compresses a chunk's settled runs and shares those that stepped to the
-    largest runtime with up to ``workers`` - 1 helper threads (default: one
-    per CPU), whose errors it raises; the sizes do not depend on them.
+    :func:`caprog.engine.run_chunks`, each into one packed array, and each
+    run once to the largest runtime: shorter runtimes compress prefixes of
+    the same run. Each chunk is measured in a call of its own, whose locals
+    are all that hold its array, so it is freed before the next evolves. In
+    a chunk, a run that settles into period 1 or 2 stops stepping at that
+    step while the others step on (see :func:`caprog.engine.evolve_batch`),
+    so inert systems measured beside moving ones cost little. Without the
+    input row, each chunk first takes one step and measures from there: the
+    engine continues a run bit for bit. The memo covers one member, whose
+    runs may span chunks: it maps a payload's digest to the member's first
+    run with that payload. With the input row, runs of distinct members
+    never coincide, since their first rows are the members' cells. Each
+    distinct run's payload, taken at the largest runtime, which determines
+    every prefix, goes once to :func:`caprog.complexity.prefix_sizes`; the
+    sizes go straight into the run's row, and a repeated run copies that
+    row. The calling thread compresses a chunk's settled runs and shares
+    those that stepped to the largest runtime with up to ``workers`` - 1
+    helper threads (default: one per CPU), whose errors it raises; the sizes
+    do not depend on them.
     """
     workers = resolve_workers(workers)
     check_batch(systems, family.cells, family.boundary)
@@ -207,7 +209,7 @@ def complexity_matrices(
             for _ in runs:
                 pass
 
-    for chunk in run_chunks(total, t_top, size, k):
+    def measure_chunk(chunk) -> None:
         chunk_systems = [systems[i % len(systems)] for i in chunk]
         states = family.cells[[i // len(systems) for i in chunk]]
         if not include_input:
@@ -236,8 +238,8 @@ def complexity_matrices(
             raise errors[0]
         for i, first in repeats:
             out[i] = out[first]
-        # The next chunk evolves with no payload of this one alive.
-        del batch, states, payload, settled, moving, helpers
+    for chunk in run_chunks(total, t_top, size, k):
+        measure_chunk(chunk)
     return out.reshape(family.n, len(systems), len(times)).transpose(1, 0, 2)
 
 

@@ -33,9 +33,11 @@ class InputFamily:
     ``members``, an ``(n, *shape)`` array or a sequence of rows or grids, must
     be non-empty 1-D rows or 2-D grids of integers in 0..255, refused rather
     than cast. The family keeps only their read-only uint8 stack ``cells``.
-    ``scheme`` records how it was built: ``"gray"`` members also differ from
-    their neighbours in exactly one cell. ``descriptor`` names the family in a
-    stored result, where it is checked against the stored params.
+    ``scheme`` records how it was built, ``"gray"``, ``"random"`` or
+    ``"custom"``: ``"gray"`` members also differ from their neighbours in
+    exactly one cell, and only a ``"random"`` family has a ``seed`` and a
+    ``density``. ``descriptor`` names the family in a stored result, where
+    it is checked against the stored params.
     """
 
     members: InitVar[object]
@@ -48,6 +50,10 @@ class InputFamily:
     def __post_init__(self, members):
         if self.boundary not in (CYCLIC, FIXED):
             raise ValueError(f"unknown boundary {self.boundary!r}")
+        if self.scheme not in (GRAY, RANDOM, CUSTOM):
+            raise ValueError(f"unknown scheme {self.scheme!r}")
+        if self.scheme != RANDOM and (self.seed, self.density) != (None, None):
+            raise ValueError(f"a {self.scheme} family takes no seed and no density")
         rows = [np.asarray(m) for m in members]
         if len({row.shape for row in rows}) != 1:
             raise ValueError("a family needs members, all of one shape")

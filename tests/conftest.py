@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from caprog import engine
@@ -26,6 +28,26 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def default_family():
     """The measurement family used throughout: 40 Gray rows of width 61."""
     return gray_initials(40, 61)
+
+
+def run_bytes(family, t: int, k: int = 2) -> int:
+    """What one run to runtime ``t`` counts against the memory budget: its
+    packed payload of every row, one slab and one step's temporaries."""
+    size = family.cells[0].size
+    cells = (t + 1) * size
+    return (-(-cells // 8) if k == 2 else cells) + (engine.SLAB_ROWS + engine.STEP_BYTES) * size
+
+
+def traced(measurement):
+    """What ``measurement()`` returns, and the peak of its traced
+    allocations in bytes."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = measurement()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 class StepLog(list):

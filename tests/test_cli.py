@@ -31,6 +31,7 @@ from caprog.reportio import (
     verify_outputs,
 )
 
+from conftest import run_bytes, traced
 from reference import compensated_sum, ref_read_pbm, ref_unpack
 
 # Small measurement grid reused across tests to keep runs quick.
@@ -135,6 +136,29 @@ class TestEvolve:
             assert written[0][f"evolution_{j:03d}.bin"] == pack_cells(rows.ravel(), 2)
             assert ref_read_pbm(written[0][f"evolution_{j:03d}.pbm"]) == rows.reshape(
                 -1, rows.shape[-1]).tolist()
+
+    def test_evolve_holds_one_chunk_at_a_time(self, tmp_path, monkeypatch):
+        # Beyond the files it writes and the family's cells, evolving three
+        # equal chunks takes no more memory than evolving one: a chunk's
+        # runs are freed before the next chunk evolves.
+        t, side = 120, 32
+        chunk = 16 * run_bytes(gray_patches(16, side, side), t)
+        monkeypatch.setattr(engine, "MEMORY_BUDGET", chunk)
+        assert len(engine.run_chunks(48, t, side * side, 2)) == 3
+
+        def held(n: int) -> int:
+            argv = ["evolve", "--model", "life", "--gray-inputs", str(n), "--height", str(side),
+                    "--width", str(side), "--t", str(t)]
+            # A first run takes the imports and caches that a later one reuses.
+            assert main([*argv, "--out", str(tmp_path / f"{n}-warm")]) == 0
+            out = tmp_path / str(n)
+            code, peak = traced(lambda: main([*argv, "--out", str(out)]))
+            assert code == 0
+            written = sum(path.stat().st_size for path in out.glob("evolution_*"))
+            return peak - written - n * side * side
+
+        one, three = held(16), held(48)
+        assert three <= one + 64 * 1024, f"three chunks hold {three - one} B more than one"
 
     def test_manifest_lists_every_artifact(self, tmp_path):
         out = tmp_path / "mani"

@@ -4,7 +4,6 @@ import builtins
 import math
 import random
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,8 +28,6 @@ from caprog.engine import (
     CYCLIC,
     FIXED,
     GAME_OF_LIFE,
-    SLAB_ROWS,
-    STEP_BYTES,
     evolve,
     evolve_batch,
     rule_from_number,
@@ -38,19 +35,12 @@ from caprog.engine import (
 from caprog.enumeration import CUSTOM, InputFamily, gray_initials, gray_patches, random_initials
 from caprog.reportio import coefficient_from_obj, coefficient_json_obj
 
+from conftest import run_bytes, traced
 from reference import compensated_sum, ref_coefficient, ref_complexity, ref_evolve, ref_ols
 
 
 def no_evolution(*args):
     raise AssertionError("a refused request must not evolve anything")
-
-
-def run_bytes(family: InputFamily, t: int, k: int = 2) -> int:
-    """What one run to runtime ``t`` counts against the memory budget: its
-    packed payload of every row, one slab and one step's temporaries."""
-    size = family.cells[0].size
-    cells = (t + 1) * size
-    return (-(-cells // 8) if k == 2 else cells) + (SLAB_ROWS + STEP_BYTES) * size
 
 
 def curve_from(points) -> VariabilityCurve:
@@ -549,22 +539,10 @@ def test_matrices_refuse_times_that_are_not_increasing_runtimes(monkeypatch, tim
                                         include_input)
 
 
-def traced(measurement):
-    """What ``measurement()`` returns, and the peak of its traced
-    allocations in bytes."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        result = measurement()
-        return result, tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-
-
-def traced_matrix(systems, family, times, include_input=True):
+def traced_matrix(systems, family, times, include_input=True, workers=1):
     """The matrix, and the peak of its traced allocations in bytes."""
     return traced(lambda: coefficient.complexity_matrices(systems, family, times,
-                                                          include_input, 1))
+                                                          include_input, workers))
 
 
 def test_one_chunk_tensor_is_alive_at_a_time():
@@ -600,14 +578,17 @@ def test_a_measurement_without_the_input_row_holds_one_chunk(systems, family):
     assert peak <= bound, f"peak {peak} B above {bound} B"
 
 
-def test_a_run_beyond_the_budget_is_held_packed():
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_run_beyond_the_budget_is_held_packed(workers):
     """A run whose space-time array alone would be over the budget (2.3 MiB
     here) costs its packed payload, a slab and a step: all three runs fit
-    in the budget at once, and each size is that of its run's prefix."""
+    in the budget at once, and each size is that of its run's prefix. Rule
+    110 never settles here, so with two workers a helper thread compresses
+    beside the calling thread, within the same bound."""
     rule, family = rule_from_number(110), random_initials(3, 4096, seed=0)
     times = runtime_grid(family, 600)[2]
     assert (times[-1] + 1) * 4096 > engine.MEMORY_BUDGET
-    matrix, peak = traced_matrix([rule], family, times)
+    matrix, peak = traced_matrix([rule], family, times, workers=workers)
     bound = engine.MEMORY_BUDGET + 64 * 1024
     assert peak <= bound, f"peak {peak} B above {bound} B"
     for cells, sizes in zip(family.cells, matrix[0]):
@@ -665,6 +646,46 @@ def test_the_default_life_measurement_stops_each_run_at_its_settle_step(step_cal
     family = gray_patches(cli.LIFE_N, cli.LIFE_SIDE, cli.LIFE_SIDE)
     coefficient.measure_all((GAME_OF_LIFE, *INERT_LIFE), family, cli.LIFE_T)
     assert step_calls.cells == 10_978_304
+
+
+@pytest.mark.parametrize("systems, family, t, distinct, payload_bytes, prefixes, copies, cells", [
+    ([rule_from_number(number) for number in range(256)], gray_initials(3, 61), 64,
+     298, 496, 5_662, 0, 1_464_244),
+    ([rule_from_number(110)], random_initials(6, 4096, seed=0), 300,
+     6, 154_112, 96, 90, 7_372_800),
+    ((GAME_OF_LIFE, *INERT_LIFE), gray_patches(20, 48, 48), 120,
+     46, 34_848, 736, 690, 315_648),
+], ids=["eca_sweep", "coeff_wide", "life_coeff"])
+def test_the_benchmark_shapes_do_pinned_work(monkeypatch, step_calls, systems, family, t,
+                                             distinct, payload_bytes, prefixes, copies, cells):
+    """The pass of each benchmark workload's shape (perfbench/workloads.py)
+    compresses ``distinct`` payloads of ``payload_bytes`` once each, at
+    every sample time, and steps ``cells`` cells: each run steps to its
+    settle step, the first s >= 1 whose row equals the row two steps
+    before (at s = 1, the input row), or to t. None of it depends on the
+    zlib build."""
+    compressed = []
+    prefix_sizes = coefficient.prefix_sizes
+
+    def recording(payload, counts, k):
+        compressed.append((len(payload), len(counts)))
+        return prefix_sizes(payload, counts, k)
+
+    monkeypatch.setattr(coefficient, "prefix_sizes", recording)
+    coefficient.measure_all(systems, family, t, workers=1)
+    stepped = step_calls.cells
+    times = len(runtime_grid(family, t)[2])
+    assert compressed == [(payload_bytes, times)] * distinct
+    assert distinct * times == prefixes
+    # A streamed payload's stream is copied at every sample time but the last.
+    assert distinct * (times - 1) * (payload_bytes >= complexity.STREAM_BYTES) == copies
+    settle_steps = []
+    for member in family.cells:
+        for system in systems:
+            rows = evolve(system, member, t, family.boundary)
+            settle_steps.append(next(
+                (s for s in range(1, t + 1) if np.array_equal(rows[s], rows[max(s - 2, 0)])), t))
+    assert stepped == family.cells[0].size * sum(settle_steps) == cells
 
 
 @pytest.fixture

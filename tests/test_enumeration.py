@@ -8,6 +8,7 @@ from caprog.cli import main
 from caprog.engine import FIXED, Configuration
 from caprog.enumeration import (
     CUSTOM,
+    GRAY,
     InputFamily,
     gray_code,
     gray_initials,
@@ -160,6 +161,21 @@ def test_custom_family_validation():
         InputFamily(members=(a, Configuration(np.array([0, 257, 0]))), scheme=CUSTOM)
     with pytest.raises(ValueError, match="unknown boundary"):
         InputFamily(members=(a, b), scheme=CUSTOM, boundary="wrapped")
+
+
+@pytest.mark.parametrize("scheme, extra, match", [
+    ("gray2", {"seed": 5, "density": 0.3}, "unknown scheme"),
+    ("", {}, "unknown scheme"),
+    (CUSTOM, {"seed": 5}, "no seed"),
+    (CUSTOM, {"density": 0.3}, "no seed"),
+    (GRAY, {"seed": 0}, "no seed"),
+])
+def test_a_family_refuses_a_scheme_it_cannot_describe(scheme, extra, match):
+    # The descriptor a stored result carries is built from the scheme and,
+    # for a random family only, its seed and density: any other scheme, or
+    # a seed the descriptor would not show, is refused.
+    with pytest.raises(ValueError, match=match):
+        InputFamily(members=np.eye(3, dtype=np.uint8), scheme=scheme, **extra)
 
 
 def test_a_family_holds_its_boundary_once():
